@@ -8,7 +8,11 @@
 /// `bench_filter --smoke` runs a fast self-checking mode: scan, live-index
 /// and persistent-index filters must return identical counts, the packed
 /// index must actually be probed (engine.index.packed_probes > 0) and the
-/// prepared-geometry path exercised (spatial.prepared.misses > 0). Pass
+/// prepared-geometry path exercised (spatial.prepared.misses > 0), and
+/// both sides of the refine selection must run: the all-point data on the
+/// batch kernels (engine.columnar.rows), the same points plus polygons on
+/// the scalar refine (engine.columnar.fallbacks), each matching a
+/// brute-force count. Pass
 /// `--json=<path>` (with or without --smoke) to write median stage timings
 /// as a flat JSON report for the BENCH_*.json snapshots.
 #include <algorithm>
@@ -199,6 +203,33 @@ int RunSmoke(const std::string& json_path) {
         "packed index probed (engine.index.packed_probes advanced)");
   check(prepared_misses->Value() > misses_before,
         "prepared refinement exercised (spatial.prepared.misses advanced)");
+
+  // Refine selection: the all-point filters above ran on the batch kernels;
+  // adding polygons to the same points sends every partition to the scalar
+  // refine. Both must match a brute-force count.
+  {
+    const ColumnarMetricSet& columnar = GlobalColumnarMetrics();
+    const uint64_t rows_before = columnar.rows->Value();
+    const uint64_t fallbacks_before = columnar.fallbacks->Value();
+    std::vector<std::pair<STObject, int64_t>> mixed = MakeData();
+    for (STObject& polygon : bench::BenchPolygons(N() / 100)) {
+      mixed.emplace_back(std::move(polygon), -1);
+    }
+    size_t brute = 0;
+    for (const auto& [obj, id] : mixed) brute += obj.Intersects(query) ? 1 : 0;
+    const size_t points_hits = GridPartitioned().Intersects(query).Count();
+    const size_t mixed_hits = Rdd::FromVector(Ctx(), std::move(mixed))
+                                  .Intersects(query)
+                                  .Count();
+    std::fprintf(stderr, "[smoke] mixed data: filter=%zu brute=%zu\n",
+                 mixed_hits, brute);
+    check(mixed_hits == brute, "mixed-data filter matches brute force");
+    check(points_hits == scan, "all-point filter stable");
+    check(columnar.rows->Value() > rows_before,
+          "all-point data refined by the kernels (engine.columnar.rows)");
+    check(columnar.fallbacks->Value() > fallbacks_before,
+          "mixed data refined by the scalar path (engine.columnar.fallbacks)");
+  }
 
   // Median-of-3 stage timings, interleaved so noise hits all modes alike.
   std::vector<double> scan_s, live_s, indexed_s;

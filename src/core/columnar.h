@@ -1,30 +1,20 @@
 /// \file columnar.h
-/// Columnar partition representation: one ColumnarBatch holds a partition's
-/// STObjects as structure-of-arrays slabs — representative-point coordinate
-/// arrays, timestamp arrays, per-row envelope min/max slabs, an
-/// offsets-based vertex array for non-point geometries, and a row-id column
-/// — so the filter/join hot paths scan dense cache lines instead of
-/// pointer-chasing heap objects (Thrill-style flat data plane, ROADMAP
-/// item 5).
+/// Point slabs for the batched refine kernels: one ColumnarBatch holds an
+/// all-point batch of STObjects as structure-of-arrays — coordinate,
+/// timestamp and envelope slabs — so the refine kernels scan dense arrays
+/// instead of pointer-chasing heap objects.
 ///
-/// Round-trip contract: Append/FromObjects followed by ToObjects
-/// reconstructs every object bit-identically through the same Geometry
-/// factories the existing serde path uses — NaN coordinate bits, the empty
-/// envelope sentinel (min=+inf/max=-inf), degenerate rings, and optional
-/// time all survive. tests/columnar_test.cc enforces this over the fuzz
-/// generators by comparing serialized bytes (STObject::operator== is
-/// NaN-blind).
-///
-/// The slab serde (WriteColumnarBatch/ReadColumnarBatch) writes each column
-/// as one length-prefixed contiguous block, so saving or loading a columnar
-/// partition is a handful of memcpys instead of a per-object field walk.
+/// Only all-point batches exist: the build gives up at the first non-point
+/// row, and columnar_refine::SelectKernels uses exactly that outcome to pick
+/// kernel or scalar refinement. The objects stay the one data plane; a batch
+/// is a read-only companion of a partition, never stored or shipped.
 #ifndef STARK_CORE_COLUMNAR_H_
 #define STARK_CORE_COLUMNAR_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "common/serde.h"
 #include "core/stobject.h"
 #include "geometry/kernels.h"
 #include "obs/metrics.h"
@@ -33,160 +23,22 @@ namespace stark {
 
 namespace columnar {
 
-/// Kill-switch: false when the environment sets STARK_COLUMNAR=0 (or
-/// "false"/"off"), true otherwise. Read once, then cached; SetEnabled
-/// overrides at runtime. Every columnar fast path consults this so the
-/// per-object path stays one env var away for differential debugging.
-bool Enabled();
-
-/// Runtime override of the kill-switch (benches toggle it to time both
-/// paths in one process). Thread-safe; affects subsequently started tasks.
-void SetEnabled(bool enabled);
+/// Always true. There is no switch: the kernels are chosen per batch from
+/// the data (see columnar_refine::SelectKernels). Kept for callers that
+/// record the plane in run metadata.
+inline bool Enabled() { return true; }
 
 }  // namespace columnar
 
-/// \brief SoA slab container for one batch/partition of STObjects.
-///
-/// Row layout: every row has a type tag, a representative point (the
-/// coordinate itself for point rows, the first vertex otherwise), a
-/// has_time flag with start/end ticks, and an envelope entry in the
-/// EnvelopeSoA slab. Non-point rows additionally own a range of the
-/// flattened vertex arrays via vertex_offsets, with structure described by
-/// the tiling ladder part_offsets -> part_ring_offsets -> ring_offsets:
-/// every non-point row contributes parts and vertex runs (a polygon part
-/// holds one run per ring; a linestring/multipoint row is one part holding
-/// its whole vertex list as a single run), so each level always starts
-/// where the previous entry ends. Point rows keep their coordinate
-/// only in x/y, so the dominant all-points case stores each coordinate
-/// exactly once.
-class ColumnarBatch {
- public:
-  ColumnarBatch() = default;
-
-  /// Builds a batch from \p objects with row_ids 0..n-1.
-  static ColumnarBatch FromObjects(const std::vector<STObject>& objects);
-
-  /// Builds a batch from any container, extracting the STObject per item
-  /// with \p obj_of (e.g. `[](const Element& e) -> const STObject& { return
-  /// e.first; }`). Row ids are the container positions.
-  template <typename Container, typename Fn>
-  static ColumnarBatch Build(const Container& items, Fn&& obj_of) {
-    ColumnarBatch b;
-    b.Reserve(items.size());
-    for (const auto& item : items) b.Append(obj_of(item));
-    return b;
-  }
-
-  void Reserve(size_t rows);
-
-  /// Appends \p obj as the next row (row_id = current rows()).
-  void Append(const STObject& obj);
-
-  /// Point-schema fast path: appends a point row without materializing a
-  /// Geometry (direct CSV ingest). The envelope is grown exactly like
-  /// Geometry's constructor, so NaN coordinates yield the empty sentinel.
-  void AppendPoint(double x, double y, bool has_time, Instant t_start,
-                   Instant t_end);
-
-  /// Reconstructs the objects in row order. Errors only on structurally
-  /// invalid batches (possible after deserializing corrupt bytes).
-  Result<std::vector<STObject>> ToObjects() const;
-
-  /// Reconstructs a single row.
-  Result<STObject> RowToObject(size_t row) const;
-
-  size_t rows() const { return geo_type_.size(); }
-  bool empty() const { return geo_type_.empty(); }
-
-  /// True when every row is a single point — the batch kernels cover all
-  /// rows and no scalar fallback is needed.
-  bool AllPoints() const { return non_point_rows_ == 0; }
-  size_t non_point_rows() const { return non_point_rows_; }
-
-  bool RowIsPoint(size_t i) const {
-    return geo_type_[i] == static_cast<uint8_t>(GeometryType::kPoint);
-  }
-  bool RowHasTime(size_t i) const { return has_time_[i] != 0; }
-  GeometryType RowType(size_t i) const {
-    return static_cast<GeometryType>(geo_type_[i]);
-  }
-
-  // -- slab views (contiguous, unit-stride) --------------------------------
-  const std::vector<uint32_t>& row_ids() const { return row_ids_; }
-  const std::vector<uint8_t>& geo_type() const { return geo_type_; }
-  const std::vector<double>& x() const { return x_; }
-  const std::vector<double>& y() const { return y_; }
-  const std::vector<uint8_t>& has_time() const { return has_time_; }
-  const std::vector<int64_t>& t_start() const { return t_start_; }
-  const std::vector<int64_t>& t_end() const { return t_end_; }
-  /// Per-row envelope slab — built once with the batch, so repeated
-  /// FilterEnvelopesBatch queries reuse it (engine.columnar.slab_reuse).
-  const EnvelopeSoA& envelopes() const { return envs_; }
-  const std::vector<uint64_t>& vertex_offsets() const {
-    return vertex_offsets_;
-  }
-  const std::vector<double>& vx() const { return vx_; }
-  const std::vector<double>& vy() const { return vy_; }
-
-  /// Approximate heap footprint in bytes (capacity-based).
-  size_t MemoryBytes() const;
-
-  friend void WriteColumnarBatch(BinaryWriter* w, const ColumnarBatch& b);
-  friend Result<ColumnarBatch> ReadColumnarBatch(BinaryReader* r);
-
- private:
-  Result<Geometry> RowGeometry(size_t row) const;
-  Status Validate() const;
-
-  std::vector<uint32_t> row_ids_;
-  std::vector<uint8_t> geo_type_;
-  std::vector<double> x_, y_;  // representative point per row
-  std::vector<uint8_t> has_time_;
-  std::vector<int64_t> t_start_, t_end_;  // 0/0 when untimed
-  EnvelopeSoA envs_;
-
-  // Non-point geometry structure. vertex_offsets_ has rows+1 entries; a
-  // point row's range is empty. The remaining ladders tile their levels
-  // exactly: row -> parts (part_offsets_, rows+1), part -> vertex runs
-  // (part_ring_offsets_, total_parts+1) and run -> vertex range
-  // (ring_offsets_, total_runs+1). A polygon part holds one run per ring
-  // (closed, shell then holes); a linestring/multipoint row is one part
-  // holding its vertex list as a single run.
-  std::vector<uint64_t> vertex_offsets_{0};
-  std::vector<double> vx_, vy_;
-  std::vector<uint64_t> part_offsets_{0};
-  std::vector<uint64_t> part_ring_offsets_{0};
-  std::vector<uint64_t> ring_offsets_{0};
-  size_t non_point_rows_ = 0;
-};
-
-/// Appends the batch as length-prefixed contiguous column blocks (the
-/// zero-copy slab wire format: one bulk WriteRaw per column).
-void WriteColumnarBatch(BinaryWriter* w, const ColumnarBatch& b);
-
-/// Reads a batch written by WriteColumnarBatch; every offset table and enum
-/// tag is validated so corrupt bytes surface as IOError, never OOB reads.
-Result<ColumnarBatch> ReadColumnarBatch(BinaryReader* r);
-
-template <>
-struct Serde<ColumnarBatch> {
-  static void Write(BinaryWriter* w, const ColumnarBatch& v) {
-    WriteColumnarBatch(w, v);
-  }
-  static Result<ColumnarBatch> Read(BinaryReader* r) {
-    return ReadColumnarBatch(r);
-  }
-};
-
-/// Coverage counters for the columnar plane, mirrored into the global
+/// Coverage counters for the batch kernels, mirrored into the global
 /// registry (engine.columnar.*) and bumped batched per task:
-/// - batches: ColumnarBatch builds performed by engine paths.
-/// - rows: rows refined through the batch kernels (the columnar plane
-///   actually executing, not the fallback).
-/// - fallbacks: rows routed through the scalar per-object path instead
-///   (non-point geometry, custom distance fn, kill-switch off).
-/// - slab_reuse: filters served by an already-built batch/envelope slab
-///   instead of rebuilding it.
+/// - batches: point-slab builds (ColumnarBatch::BuildPoints successes).
+/// - rows: candidate rows refined by the batch kernels.
+/// - fallbacks: candidate rows handed to the scalar BoundPredicate refine at
+///   a site that considered the kernels (a non-point row on the batched
+///   side, or a custom distance function).
+/// - slab_reuse: refines served by an already-built slab instead of
+///   rebuilding it.
 struct ColumnarMetricSet {
   obs::Counter* batches;
   obs::Counter* rows;
@@ -206,6 +58,73 @@ inline const ColumnarMetricSet& GlobalColumnarMetrics() {
   }();
   return metrics;
 }
+
+/// \brief SoA point slabs of one batch of STObjects, row i = item i.
+///
+/// Every row has its point coordinate in x/y, a has_time flag with
+/// start/end ticks (0/0 when untimed) and the object's envelope in the
+/// EnvelopeSoA slab, bit-identical to STObject::envelope() (a NaN point
+/// keeps the empty-envelope sentinel).
+class ColumnarBatch {
+ public:
+  /// Builds the point slabs of \p items, extracting the STObject per item
+  /// with \p obj_of (e.g. `[](const Element& e) -> const STObject& { return
+  /// e.first; }`). Returns null — and stops reading — at the first item
+  /// whose geometry is not a single point; also null for an empty or
+  /// uint32-overflowing container, which the kernels cannot index.
+  template <typename Container, typename Fn>
+  static std::shared_ptr<const ColumnarBatch> BuildPoints(
+      const Container& items, Fn&& obj_of) {
+    if (items.empty() || items.size() > UINT32_MAX) return nullptr;
+    auto b = std::make_shared<ColumnarBatch>();
+    b->Reserve(items.size());
+    for (const auto& item : items) {
+      if (!b->AppendPoint(obj_of(item))) return nullptr;
+    }
+    GlobalColumnarMetrics().batches->Increment();
+    return b;
+  }
+
+  size_t rows() const { return x_.size(); }
+
+  // -- slab views (contiguous, unit-stride) --------------------------------
+  const std::vector<double>& x() const { return x_; }
+  const std::vector<double>& y() const { return y_; }
+  const std::vector<uint8_t>& has_time() const { return has_time_; }
+  const std::vector<int64_t>& t_start() const { return t_start_; }
+  const std::vector<int64_t>& t_end() const { return t_end_; }
+  const EnvelopeSoA& envelopes() const { return envs_; }
+
+ private:
+  void Reserve(size_t rows) {
+    x_.reserve(rows);
+    y_.reserve(rows);
+    has_time_.reserve(rows);
+    t_start_.reserve(rows);
+    t_end_.reserve(rows);
+    envs_.Reserve(rows);
+  }
+
+  /// Appends \p obj as the next row; false (nothing appended) when its
+  /// geometry is not a single point.
+  bool AppendPoint(const STObject& obj) {
+    if (!obj.geo().IsPoint()) return false;
+    const Coordinate& c = obj.geo().AsPoint();
+    const bool timed = obj.HasTime();
+    x_.push_back(c.x);
+    y_.push_back(c.y);
+    has_time_.push_back(timed ? 1 : 0);
+    t_start_.push_back(timed ? obj.time()->start() : 0);
+    t_end_.push_back(timed ? obj.time()->end() : 0);
+    envs_.PushBack(obj.envelope());
+    return true;
+  }
+
+  std::vector<double> x_, y_;
+  std::vector<uint8_t> has_time_;
+  std::vector<int64_t> t_start_, t_end_;
+  EnvelopeSoA envs_;
+};
 
 }  // namespace stark
 

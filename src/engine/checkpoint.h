@@ -6,12 +6,14 @@
 ///
 /// Format (version 2): `<directory>/_meta` is [magic "STCP"][u32 version]
 /// [u64 num_parts]; each `<directory>/part-<i>.bin` is [magic "STPT"]
-/// [u64 count][count serialized elements][u32 CRC-32 of all preceding
-/// bytes]. The trailing checksum catches both truncation and bit flips, so
-/// a damaged part is reported as a clean IOError instead of being
-/// deserialized into garbage, and LoadCheckpointOrRecompute() can fall
-/// back to recomputing the data from lineage (Spark's behaviour when a
-/// checkpoint block is lost).
+/// [u64 count][count elements, each written by its Serde<T>][u32 CRC-32 of
+/// all preceding bytes]. This is the one part format for every element
+/// type, spatial (STObject, V) pairs included. The trailing checksum
+/// catches both truncation and bit flips, so a damaged part is reported as
+/// a clean IOError instead of being deserialized into garbage, and
+/// LoadCheckpointOrRecompute() can fall back to recomputing the data from
+/// lineage (Spark's behaviour when a checkpoint block is lost). An element
+/// count larger than the bytes that follow it is rejected the same way.
 ///
 /// Both the write and the read path carry fault-injection sites
 /// (`engine.checkpoint.write` / `engine.checkpoint.read`) and retry
@@ -22,12 +24,10 @@
 
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/serde.h"
-#include "core/columnar.h"
 #include "engine/rdd.h"
 #include "fault/failpoint.h"
 #include "fault/retry.h"
@@ -40,20 +40,7 @@ namespace stark {
 
 inline constexpr uint32_t kCheckpointMetaMagic = 0x53544350;  // "STCP"
 inline constexpr uint32_t kCheckpointPartMagic = 0x53545054;  // "STPT"
-/// Columnar part encoding: the STObject keys of a (STObject, V) element
-/// vector go out as one ColumnarBatch slab block, followed by the packed
-/// payload column — bulk memcpys instead of a per-object field walk.
-inline constexpr uint32_t kCheckpointPartMagicColumnar = 0x53545043;  // "STPC"
 inline constexpr uint32_t kCheckpointVersion = 2;
-
-/// Detects the spatial element shape std::pair<STObject, V> that the
-/// columnar checkpoint/shuffle encoding applies to.
-template <typename T>
-struct CheckpointSTPair : std::false_type {};
-template <typename V>
-struct CheckpointSTPair<std::pair<STObject, V>> : std::true_type {
-  using Payload = V;
-};
 
 namespace checkpoint_internal {
 
@@ -97,35 +84,16 @@ Result<std::vector<T>> DecodeCheckpointPart(const std::vector<char>& buf,
   }
   BinaryReader r(buf.data(), payload_size);
   STARK_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  if (magic == kCheckpointPartMagicColumnar) {
-    if constexpr (CheckpointSTPair<T>::value) {
-      using Payload = typename CheckpointSTPair<T>::Payload;
-      STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-      STARK_ASSIGN_OR_RETURN(ColumnarBatch batch, ReadColumnarBatch(&r));
-      if (batch.rows() != count) {
-        return Status::IOError("columnar checkpoint part row mismatch: " +
-                               path);
-      }
-      STARK_ASSIGN_OR_RETURN(std::vector<STObject> keys, batch.ToObjects());
-      std::vector<T> out;
-      out.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        STARK_ASSIGN_OR_RETURN(Payload v, Serde<Payload>::Read(&r));
-        out.emplace_back(std::move(keys[i]), std::move(v));
-      }
-      if (!r.AtEnd()) {
-        return Status::IOError("trailing bytes in checkpoint part: " + path);
-      }
-      return out;
-    } else {
-      return Status::IOError(
-          "columnar checkpoint part for a non-spatial element type: " + path);
-    }
-  }
   if (magic != kCheckpointPartMagic) {
     return Status::IOError("bad checkpoint part magic in " + path);
   }
   STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
+  // Every element takes at least one byte, so a count beyond the bytes left
+  // is corrupt — and must not reach reserve().
+  if (count > r.Remaining()) {
+    return Status::IOError("checkpoint part element count exceeds part size: " +
+                           path);
+  }
   std::vector<T> out;
   out.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -161,25 +129,9 @@ Status Checkpoint(const RDD<T>& rdd, const std::string& directory) {
   }));
   for (size_t p = 0; p < parts.size(); ++p) {
     BinaryWriter w;
-    bool wrote_columnar = false;
-    if constexpr (CheckpointSTPair<T>::value) {
-      if (columnar::Enabled() && parts[p].size() <= UINT32_MAX) {
-        using Payload = typename CheckpointSTPair<T>::Payload;
-        w.WriteU32(kCheckpointPartMagicColumnar);
-        w.WriteU64(parts[p].size());
-        const ColumnarBatch batch = ColumnarBatch::Build(
-            parts[p], [](const T& e) -> const STObject& { return e.first; });
-        WriteColumnarBatch(&w, batch);
-        for (const T& x : parts[p]) Serde<Payload>::Write(&w, x.second);
-        GlobalColumnarMetrics().batches->Increment();
-        wrote_columnar = true;
-      }
-    }
-    if (!wrote_columnar) {
-      w.WriteU32(kCheckpointPartMagic);
-      w.WriteU64(parts[p].size());
-      for (const T& x : parts[p]) Serde<T>::Write(&w, x);
-    }
+    w.WriteU32(kCheckpointPartMagic);
+    w.WriteU64(parts[p].size());
+    for (const T& x : parts[p]) Serde<T>::Write(&w, x);
     const uint32_t crc = Crc32(w.buffer().data(), w.buffer().size());
     w.WriteU32(crc);
     STARK_RETURN_NOT_OK(checkpoint_internal::RetryIo(attempts, [&] {

@@ -118,11 +118,11 @@ size_t FilterEnvelopesBatch(const EnvelopeSoA& envs, const Envelope& query,
                             std::vector<uint32_t>* out);
 
 // ---------------------------------------------------------------------------
-// Batched refinement kernels (columnar data plane)
+// Batched refinement kernels (point slabs)
 // ---------------------------------------------------------------------------
 //
 // These kernels consume ColumnarBatch slabs directly: \p px / \p py are the
-// per-row representative-point arrays and \p cand is a list of row indices
+// per-row point coordinate arrays and \p cand is a list of row indices
 // (typically the survivors of FilterEnvelopesBatch). Each kernel writes the
 // surviving indices to \p out (which must have room for \p count entries),
 // preserving the input candidate order, and returns how many survived. Like
@@ -134,8 +134,8 @@ size_t FilterEnvelopesBatch(const EnvelopeSoA& envs, const Envelope& query,
 // the corresponding PreparedGeometry point predicate (which in turn is
 // bit-identical to the plain predicates), so batch and scalar refinement
 // agree on every row, including NaN coordinates. The kernels are only valid
-// for rows whose geometry is a single point; callers route non-point rows
-// through the scalar fallback.
+// for rows whose geometry is a single point; columnar_refine::SelectKernels
+// sends every batch with a non-point row to the scalar refine instead.
 
 class PreparedGeometry;
 enum class TemporalPredicate;

@@ -3,7 +3,6 @@
 #include <charconv>
 
 #include "common/serde.h"
-#include "geometry/wkt.h"
 
 namespace stark {
 
@@ -140,38 +139,6 @@ EventsToPairs(const std::vector<EventRecord>& records) {
                            STObject::FromWkt(rec.wkt, rec.time));
     out.emplace_back(std::move(obj),
                      std::make_pair(rec.id, rec.category));
-  }
-  return out;
-}
-
-Result<ColumnarBatch> EventsToColumnarBatch(
-    const std::vector<EventRecord>& records) {
-  ColumnarBatch batch;
-  batch.Reserve(records.size());
-  for (const EventRecord& rec : records) {
-    double x = 0.0;
-    double y = 0.0;
-    if (ParsePointWkt(rec.wkt, &x, &y)) {
-      batch.AppendPoint(x, y, /*has_time=*/true, rec.time, rec.time);
-    } else {
-      STARK_ASSIGN_OR_RETURN(STObject obj,
-                             STObject::FromWkt(rec.wkt, rec.time));
-      batch.Append(obj);
-    }
-  }
-  return batch;
-}
-
-Result<ColumnarEvents> ReadEventsCsvColumnar(const std::string& path) {
-  STARK_ASSIGN_OR_RETURN(std::vector<EventRecord> records,
-                         ReadEventsCsv(path));
-  ColumnarEvents out;
-  STARK_ASSIGN_OR_RETURN(out.batch, EventsToColumnarBatch(records));
-  out.ids.reserve(records.size());
-  out.categories.reserve(records.size());
-  for (EventRecord& rec : records) {
-    out.ids.push_back(rec.id);
-    out.categories.push_back(std::move(rec.category));
   }
   return out;
 }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/columnar.h"
 #include "core/stobject.h"
 
 namespace stark {
@@ -47,27 +46,6 @@ Status WriteEventsCsv(const std::string& path,
 /// (STObject(wkt, time), (id, category)).
 Result<std::vector<std::pair<STObject, std::pair<int64_t, std::string>>>>
 EventsToPairs(const std::vector<EventRecord>& records);
-
-/// Direct columnar ingest of the event schema: rows whose WKT is a plain
-/// `POINT (x y)` append straight into the batch's coordinate slabs — no
-/// Geometry or STObject is materialized on the way in — while any other
-/// geometry goes through the generic WKT parser and the batch's object
-/// appender. Row i corresponds to records[i]; batch.ToObjects() equals the
-/// STObjects EventsToPairs would produce, bit for bit.
-Result<ColumnarBatch> EventsToColumnarBatch(
-    const std::vector<EventRecord>& records);
-
-/// An event file ingested columnar: the spatial/temporal batch plus the
-/// payload columns, row-aligned (ids[i] and categories[i] belong to batch
-/// row i).
-struct ColumnarEvents {
-  ColumnarBatch batch;
-  std::vector<int64_t> ids;
-  std::vector<std::string> categories;
-};
-
-/// Reads and parses an event CSV straight into columnar form.
-Result<ColumnarEvents> ReadEventsCsvColumnar(const std::string& path);
 
 }  // namespace stark
 

@@ -18,7 +18,6 @@
 #include "partition/grid_partitioner.h"
 #include "partition/st_grid_partitioner.h"
 #include "piglet/parser.h"
-#include "core/columnar.h"
 #include "serve/catalog.h"
 #include "spatial_rdd/columnar_refine.h"
 #include "spatial_rdd/join.h"
@@ -785,29 +784,17 @@ Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
       "serve.snapshot.filter", 1, [&](size_t) {
         const std::vector<stream::StreamEvent>& events = *snap->events;
         uint64_t candidates = 0;
-        const bool use_columnar =
-            columnar::Enabled() && columnar_refine::Refinable(pred);
-        if (use_columnar) {
-          // Columnar refine: the epoch is immutable, so its slab is built
-          // once (on the first spatial FILTER) and shared by every later
-          // query against the same snapshot version.
-          std::shared_ptr<const ColumnarBatch> batch;
-          {
-            std::lock_guard<std::mutex> lock(snap->columnar->mu);
-            batch = snap->columnar->batch;
-            if (batch == nullptr) {
-              batch = std::make_shared<const ColumnarBatch>(
-                  ColumnarBatch::Build(
-                      events,
-                      [](const stream::StreamEvent& ev) -> const STObject& {
-                        return ev.obj;
-                      }));
-              snap->columnar->batch = batch;
-              GlobalColumnarMetrics().batches->Increment();
-            } else {
-              GlobalColumnarMetrics().slab_reuse->Increment();
-            }
-          }
+        // Refinement: the batch kernels when columnar_refine::SelectKernels
+        // picks them for the epoch, else the scalar BoundPredicate loop. The
+        // epoch is immutable, so its point slabs are built once (on the
+        // first spatial FILTER) and shared by every later query against the
+        // same snapshot version.
+        const std::shared_ptr<const ColumnarBatch> points =
+            columnar_refine::SelectKernels(pred, [&] {
+              return snap->columnar->Points(events);
+            });
+        columnar_refine::Stats cstats;
+        if (points != nullptr) {
           std::vector<uint32_t> cand;
           auto collect = [&](const Envelope&, const uint32_t& idx) {
             if ((++candidates & 1023u) == 0) ThrowIfTaskCancelled();
@@ -822,15 +809,10 @@ Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
           }
           if (!cand.empty()) {
             PreparedGeometry prep(query.geo());
-            columnar_refine::Stats cstats;
             std::vector<uint32_t> scratch;
-            columnar_refine::RefineCandidates(
-                *batch, pred, query, prep, /*cand_left=*/true, &cand,
-                [&](uint32_t j) -> const STObject& { return events[j].obj; },
-                &cstats, &scratch);
-            const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-            cm.rows->Add(cstats.kernel_rows);
-            cm.fallbacks->Add(cstats.fallback_rows);
+            columnar_refine::RefineCandidates(*points, pred, query, prep,
+                                              /*cand_left=*/true, &cand,
+                                              &cstats, &scratch);
             kept.reserve(cand.size());
             for (const uint32_t j : cand) {
               kept.push_back(RowFromStreamEvent(events[j]));
@@ -854,7 +836,9 @@ Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
           } else {
             snap->tree->ForEach(refine);
           }
+          cstats.fallback_rows = candidates;
         }
+        cstats.Flush();
         global_candidates->Add(candidates);
         global_results->Add(kept.size());
         if (stats != nullptr) {

@@ -29,15 +29,35 @@
 namespace stark {
 namespace serve {
 
-/// \brief Lazily-built columnar companion of one dataset epoch.
+/// \brief Lazily-built point slabs of one dataset epoch.
 ///
-/// The slab is built on the first spatial FILTER against the snapshot and
-/// shared by every later reader of the same epoch
-/// (engine.columnar.slab_reuse); epochs are immutable, so the batch never
-/// invalidates. The mutex only guards the build-once handoff.
-struct SnapshotColumnar {
-  std::mutex mu;
-  std::shared_ptr<const ColumnarBatch> batch;
+/// Built on the first spatial FILTER against the snapshot and shared by
+/// every later reader of the same epoch (engine.columnar.slab_reuse);
+/// epochs are immutable, so the slabs never invalidate. An epoch with a
+/// non-point event has no slabs, and that outcome is kept too. The mutex
+/// only guards the build-once handoff.
+class SnapshotColumnar {
+ public:
+  /// The point slabs of \p events (this epoch's events), or null when one
+  /// of them is not a point.
+  std::shared_ptr<const ColumnarBatch> Points(
+      const std::vector<stream::StreamEvent>& events) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (built_) {
+      if (points_ != nullptr) GlobalColumnarMetrics().slab_reuse->Increment();
+      return points_;
+    }
+    points_ = ColumnarBatch::BuildPoints(
+        events,
+        [](const stream::StreamEvent& ev) -> const STObject& { return ev.obj; });
+    built_ = true;
+    return points_;
+  }
+
+ private:
+  std::mutex mu_;
+  bool built_ = false;
+  std::shared_ptr<const ColumnarBatch> points_;
 };
 
 /// \brief One immutable published version of a dataset.
@@ -49,8 +69,8 @@ struct DatasetSnapshot {
   uint64_t version = 0;
   std::shared_ptr<const std::vector<stream::StreamEvent>> events;
   std::shared_ptr<const PackedRTree<uint32_t>> tree;
-  /// Columnar slab cache for this epoch (never null; batch inside is built
-  /// on first use). Not part of the torn-swap consistency contract.
+  /// Point-slab cache for this epoch (never null; the slabs inside are
+  /// built on first use). Not part of the torn-swap consistency contract.
   std::shared_ptr<SnapshotColumnar> columnar =
       std::make_shared<SnapshotColumnar>();
 

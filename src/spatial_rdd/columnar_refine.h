@@ -1,20 +1,21 @@
 /// \file columnar_refine.h
-/// Bridges JoinPredicate semantics onto the columnar batch kernels: given a
-/// candidate list (row indices into a ColumnarBatch, e.g. the survivors of
-/// FilterEnvelopesBatch or an R-tree probe) and one fixed prepared operand,
-/// refine the candidates batch-at-a-time with results and emission order
-/// exactly equal to per-candidate BoundPredicate::Eval calls.
+/// Chooses between the batched point kernels and the scalar BoundPredicate
+/// refine, and runs the kernel side.
 ///
-/// Point rows run through the RefineXxxBatch spatial kernels plus the
-/// branchless TemporalOverlapBatch pass; non-point rows fall back to the
-/// scalar prepared evaluation over the caller's original objects and are
-/// counted as engine.columnar.fallbacks material. Mixed batches merge both
-/// survivor streams back into the original candidate order, so callers can
-/// substitute this for a scalar refinement loop without changing output.
+/// SelectKernels is the one place that makes that choice, per batch, from
+/// properties of the input the code can observe: the kernels run iff the
+/// predicate is kernel-refinable (no custom distance function) and every
+/// row on the batched side is a point. Every other batch goes through the
+/// call site's scalar BoundPredicate loop. RefineCandidates refines a
+/// candidate list (row indices into the point slabs, e.g. the survivors of
+/// FilterEnvelopesBatch or an R-tree probe) against one fixed prepared
+/// operand, with results and emission order exactly equal to per-candidate
+/// BoundPredicate::Eval calls, so either path yields the same output.
 #ifndef STARK_SPATIAL_RDD_COLUMNAR_REFINE_H_
 #define STARK_SPATIAL_RDD_COLUMNAR_REFINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/columnar.h"
@@ -24,19 +25,34 @@
 namespace stark {
 namespace columnar_refine {
 
-/// True when the batch kernels can evaluate \p pred at all. Custom
-/// withinDistance functions interrogate whole STObjects and never go
-/// through preparation, so they stay on the per-object path.
-inline bool Refinable(const JoinPredicate& pred) {
-  return !(pred.type == PredicateType::kWithinDistance &&
-           pred.distance != nullptr);
+/// Picks the refine path for one batch. Returns the point slabs the kernels
+/// read iff \p pred is kernel-refinable and every row on the batched side
+/// is a point; null means the caller refines with its scalar
+/// BoundPredicate loop. \p points_of yields the batched side's slabs —
+/// ColumnarBatch::BuildPoints, possibly behind a cache — and is called only
+/// for a kernel-refinable predicate. Custom withinDistance functions
+/// interrogate whole STObjects and never go through preparation, so the
+/// kernels cannot evaluate them.
+template <typename PointsFn>
+std::shared_ptr<const ColumnarBatch> SelectKernels(const JoinPredicate& pred,
+                                                   PointsFn&& points_of) {
+  if (pred.type == PredicateType::kWithinDistance && pred.distance != nullptr) {
+    return nullptr;
+  }
+  return points_of();
 }
 
-/// Rows evaluated by the batch kernels vs the scalar fallback; callers
-/// flush these into engine.columnar.{rows,fallbacks} once per task.
+/// Candidate rows refined per path at one site; flushed into
+/// engine.columnar.{rows,fallbacks} once per task.
 struct Stats {
   size_t kernel_rows = 0;
   size_t fallback_rows = 0;
+
+  void Flush() const {
+    const ColumnarMetricSet& m = GlobalColumnarMetrics();
+    m.rows->Add(kernel_rows);
+    m.fallbacks->Add(fallback_rows);
+  }
 };
 
 namespace internal {
@@ -100,85 +116,29 @@ inline size_t TemporalKernel(const ColumnarBatch& batch,
 }  // namespace internal
 
 /// Refines `*cand` in place against \p fixed (prepared as \p prep, which
-/// must be built from fixed.geo()). \p cand_left states which operand slot
-/// the candidates fill: true means Eval(c) == pred.Eval(c, fixed).
-/// \p obj_at maps a row index to the original STObject and is consulted
-/// only for non-point rows. \p scratch is caller-provided to keep the
-/// per-probe hot path allocation-free once warmed up.
-template <typename ObjAt>
+/// must be built from fixed.geo()). \p batch must be the point slabs
+/// SelectKernels returned. \p cand_left states which operand slot the
+/// candidates fill: true means Eval(c) == pred.Eval(c, fixed). \p scratch
+/// is caller-provided to keep the per-probe hot path allocation-free once
+/// warmed up.
 inline void RefineCandidates(const ColumnarBatch& batch,
                              const JoinPredicate& pred, const STObject& fixed,
                              const PreparedGeometry& prep, bool cand_left,
-                             std::vector<uint32_t>* cand, ObjAt&& obj_at,
-                             Stats* stats, std::vector<uint32_t>* scratch) {
+                             std::vector<uint32_t>* cand, Stats* stats,
+                             std::vector<uint32_t>* scratch) {
   const size_t in_count = cand->size();
   if (in_count == 0) return;
-  const bool temporal = pred.type != PredicateType::kWithinDistance;
-
-  if (batch.AllPoints()) {
-    scratch->resize(in_count);
-    size_t n = internal::SpatialKernel(batch, pred, prep, cand_left,
-                                       cand->data(), in_count,
-                                       scratch->data());
-    if (temporal) {
-      n = internal::TemporalKernel(batch, pred, fixed, cand_left,
-                                   scratch->data(), n, cand->data());
-      cand->resize(n);
-    } else {
-      cand->assign(scratch->begin(), scratch->begin() + n);
-    }
-    stats->kernel_rows += in_count;
+  stats->kernel_rows += in_count;
+  scratch->resize(in_count);
+  size_t n = internal::SpatialKernel(batch, pred, prep, cand_left,
+                                     cand->data(), in_count, scratch->data());
+  if (pred.type == PredicateType::kWithinDistance) {
+    cand->assign(scratch->begin(), scratch->begin() + n);
     return;
   }
-
-  // Mixed batch: split by row type (candidate order preserved within each
-  // sublist), refine each side, then merge the two ordered survivor
-  // subsequences back into the original candidate order.
-  std::vector<uint32_t> point_cand;
-  std::vector<uint32_t> object_survivors;
-  point_cand.reserve(in_count);
-  for (const uint32_t j : *cand) {
-    if (batch.RowIsPoint(j)) {
-      point_cand.push_back(j);
-    } else {
-      const STObject& obj = obj_at(j);
-      const bool keep =
-          cand_left ? EvalWithPreparedRight(pred, obj, fixed, prep)
-                    : EvalWithPreparedLeft(pred, fixed, obj, prep);
-      if (keep) object_survivors.push_back(j);
-    }
-  }
-  stats->kernel_rows += point_cand.size();
-  stats->fallback_rows += in_count - point_cand.size();
-
-  scratch->resize(point_cand.size());
-  size_t n = internal::SpatialKernel(batch, pred, prep, cand_left,
-                                     point_cand.data(), point_cand.size(),
-                                     scratch->data());
-  const uint32_t* point_survivors = scratch->data();
-  if (temporal) {
-    n = internal::TemporalKernel(batch, pred, fixed, cand_left,
-                                 scratch->data(), n, point_cand.data());
-    point_survivors = point_cand.data();
-  }
-
-  // Both survivor lists are ordered subsequences of *cand with distinct row
-  // values, so a two-cursor walk restores the original emission order.
-  size_t out_n = 0, pk = 0, nk = 0;
-  for (size_t i = 0; i < in_count; ++i) {
-    const uint32_t j = (*cand)[i];
-    bool keep = false;
-    if (pk < n && point_survivors[pk] == j) {
-      keep = true;
-      ++pk;
-    } else if (nk < object_survivors.size() && object_survivors[nk] == j) {
-      keep = true;
-      ++nk;
-    }
-    (*cand)[out_n] = j;
-    out_n += keep ? 1 : 0;
-  }
-  cand->resize(out_n);
+  n = internal::TemporalKernel(batch, pred, fixed, cand_left, scratch->data(),
+                               n, cand->data());
+  cand->resize(n);
 }
 
 }  // namespace columnar_refine

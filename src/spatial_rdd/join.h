@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/columnar.h"
 #include "engine/context.h"
 #include "geometry/prepared.h"
 #include "index/packed_rtree.h"
@@ -314,18 +313,17 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
         tree = PackedRTree<size_t>(options.index_order, std::move(entries));
         metrics.tree_builds->Increment();
       }
-      // Columnar refinement: the broadcast side is stable for the whole
-      // join, so build its SoA batch once and refine each probe's candidate
-      // list through the batch kernels (the probe becomes the prepared
-      // fixed operand). Results and emission order are identical to the
-      // scalar refine.
-      std::unique_ptr<const ColumnarBatch> small_batch;
-      if (use_index && columnar::Enabled() &&
-          columnar_refine::Refinable(pred) && !small.empty() &&
-          small.size() <= UINT32_MAX) {
-        small_batch = std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-            small, [](const R& e) -> const STObject& { return e.first; }));
-        GlobalColumnarMetrics().batches->Increment();
+      // Kernel refinement when columnar_refine::SelectKernels picks it for
+      // the broadcast side, which is stable for the whole join: its point
+      // slabs are built once and each probe's candidate list is refined
+      // batch-at-a-time, the probe being the prepared fixed operand. Results
+      // and emission order are identical to the scalar refine.
+      std::shared_ptr<const ColumnarBatch> small_points;
+      if (use_index) {
+        small_points = columnar_refine::SelectKernels(pred, [&] {
+          return ColumnarBatch::BuildPoints(
+              small, [](const R& e) -> const STObject& { return e.first; });
+        });
       }
       std::vector<std::vector<Out>> out(nl);
       ctx->RunTasks("spatial.join.broadcast", nl, [&](size_t i) {
@@ -350,7 +348,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
           // job is cancelled or past its deadline.
           if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
           const Envelope probe = l.first.envelope().Expanded(margin);
-          if (small_batch != nullptr) {
+          if (small_points != nullptr) {
             cand.clear();
             tree.Query(probe, [&](const Envelope&, const size_t& e) {
               cand.push_back(static_cast<uint32_t>(e));
@@ -360,18 +358,15 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
               const size_t in_count = cand.size();
               PreparedGeometry prep(l.first.geo());
               columnar_refine::RefineCandidates(
-                  *small_batch, pred, l.first, prep, /*cand_left=*/false,
-                  &cand,
-                  [&](uint32_t e) -> const STObject& {
-                    return small[e].first;
-                  },
-                  &cstats, &scratch);
+                  *small_points, pred, l.first, prep, /*cand_left=*/false,
+                  &cand, &cstats, &scratch);
               prep_misses += 1;
               prep_hits += in_count - 1;
               for (const uint32_t e : cand) sink.push_back(project(l, small[e]));
             }
           } else if (use_index) {
             tree.Query(probe, [&](const Envelope&, const size_t& e) {
+              ++cstats.fallback_rows;
               if (refine(l, small[e])) sink.push_back(project(l, small[e]));
             });
             ++packed_probes;
@@ -385,11 +380,10 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
             }
           }
         }
-        if (small_batch != nullptr) {
-          const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-          cm.rows->Add(cstats.kernel_rows);
-          cm.fallbacks->Add(cstats.fallback_rows);
-          cm.slab_reuse->Increment();  // batch + envelope slab shared by task
+        cstats.Flush();
+        if (small_points != nullptr) {
+          // The broadcast slabs are shared by every task.
+          GlobalColumnarMetrics().slab_reuse->Increment();
         }
         ji::AnnotateSpan("L" + std::to_string(i) + "xR* (broadcast)" +
                              ji::IndexDetail(packed_probes,
@@ -420,15 +414,15 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
       tree = PackedRTree<size_t>(options.index_order, std::move(entries));
       metrics.tree_builds->Increment();
     }
-    // Columnar refinement over the stable broadcast side (see the
+    // Kernel refinement over the stable broadcast side (see the
     // right-broadcast branch above); here the candidates fill the left
     // operand slot.
-    std::unique_ptr<const ColumnarBatch> small_batch;
-    if (use_index && columnar::Enabled() && columnar_refine::Refinable(pred) &&
-        !small.empty() && small.size() <= UINT32_MAX) {
-      small_batch = std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-          small, [](const L& e) -> const STObject& { return e.first; }));
-      GlobalColumnarMetrics().batches->Increment();
+    std::shared_ptr<const ColumnarBatch> small_points;
+    if (use_index) {
+      small_points = columnar_refine::SelectKernels(pred, [&] {
+        return ColumnarBatch::BuildPoints(
+            small, [](const L& e) -> const STObject& { return e.first; });
+      });
     }
     std::vector<std::vector<Out>> out(nr);
     ctx->RunTasks("spatial.join.broadcast", nr, [&](size_t j) {
@@ -451,7 +445,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
       for (const R& r : right_parts[j]) {
         if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
         const Envelope probe = r.first.envelope().Expanded(margin);
-        if (small_batch != nullptr) {
+        if (small_points != nullptr) {
           cand.clear();
           tree.Query(probe, [&](const Envelope&, const size_t& e) {
             cand.push_back(static_cast<uint32_t>(e));
@@ -460,16 +454,16 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
           if (!cand.empty()) {
             const size_t in_count = cand.size();
             PreparedGeometry prep(r.first.geo());
-            columnar_refine::RefineCandidates(
-                *small_batch, pred, r.first, prep, /*cand_left=*/true, &cand,
-                [&](uint32_t e) -> const STObject& { return small[e].first; },
-                &cstats, &scratch);
+            columnar_refine::RefineCandidates(*small_points, pred, r.first,
+                                              prep, /*cand_left=*/true, &cand,
+                                              &cstats, &scratch);
             prep_misses += 1;
             prep_hits += in_count - 1;
             for (const uint32_t e : cand) sink.push_back(project(small[e], r));
           }
         } else if (use_index) {
           tree.Query(probe, [&](const Envelope&, const size_t& e) {
+            ++cstats.fallback_rows;
             if (refine(small[e], r)) sink.push_back(project(small[e], r));
           });
           ++packed_probes;
@@ -483,11 +477,10 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
           }
         }
       }
-      if (small_batch != nullptr) {
-        const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-        cm.rows->Add(cstats.kernel_rows);
-        cm.fallbacks->Add(cstats.fallback_rows);
-        cm.slab_reuse->Increment();  // batch + envelope slab shared by task
+      cstats.Flush();
+      if (small_points != nullptr) {
+        // The broadcast slabs are shared by every task.
+        GlobalColumnarMetrics().slab_reuse->Increment();
       }
       ji::AnnotateSpan("L*xR" + std::to_string(j) + " (broadcast)" +
                            ji::IndexDetail(packed_probes,
@@ -534,17 +527,15 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
     left_used[i] = 1;
   }
   std::vector<std::unique_ptr<PackedRTree<size_t>>> left_trees(nl);
-  // Columnar refinement: hoist the SoA batch build into the same stage that
-  // builds the live trees — one batch per participating left partition,
-  // reused by every probe task that targets it (skew-split sub-tasks of the
-  // same pair share one slab: engine.columnar.slab_reuse).
-  const bool use_columnar =
-      use_index && columnar::Enabled() && columnar_refine::Refinable(pred);
-  std::vector<std::unique_ptr<const ColumnarBatch>> left_batches(nl);
+  // The refine path is selected per left partition in the same stage that
+  // builds its live tree: columnar_refine::SelectKernels yields point slabs
+  // (or null for the scalar refine), reused by every probe task that
+  // targets the partition (skew-split sub-tasks of the same pair share one
+  // slab: engine.columnar.slab_reuse).
+  std::vector<std::shared_ptr<const ColumnarBatch>> left_points(nl);
   if (use_index) {
     size_t builds = 0;
     for (size_t i = 0; i < nl; ++i) builds += left_used[i] ? 1 : 0;
-    size_t batch_builds = 0;
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
       if (!left_used[i]) return;
       std::vector<std::pair<Envelope, size_t>> entries;
@@ -554,17 +545,13 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
       }
       left_trees[i] = std::make_unique<PackedRTree<size_t>>(
           options.index_order, std::move(entries));
-      if (use_columnar && !left_parts[i].empty() &&
-          left_parts[i].size() <= UINT32_MAX) {
-        left_batches[i] =
-            std::make_unique<const ColumnarBatch>(ColumnarBatch::Build(
-                left_parts[i],
-                [](const L& e) -> const STObject& { return e.first; }));
-      }
+      left_points[i] = columnar_refine::SelectKernels(pred, [&] {
+        return ColumnarBatch::BuildPoints(
+            left_parts[i],
+            [](const L& e) -> const STObject& { return e.first; });
+      });
     });
-    for (size_t i = 0; i < nl; ++i) batch_builds += left_batches[i] ? 1 : 0;
     metrics.tree_builds->Add(builds);
-    GlobalColumnarMetrics().batches->Add(batch_builds);
   }
 
   // Plan the probe schedule: per-pair costs, skew splitting, longest-first.
@@ -585,13 +572,13 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
     size_t packed_probes = 0;
     size_t prep_hits = 0;
     size_t prep_misses = 0;
-    if (use_index && left_batches[task.left] != nullptr) {
-      // Columnar probe: collect the tree's candidate rows, then refine them
+    columnar_refine::Stats cstats;
+    if (left_points[task.left] != nullptr) {
+      // Kernel probe: collect the tree's candidate rows, then refine them
       // batch-at-a-time against the probe's prepared geometry. Survivors
       // come back in candidate order, so emission matches the scalar path.
       const PackedRTree<size_t>& tree = *left_trees[task.left];
-      const ColumnarBatch& batch = *left_batches[task.left];
-      columnar_refine::Stats cstats;
+      const ColumnarBatch& batch = *left_points[task.left];
       std::vector<uint32_t> cand;
       std::vector<uint32_t> scratch;
       if (task.begin != 0) {
@@ -610,17 +597,13 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
         if (cand.empty()) continue;
         const size_t in_count = cand.size();
         PreparedGeometry prep(r.first.geo());
-        columnar_refine::RefineCandidates(
-            batch, pred, r.first, prep, /*cand_left=*/true, &cand,
-            [&](uint32_t e) -> const STObject& { return lv[e].first; },
-            &cstats, &scratch);
+        columnar_refine::RefineCandidates(batch, pred, r.first, prep,
+                                          /*cand_left=*/true, &cand, &cstats,
+                                          &scratch);
         prep_misses += 1;
         prep_hits += in_count - 1;
         for (const uint32_t e : cand) sink.push_back(project(lv[e], r));
       }
-      const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-      cm.rows->Add(cstats.kernel_rows);
-      cm.fallbacks->Add(cstats.fallback_rows);
     } else if (use_index) {
       const PackedRTree<size_t>& tree = *left_trees[task.left];
       for (size_t rix = task.begin; rix < task.end; ++rix) {
@@ -633,6 +616,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
         BoundPredicate bound(pred, r.first,
                              BoundPredicate::Side::kCandidateLeft);
         tree.Query(probe, [&](const Envelope&, const size_t& e) {
+          ++cstats.fallback_rows;
           if (bound.Eval(lv[e].first)) sink.push_back(project(lv[e], r));
         });
         ++packed_probes;
@@ -659,6 +643,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
         prep_misses += bound.prepared_misses();
       }
     }
+    cstats.Flush();
     ji::AnnotateSpan(ji::TaskDetail(task, rv.size()) +
                          ji::IndexDetail(packed_probes, prep_hits, prep_misses),
                      task.end - task.begin, sink.size(), packed_probes,

@@ -21,7 +21,6 @@
 #include "core/stobject.h"
 #include "engine/rdd.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "obs/trace.h"
 #include "partition/partitioner.h"
 #include "spatial_rdd/columnar_refine.h"
@@ -257,33 +256,13 @@ class IndexedSpatialRDD {
       BinaryWriter w;
       size_t count = 0;
       for (const TreePtr& tree : parts[p]) count += tree->size();
-      if (columnar::Enabled()) {
-        // Zero-copy slab format: all STObjects as one columnar batch
-        // (length-prefixed contiguous column blocks, a handful of bulk
-        // writes) followed by the payload column. Loaders that predate the
-        // format reject the magic instead of misreading.
-        w.WriteU32(kPartMagicColumnar);
-        ColumnarBatch batch;
-        batch.Reserve(count);
-        BinaryWriter payloads;
-        for (const TreePtr& tree : parts[p]) {
-          tree->ForEach([&batch, &payloads](const Envelope&,
-                                            const Element& e) {
-            batch.Append(e.first);
-            Serde<V>::Write(&payloads, e.second);
-          });
-        }
-        WriteColumnarBatch(&w, batch);
-        w.WriteRaw(payloads.buffer().data(), payloads.buffer().size());
-      } else {
-        w.WriteU32(kPartMagic);
-        w.WriteU64(count);
-        for (const TreePtr& tree : parts[p]) {
-          tree->ForEach([&w](const Envelope&, const Element& e) {
-            WriteSTObject(&w, e.first);
-            Serde<V>::Write(&w, e.second);
-          });
-        }
+      w.WriteU32(kPartMagic);
+      w.WriteU64(count);
+      for (const TreePtr& tree : parts[p]) {
+        tree->ForEach([&w](const Envelope&, const Element& e) {
+          WriteSTObject(&w, e.first);
+          Serde<V>::Write(&w, e.second);
+        });
       }
       STARK_RETURN_NOT_OK(
           WriteFileBytes(directory + "/part-" + std::to_string(p) + ".idx",
@@ -315,31 +294,22 @@ class IndexedSpatialRDD {
           ReadFileBytes(directory + "/part-" + std::to_string(p) + ".idx"));
       BinaryReader r(buf);
       STARK_ASSIGN_OR_RETURN(uint32_t part_magic, r.ReadU32());
-      if (part_magic != kPartMagic && part_magic != kPartMagicColumnar) {
+      if (part_magic != kPartMagic) {
         return Status::IOError("bad index part magic");
       }
+      STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
+      // Every element takes at least one byte, so a count beyond the bytes
+      // left is corrupt — and must not reach reserve().
+      if (count > r.Remaining()) {
+        return Status::IOError("index part element count exceeds file size");
+      }
       std::vector<std::pair<Envelope, Element>> entries;
-      if (part_magic == kPartMagicColumnar) {
-        // Slab format: bulk-read the column blocks, then the payloads.
-        STARK_ASSIGN_OR_RETURN(ColumnarBatch batch, ReadColumnarBatch(&r));
-        STARK_ASSIGN_OR_RETURN(std::vector<STObject> objs, batch.ToObjects());
-        entries.reserve(objs.size());
-        for (auto& obj : objs) {
-          STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
-          Envelope env = obj.envelope();
-          entries.emplace_back(env,
-                               Element{std::move(obj), std::move(value)});
-        }
-      } else {
-        STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-        entries.reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-          STARK_ASSIGN_OR_RETURN(STObject obj, ReadSTObject(&r));
-          STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
-          Envelope env = obj.envelope();
-          entries.emplace_back(env,
-                               Element{std::move(obj), std::move(value)});
-        }
+      entries.reserve(count);
+      for (uint64_t i = 0; i < count; ++i) {
+        STARK_ASSIGN_OR_RETURN(STObject obj, ReadSTObject(&r));
+        STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
+        Envelope env = obj.envelope();
+        entries.emplace_back(env, Element{std::move(obj), std::move(value)});
       }
       parts[p].push_back(
           std::make_shared<PackedRTree<Element>>(order, std::move(entries)));
@@ -351,9 +321,6 @@ class IndexedSpatialRDD {
  private:
   static constexpr uint32_t kMetaMagic = 0x53544958;  // "STIX"
   static constexpr uint32_t kPartMagic = 0x53544950;  // "STIP"
-  /// Columnar slab part format ("STIC"): one ColumnarBatch of the
-  /// STObjects followed by the Serde<V> payload column.
-  static constexpr uint32_t kPartMagicColumnar = 0x53544943;
 
   RDD<TreePtr> trees_;
   std::shared_ptr<std::vector<Envelope>> extents_;  // may be null
@@ -449,62 +416,36 @@ class SpatialRDD {
             return keep;
           });
     }
-    // Columnar plane: envelope-prefilter over the partition's SoA slabs,
-    // then batched refinement — identical results and emission order to the
-    // scalar loop below (the kernels replicate BoundPredicate::Eval's
-    // arithmetic exactly). The batch is built once per partition and cached
-    // on this SpatialRDD, so repeated filters reuse the slabs.
-    const bool use_columnar =
-        columnar::Enabled() && columnar_refine::Refinable(pred);
+    // Refinement: the batch kernels when columnar_refine::SelectKernels
+    // picks them for the partition (envelope prefilter over its point slabs,
+    // then batched refinement), else the scalar BoundPredicate loop — the
+    // same rows in the same order either way. Slabs are cached on this
+    // SpatialRDD, so repeated filters reuse them.
     auto cache = columnar_cache_;
     return source.MapPartitionsWithIndex(
-        [query, pred, stats, use_columnar, cache,
-         probe](size_t idx, std::vector<Element> items) {
+        [query, pred, stats, cache, probe](size_t idx,
+                                           std::vector<Element> items) {
           std::vector<Element> out;
           size_t prepared_hits = 0;
           size_t prepared_misses = 0;
-          if (use_columnar && !items.empty()) {
-            const ColumnarMetricSet& cm = GlobalColumnarMetrics();
-            std::shared_ptr<const ColumnarBatch> batch;
-            {
-              std::lock_guard<std::mutex> lock(cache->mu);
-              auto it = cache->batches.find(idx);
-              if (it != cache->batches.end() &&
-                  it->second->rows() == items.size()) {
-                batch = it->second;
-              }
-            }
-            if (batch != nullptr) {
-              cm.slab_reuse->Increment();
-            } else {
-              auto built = std::make_shared<ColumnarBatch>(ColumnarBatch::Build(
-                  items,
-                  [](const Element& e) -> const STObject& { return e.first; }));
-              std::lock_guard<std::mutex> lock(cache->mu);
-              cache->batches[idx] = built;
-              batch = std::move(built);
-              cm.batches->Increment();
-            }
+          columnar_refine::Stats cstats;
+          const std::shared_ptr<const ColumnarBatch> points =
+              columnar_refine::SelectKernels(
+                  pred, [&] { return cache->Points(idx, items); });
+          if (points != nullptr) {
             std::vector<uint32_t> cand;
-            FilterEnvelopesBatch(batch->envelopes(), probe, &cand);
-            columnar_refine::Stats cstats;
+            FilterEnvelopesBatch(points->envelopes(), probe, &cand);
             if (!cand.empty()) {
               PreparedGeometry prep(query.geo());
               std::vector<uint32_t> scratch;
-              columnar_refine::RefineCandidates(
-                  *batch, pred, query, prep, /*cand_left=*/true, &cand,
-                  [&items](uint32_t j) -> const STObject& {
-                    return items[j].first;
-                  },
-                  &cstats, &scratch);
-              const size_t refined = cstats.kernel_rows + cstats.fallback_rows;
-              prepared_misses = refined > 0 ? 1 : 0;
-              prepared_hits = refined > 0 ? refined - 1 : 0;
+              columnar_refine::RefineCandidates(*points, pred, query, prep,
+                                                /*cand_left=*/true, &cand,
+                                                &cstats, &scratch);
+              prepared_misses = 1;
+              prepared_hits = cstats.kernel_rows - 1;
             }
             out.reserve(cand.size());
             for (const uint32_t j : cand) out.push_back(std::move(items[j]));
-            cm.rows->Add(cstats.kernel_rows);
-            cm.fallbacks->Add(cstats.fallback_rows);
           } else {
             // Prepared refinement: the query geometry is prepared on the
             // first element and reused for the rest of the partition.
@@ -515,12 +456,9 @@ class SpatialRDD {
             }
             prepared_hits = bound.prepared_hits();
             prepared_misses = bound.prepared_misses();
-            if (!items.empty() && columnar::Enabled()) {
-              // Columnar was on but this predicate can't go through the
-              // kernels (custom distance fn): the whole partition fell back.
-              GlobalColumnarMetrics().fallbacks->Add(items.size());
-            }
+            cstats.fallback_rows = items.size();
           }
+          cstats.Flush();
           if (stats) {
             if (!items.empty()) ++stats->partitions_scanned;
             stats->candidates += items.size();
@@ -643,15 +581,40 @@ class SpatialRDD {
     return extents;
   }
 
-  /// Lazily-built columnar slabs, one ColumnarBatch per partition index.
-  /// Shared by copies of this wrapper so repeated filters over the same
-  /// dataset reuse the slabs instead of rebuilding them per query
-  /// (engine.columnar.slab_reuse); entries are revalidated against the
-  /// partition's row count before reuse. Partition contents are stable
+  /// Point slabs per partition index, built on first use and shared by
+  /// copies of this wrapper so repeated filters reuse them
+  /// (engine.columnar.slab_reuse). A null entry records a partition with a
+  /// non-point row, so it is not rebuilt either. Entries are revalidated
+  /// against the partition's row count; partition contents are stable
   /// because RDD lineage recomputation is deterministic.
   struct ColumnarCache {
+    struct Entry {
+      size_t rows = 0;
+      std::shared_ptr<const ColumnarBatch> points;
+    };
     std::mutex mu;
-    std::unordered_map<size_t, std::shared_ptr<const ColumnarBatch>> batches;
+    std::unordered_map<size_t, Entry> entries;
+
+    std::shared_ptr<const ColumnarBatch> Points(
+        size_t idx, const std::vector<Element>& items) {
+      // A pruned partition arrives empty; it must not evict its entry.
+      if (items.empty()) return nullptr;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = entries.find(idx);
+        if (it != entries.end() && it->second.rows == items.size()) {
+          if (it->second.points != nullptr) {
+            GlobalColumnarMetrics().slab_reuse->Increment();
+          }
+          return it->second.points;
+        }
+      }
+      auto built = ColumnarBatch::BuildPoints(
+          items, [](const Element& e) -> const STObject& { return e.first; });
+      std::lock_guard<std::mutex> lock(mu);
+      entries[idx] = Entry{items.size(), built};
+      return built;
+    }
   };
 
   RDD<Element> rdd_;

@@ -3,6 +3,7 @@
 // as clean IOErrors instead of deserializing garbage, and
 // LoadCheckpointOrRecompute falls back to lineage recomputation (and heals
 // the damaged checkpoint) exactly like Spark recomputes a lost block.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/st_serde.h"
 #include "engine/checkpoint.h"
 #include "engine/rdd.h"
 #include "fault/failpoint.h"
@@ -110,6 +112,54 @@ TEST_F(CheckpointRecoveryTest, BitFlipIsDetectedByChecksum) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
   EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos);
+}
+
+// A part whose element count exceeds its size — with a valid CRC, so the
+// checksum does not catch it — must be a clean IOError, not a
+// length_error/bad_alloc thrown out of reserve().
+TEST_F(CheckpointRecoveryTest, ElementCountBeyondPartSizeIsACleanIOError) {
+  WriteHealthyCheckpoint();
+  BinaryWriter part;
+  part.WriteU32(kCheckpointPartMagic);
+  part.WriteU64(uint64_t{1} << 60);
+  part.WriteU64(0);
+  part.WriteU32(Crc32(part.buffer().data(), part.buffer().size()));
+  WriteAll(PartPath(0), part.buffer());
+
+  auto loaded = LoadCheckpoint<int64_t>(&ctx_, dir_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("count"), std::string::npos);
+}
+
+// Spatial (STObject, V) pairs use the same part format as every other
+// element type and come back bit-identically (serialized bytes compared,
+// since STObject::operator== is NaN-blind).
+TEST_F(CheckpointRecoveryTest, SpatialPairsRoundTripBitIdentically) {
+  using Element = std::pair<STObject, int64_t>;
+  const std::vector<Geometry> pop = test::RandomPopulation(/*seed=*/135, 60);
+  std::vector<Element> data;
+  for (size_t i = 0; i < pop.size(); ++i) {
+    STObject obj = i % 2 == 0 ? STObject(pop[i])
+                              : STObject(pop[i], static_cast<Instant>(i));
+    data.emplace_back(std::move(obj), static_cast<int64_t>(i));
+  }
+  data.emplace_back(STObject(Geometry::MakePoint({std::nan(""), 1.0})), -1);
+  ASSERT_TRUE(Checkpoint(MakeRDD(&ctx_, data, 3), dir_).ok());
+
+  auto loaded = LoadCheckpoint<Element>(&ctx_, dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::vector<Element> got = loaded.ValueOrDie().Collect();
+  ASSERT_EQ(got.size(), data.size());
+  auto bytes = [](const STObject& obj) {
+    BinaryWriter w;
+    WriteSTObject(&w, obj);
+    return w.buffer();
+  };
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(got[i].second, data[i].second);
+    ASSERT_EQ(bytes(got[i].first), bytes(data[i].first)) << "row " << i;
+  }
 }
 
 TEST_F(CheckpointRecoveryTest, MissingMetaIsAnError) {

@@ -1,15 +1,14 @@
-// Columnar data plane tests: SoA round-trip bit-identity over the shared
-// fuzz corpus (NaN coordinates, empty-envelope sentinels, degenerate
-// shapes), batch-vs-scalar differentials for every refinement kernel, the
-// slab wire format against the per-object serde, the checkpoint slab
-// encoding, the CSV point fast path, and the filter kill-switch
-// differential. The contract everywhere is exactness: the columnar plane
-// must be byte-for-byte indistinguishable from the per-object paths.
+// Batch-kernel tests: the point-slab build, the single kernel-vs-scalar
+// selection, batch-vs-scalar differentials for every refinement kernel, a
+// differential of every refine site against brute-force pred.Eval loops
+// over all-point, mixed point/polygon and custom-distance inputs, and what
+// the engine.columnar.* counters mean. The contract everywhere is
+// exactness: whichever path a batch takes, the site returns the same rows
+// in the same order.
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,37 +16,34 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/serde.h"
 #include "core/columnar.h"
-#include "core/st_serde.h"
+#include "core/distance.h"
 #include "core/stobject.h"
-#include "engine/checkpoint.h"
-#include "engine/rdd.h"
 #include "geometry/kernels.h"
 #include "geometry/predicates.h"
 #include "geometry/prepared.h"
 #include "geometry/wkt.h"
-#include "io/csv.h"
+#include "index/packed_rtree.h"
 #include "io/generator.h"
 #include "obs/metrics.h"
+#include "piglet/interpreter.h"
+#include "serve/catalog.h"
 #include "spatial_rdd/columnar_refine.h"
+#include "spatial_rdd/join.h"
 #include "spatial_rdd/predicate.h"
 #include "spatial_rdd/spatial_rdd.h"
-#include "spatial_rdd/value_serde.h"
 #include "test_util.h"
 
 namespace stark {
 namespace {
 
 using test::RandomPopulation;
+using Element = std::pair<STObject, int64_t>;
 
-// STObject::operator== treats NaN coordinates as unequal-to-themselves, so
-// bit-identity is asserted over the serialized form instead: two objects
-// are "the same" iff WriteSTObject emits the same bytes.
-std::string STBytes(const STObject& obj) {
-  BinaryWriter w;
-  WriteSTObject(&w, obj);
-  return std::string(w.buffer().data(), w.buffer().size());
+const STObject& Self(const STObject& obj) { return obj; }
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 // The prepared-geometry suite's population mix: no-time, instant, and
@@ -72,54 +68,32 @@ std::vector<STObject> MakeObjects(const std::vector<Geometry>& pop) {
   return out;
 }
 
-void ExpectBitIdenticalRoundTrip(const std::vector<STObject>& objs) {
-  const ColumnarBatch batch = ColumnarBatch::FromObjects(objs);
-  ASSERT_EQ(batch.rows(), objs.size());
-  auto back = batch.ToObjects();
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  const std::vector<STObject>& got = back.ValueOrDie();
-  ASSERT_EQ(got.size(), objs.size());
-  for (size_t i = 0; i < objs.size(); ++i) {
-    ASSERT_EQ(STBytes(got[i]), STBytes(objs[i])) << "row " << i;
-    // The envelope slab must carry the object's envelope bit-exactly —
-    // FilterEnvelopesBatch reads it in place of obj.envelope().
-    EXPECT_EQ(batch.envelopes().min_x[i], objs[i].envelope().min_x())
-        << "row " << i;
-    EXPECT_EQ(batch.envelopes().Get(i).IsEmpty(), objs[i].envelope().IsEmpty())
-        << "row " << i;
+// Every slab entry must carry its object's bits exactly: the kernels read
+// the slabs in place of the objects.
+void ExpectSlabsMatch(const ColumnarBatch& batch,
+                      const std::vector<STObject>& points) {
+  ASSERT_EQ(batch.rows(), points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    const STObject& obj = points[i];
+    const Coordinate& c = obj.geo().AsPoint();
+    EXPECT_TRUE(SameBits(batch.x()[i], c.x)) << "row " << i;
+    EXPECT_TRUE(SameBits(batch.y()[i], c.y)) << "row " << i;
+    ASSERT_EQ(batch.has_time()[i] != 0, obj.HasTime()) << "row " << i;
+    if (obj.HasTime()) {
+      EXPECT_EQ(batch.t_start()[i], obj.time()->start()) << "row " << i;
+      EXPECT_EQ(batch.t_end()[i], obj.time()->end()) << "row " << i;
+    }
+    const Envelope& env = obj.envelope();
+    EXPECT_TRUE(SameBits(batch.envelopes().min_x[i], env.min_x()));
+    EXPECT_TRUE(SameBits(batch.envelopes().min_y[i], env.min_y()));
+    EXPECT_TRUE(SameBits(batch.envelopes().max_x[i], env.max_x()));
+    EXPECT_TRUE(SameBits(batch.envelopes().max_y[i], env.max_y()));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Round-trip bit-identity
+// Point slabs
 // ---------------------------------------------------------------------------
-
-TEST(ColumnarBatchTest, RoundTripsFuzzCorpusBitIdentically) {
-  ExpectBitIdenticalRoundTrip(
-      MakeObjects(RandomPopulation(/*seed=*/9001, 150)));
-}
-
-TEST(ColumnarBatchTest, RoundTripsSentinelsAndDegenerateShapes) {
-  const double nan = std::nan("");
-  std::vector<STObject> objs;
-  // NaN coordinates: the point's envelope is the empty sentinel
-  // (ExpandToInclude never fires), and the NaN payload bits must survive.
-  objs.emplace_back(Geometry::MakePoint({nan, 7.0}));
-  objs.emplace_back(Geometry::MakePoint({nan, nan}), Instant{42});
-  objs.emplace_back(Geometry::MakePoint({3.0, nan}), Instant{-5}, Instant{5});
-  // Signed zero and extreme magnitudes.
-  objs.emplace_back(Geometry::MakePoint({-0.0, 0.0}));
-  objs.emplace_back(Geometry::MakePoint({1e308, -1e308}));
-  // Degenerate-but-accepted shapes: a hairline box and a two-vertex line.
-  objs.emplace_back(Geometry::MakeBox(Envelope(5, 5, 5 + 1e-12, 5 + 1e-12)));
-  auto line = Geometry::MakeLineString({{0, 0}, {0, 0 + 1e-300}});
-  if (line.ok()) objs.emplace_back(line.ValueOrDie(), Instant{0});
-  // A NaN vertex inside a multipoint (non-point row with NaN slab data).
-  auto mp = Geometry::MakeMultiPoint({{1, 2}, {nan, 4}});
-  if (mp.ok()) objs.emplace_back(mp.ValueOrDie());
-  ASSERT_TRUE(objs[0].envelope().IsEmpty());
-  ExpectBitIdenticalRoundTrip(objs);
-}
 
 TEST(ColumnarBatchTest, AllPointsFastPathAndPointDetection) {
   std::vector<STObject> points;
@@ -127,86 +101,68 @@ TEST(ColumnarBatchTest, AllPointsFastPathAndPointDetection) {
     points.emplace_back(Geometry::MakePoint({double(i), double(-i)}),
                         Instant{i});
   }
-  ColumnarBatch batch = ColumnarBatch::FromObjects(points);
-  EXPECT_TRUE(batch.AllPoints());
-  EXPECT_EQ(batch.non_point_rows(), 0u);
-  EXPECT_EQ(batch.x()[3], 3.0);
-  EXPECT_EQ(batch.y()[3], -3.0);
-  EXPECT_EQ(batch.t_start()[3], 3);
-  batch.Append(STObject(Geometry::MakeBox(Envelope(0, 0, 1, 1))));
-  EXPECT_FALSE(batch.AllPoints());
-  EXPECT_EQ(batch.non_point_rows(), 1u);
-  EXPECT_GT(batch.MemoryBytes(), 0u);
+  const auto batch = ColumnarBatch::BuildPoints(points, Self);
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->rows(), 10u);
+  EXPECT_EQ(batch->x()[3], 3.0);
+  EXPECT_EQ(batch->y()[3], -3.0);
+  EXPECT_EQ(batch->t_start()[3], 3);
+
+  // One non-point row anywhere means no slabs at all.
+  points.insert(points.begin() + 4,
+                STObject(Geometry::MakeBox(Envelope(0, 0, 1, 1))));
+  EXPECT_EQ(ColumnarBatch::BuildPoints(points, Self), nullptr);
+  EXPECT_EQ(ColumnarBatch::BuildPoints(std::vector<STObject>{}, Self),
+            nullptr);
 }
 
-TEST(ColumnarBatchTest, AppendPointMatchesObjectAppendBitIdentically) {
+TEST(ColumnarBatchTest, RoundTripsFuzzCorpusBitIdentically) {
+  const std::vector<STObject> corpus =
+      MakeObjects(RandomPopulation(/*seed=*/9001, 150));
+  std::vector<STObject> points;
+  for (const STObject& obj : corpus) {
+    if (obj.geo().IsPoint()) points.push_back(obj);
+  }
+  ASSERT_LT(points.size(), corpus.size());
+  ASSERT_FALSE(points.empty());
+  EXPECT_EQ(ColumnarBatch::BuildPoints(corpus, Self), nullptr);
+  const auto batch = ColumnarBatch::BuildPoints(points, Self);
+  ASSERT_NE(batch, nullptr);
+  ExpectSlabsMatch(*batch, points);
+}
+
+TEST(ColumnarBatchTest, RoundTripsSentinelsAndDegenerateShapes) {
   const double nan = std::nan("");
-  const std::vector<std::pair<double, double>> coords = {
-      {1.5, -2.5}, {nan, 4.0}, {-0.0, 1e17}};
-  ColumnarBatch via_point;
-  ColumnarBatch via_object;
-  for (const auto& [x, y] : coords) {
-    via_point.AppendPoint(x, y, /*has_time=*/true, 7, 9);
-    via_object.Append(STObject(Geometry::MakePoint({x, y}), 7, 9));
+  std::vector<STObject> points;
+  // NaN coordinates: the point's envelope is the empty sentinel
+  // (ExpandToInclude never fires), and the NaN payload bits must survive.
+  points.emplace_back(Geometry::MakePoint({nan, 7.0}));
+  points.emplace_back(Geometry::MakePoint({nan, nan}), Instant{42});
+  points.emplace_back(Geometry::MakePoint({3.0, nan}), Instant{-5},
+                      Instant{5});
+  // Signed zero and extreme magnitudes.
+  points.emplace_back(Geometry::MakePoint({-0.0, 0.0}));
+  points.emplace_back(Geometry::MakePoint({1e308, -1e308}));
+  ASSERT_TRUE(points[0].envelope().IsEmpty());
+  const auto batch = ColumnarBatch::BuildPoints(points, Self);
+  ASSERT_NE(batch, nullptr);
+  ExpectSlabsMatch(*batch, points);
+  EXPECT_TRUE(batch->envelopes().Get(0).IsEmpty());
+
+  // Degenerate-but-accepted non-point shapes never enter the slabs: each
+  // one turns the whole batch over to the scalar refine.
+  std::vector<STObject> degenerate = {
+      STObject(Geometry::MakeBox(Envelope(5, 5, 5 + 1e-12, 5 + 1e-12)))};
+  auto line = Geometry::MakeLineString({{0, 0}, {0, 0 + 1e-300}});
+  if (line.ok()) degenerate.emplace_back(line.ValueOrDie(), Instant{0});
+  auto mp = Geometry::MakeMultiPoint({{1, 2}, {nan, 4}});
+  if (mp.ok()) degenerate.emplace_back(mp.ValueOrDie());
+  for (const STObject& shape : degenerate) {
+    std::vector<STObject> with_shape = points;
+    with_shape.push_back(shape);
+    EXPECT_EQ(ColumnarBatch::BuildPoints(with_shape, Self), nullptr)
+        << shape.geo().ToWkt();
   }
-  auto a = via_point.ToObjects();
-  auto b = via_object.ToObjects();
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (size_t i = 0; i < coords.size(); ++i) {
-    EXPECT_EQ(STBytes(a.ValueOrDie()[i]), STBytes(b.ValueOrDie()[i]));
-    EXPECT_EQ(via_point.envelopes().Get(i).IsEmpty(),
-              via_object.envelopes().Get(i).IsEmpty());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Slab serde
-// ---------------------------------------------------------------------------
-
-TEST(ColumnarSerdeTest, SlabRoundTripMatchesPerObjectSerde) {
-  const std::vector<STObject> objs =
-      MakeObjects(RandomPopulation(/*seed=*/777, 80));
-  const ColumnarBatch batch = ColumnarBatch::FromObjects(objs);
-
-  BinaryWriter w;
-  WriteColumnarBatch(&w, batch);
-  BinaryReader r(w.buffer());
-  auto read = ReadColumnarBatch(&r);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_TRUE(r.AtEnd());
-
-  auto got = read.ValueOrDie().ToObjects();
-  ASSERT_TRUE(got.ok());
-  for (size_t i = 0; i < objs.size(); ++i) {
-    // Identical to the object and therefore to what the per-object wire
-    // format (WriteSTObject/ReadSTObject) would have reproduced.
-    ASSERT_EQ(STBytes(got.ValueOrDie()[i]), STBytes(objs[i])) << "row " << i;
-  }
-}
-
-TEST(ColumnarSerdeTest, RejectsTruncatedAndCorruptBytes) {
-  const std::vector<STObject> objs =
-      MakeObjects(RandomPopulation(/*seed=*/31337, 40));
-  BinaryWriter w;
-  WriteColumnarBatch(&w, ColumnarBatch::FromObjects(objs));
-  const std::vector<char>& bytes = w.buffer();
-
-  // Truncations at various depths must all surface as clean errors.
-  for (size_t keep : {size_t{0}, size_t{3}, size_t{9}, bytes.size() / 2,
-                      bytes.size() - 1}) {
-    BinaryReader r(bytes.data(), keep);
-    EXPECT_FALSE(ReadColumnarBatch(&r).ok()) << "keep=" << keep;
-  }
-  // A corrupt geometry-type tag must be rejected by validation, not fed to
-  // the row reconstructor.
-  std::vector<char> corrupt = bytes;
-  // magic(4) + version(1) + rows(8) + non_point(8) + row_ids slab header(8)
-  // + row_ids data + geo_type slab header(8) puts the first tag at:
-  const size_t first_tag = 4 + 1 + 8 + 8 + 8 + 4 * objs.size() + 8;
-  ASSERT_LT(first_tag, corrupt.size());
-  corrupt[first_tag] = 0x7f;
-  BinaryReader r2(corrupt);
-  EXPECT_FALSE(ReadColumnarBatch(&r2).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +186,7 @@ TEST(ColumnarKernelsTest, PointSpecializationsMatchGenericPreparedCalls) {
       const double got = prep.DistanceFromPoint(p);
       const double want = prep.DistanceFrom(pt);
       // Bit comparison so NaN==NaN and -0.0 != 0.0 are handled exactly.
-      ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << g.ToWkt();
+      ASSERT_TRUE(SameBits(got, want)) << g.ToWkt();
     }
   }
 }
@@ -296,48 +252,52 @@ TEST(ColumnarKernelsTest, TemporalOverlapBatchMatchesIntervalOps) {
   }
 }
 
-TEST(ColumnarRefineTest, MatchesBoundPredicateOnMixedBatches) {
-  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/246810, 90);
-  const std::vector<STObject> objs = MakeObjects(pop);
-  const ColumnarBatch batch = ColumnarBatch::FromObjects(objs);
-  ASSERT_FALSE(batch.AllPoints());
+// ---------------------------------------------------------------------------
+// Selection and batch refinement
+// ---------------------------------------------------------------------------
 
-  const std::vector<JoinPredicate> preds = {
-      JoinPredicate::Intersects(),
-      JoinPredicate::Contains(),
-      JoinPredicate::ContainedBy(),
-      JoinPredicate::WithinDistance(3.5),
-  };
-  std::vector<uint32_t> scratch;
-  for (const JoinPredicate& pred : preds) {
-    ASSERT_TRUE(columnar_refine::Refinable(pred));
-    for (size_t f = 0; f < objs.size(); f += 7) {
-      const STObject& fixed = objs[f];
-      const PreparedGeometry prep(fixed.geo());
-      for (const bool cand_left : {true, false}) {
-        BoundPredicate bound(pred, fixed,
-                             cand_left ? BoundPredicate::Side::kCandidateLeft
-                                       : BoundPredicate::Side::kCandidateRight);
-        std::vector<uint32_t> expect;
-        std::vector<uint32_t> cand;
-        for (uint32_t j = 0; j < objs.size(); ++j) {
-          cand.push_back(j);
-          if (bound.Eval(objs[j])) expect.push_back(j);
-        }
-        columnar_refine::Stats stats;
-        columnar_refine::RefineCandidates(
-            batch, pred, fixed, prep, cand_left, &cand,
-            [&](uint32_t j) -> const STObject& { return objs[j]; }, &stats,
-            &scratch);
-        ASSERT_EQ(cand, expect)
-            << PredicateName(pred.type) << " cand_left=" << cand_left
-            << " fixed=" << f;
-        EXPECT_EQ(stats.kernel_rows + stats.fallback_rows, objs.size());
-        EXPECT_GT(stats.kernel_rows, 0u);   // the corpus contains points
-        EXPECT_GT(stats.fallback_rows, 0u); // ...and non-points
-      }
-    }
+JoinPredicate CustomDistance(double max_distance) {
+  // Euclidean-compatible, so envelope candidates stay sound and the indexed
+  // sites still run; only the selection has to route it to the scalar path.
+  return JoinPredicate::WithinDistance(
+      max_distance,
+      [](const STObject& a, const STObject& b) {
+        return EuclideanDistance(a, b);
+      },
+      /*euclidean_compatible_fn=*/true);
+}
+
+TEST(ColumnarRefineTest, SelectsKernelsOnlyForRefinableAllPointBatches) {
+  const std::vector<STObject> mixed =
+      MakeObjects(RandomPopulation(/*seed=*/246810, 90));
+  std::vector<STObject> points;
+  for (const STObject& obj : mixed) {
+    if (obj.geo().IsPoint()) points.push_back(obj);
   }
+  ASSERT_FALSE(points.empty());
+  size_t builds = 0;
+  auto points_of = [&builds](const std::vector<STObject>& objs) {
+    return [&builds, &objs] {
+      ++builds;
+      return ColumnarBatch::BuildPoints(objs, Self);
+    };
+  };
+  for (const JoinPredicate& pred :
+       {JoinPredicate::Intersects(), JoinPredicate::Contains(),
+        JoinPredicate::ContainedBy(), JoinPredicate::WithinDistance(3.5)}) {
+    EXPECT_NE(columnar_refine::SelectKernels(pred, points_of(points)),
+              nullptr)
+        << PredicateName(pred.type);
+    EXPECT_EQ(columnar_refine::SelectKernels(pred, points_of(mixed)), nullptr)
+        << PredicateName(pred.type);
+  }
+  EXPECT_EQ(builds, 8u);
+  // A custom distance function never reaches the kernels, so no slabs are
+  // even built for it.
+  EXPECT_EQ(columnar_refine::SelectKernels(CustomDistance(3.5),
+                                           points_of(points)),
+            nullptr);
+  EXPECT_EQ(builds, 8u);
 }
 
 TEST(ColumnarRefineTest, AllPointsBatchStaysOnKernels) {
@@ -359,8 +319,8 @@ TEST(ColumnarRefineTest, AllPointsBatchStaysOnKernels) {
     }
   }
   points.emplace_back(Geometry::MakePoint({std::nan(""), 1.0}), Instant{3});
-  const ColumnarBatch batch = ColumnarBatch::FromObjects(points);
-  ASSERT_TRUE(batch.AllPoints());
+  const auto batch = ColumnarBatch::BuildPoints(points, Self);
+  ASSERT_NE(batch, nullptr);
 
   const STObject fixed(Geometry::MakeBox(Envelope(20, 20, 70, 70)),
                        Instant{2}, Instant{9});
@@ -380,10 +340,8 @@ TEST(ColumnarRefineTest, AllPointsBatchStaysOnKernels) {
         if (bound.Eval(points[j])) expect.push_back(j);
       }
       columnar_refine::Stats stats;
-      columnar_refine::RefineCandidates(
-          batch, pred, fixed, prep, cand_left, &cand,
-          [&](uint32_t j) -> const STObject& { return points[j]; }, &stats,
-          &scratch);
+      columnar_refine::RefineCandidates(*batch, pred, fixed, prep, cand_left,
+                                        &cand, &stats, &scratch);
       ASSERT_EQ(cand, expect) << PredicateName(pred.type);
       EXPECT_EQ(stats.kernel_rows, points.size());
       EXPECT_EQ(stats.fallback_rows, 0u);
@@ -392,92 +350,398 @@ TEST(ColumnarRefineTest, AllPointsBatchStaysOnKernels) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: filter kill-switch differential, checkpoint slabs, CSV ingest
+// Every refine site vs brute force
 // ---------------------------------------------------------------------------
 
-class ColumnarEndToEndTest : public ::testing::Test {
- protected:
-  void TearDown() override { columnar::SetEnabled(true); }
+enum class Shape {
+  kPoints,     // every row a point: the kernels' side of the selection
+  kMixed,      // a non-point row in every partition: all scalar
+  kHalfMixed,  // non-point rows only in the second half: both paths at once
 };
 
-TEST_F(ColumnarEndToEndTest, FilterAgreesWithKillSwitchOff) {
+// Seeded skewed points over [0,100]^2; some rows replaced by polygons (and
+// other non-point shapes) per \p shape. Untimed, instant and interval rows
+// alternate unless \p all_timed (serve events always carry a time).
+std::vector<Element> MakeData(Shape shape, size_t n, uint64_t seed,
+                              bool all_timed, double max_extent) {
   SkewedPointsOptions gen;
-  gen.count = 1500;
+  gen.count = n;
   gen.universe = Envelope(0, 0, 100, 100);
-  gen.seed = 61;
-  auto points = GenerateSkewedPoints(gen);
-  Rng rng(62);
-  std::vector<std::pair<STObject, int64_t>> data;
+  gen.seed = seed;
+  gen.clusters = 4;
+  gen.cluster_spread = 0.08;
+  const std::vector<STObject> points = GenerateSkewedPoints(gen);
+  Rng rng(seed + 1);
+  std::vector<Element> out;
   for (size_t i = 0; i < points.size(); ++i) {
-    STObject obj = (i % 2 == 0)
-                       ? STObject(points[i].geo(), rng.UniformInt(0, 1000))
-                       : points[i];
-    data.emplace_back(std::move(obj), static_cast<int64_t>(i));
-  }
-  // A couple of non-point rows force the mixed-batch merge path.
-  data.emplace_back(STObject(Geometry::MakeBox(Envelope(30, 30, 40, 40))),
-                    9001);
-  data.emplace_back(
-      STObject(Geometry::MakeBox(Envelope(50, 20, 55, 26)), Instant{500}),
-      9002);
-
-  Context ctx(4);
-  const STObject query(Geometry::MakeBox(Envelope(20, 20, 60, 55)),
-                       Instant{100}, Instant{700});
-  const uint64_t rows_before = GlobalColumnarMetrics().rows->Value();
-  for (const JoinPredicate& pred :
-       {JoinPredicate::Intersects(), JoinPredicate::Contains(),
-        JoinPredicate::ContainedBy(), JoinPredicate::WithinDistance(7.0)}) {
-    columnar::SetEnabled(true);
-    auto on = SpatialRDD<int64_t>::FromVector(&ctx, data, 4)
-                  .Filter(query, pred)
-                  .Collect();
-    columnar::SetEnabled(false);
-    auto off = SpatialRDD<int64_t>::FromVector(&ctx, data, 4)
-                   .Filter(query, pred)
-                   .Collect();
-    ASSERT_EQ(on.size(), off.size()) << PredicateName(pred.type);
-    for (size_t i = 0; i < on.size(); ++i) {
-      ASSERT_EQ(on[i].second, off[i].second)
-          << PredicateName(pred.type) << " row " << i;
-      ASSERT_EQ(STBytes(on[i].first), STBytes(off[i].first))
-          << PredicateName(pred.type) << " row " << i;
+    const bool non_point = shape == Shape::kMixed       ? i % 5 == 4
+                           : shape == Shape::kHalfMixed ? i >= n / 2 && i % 3 == 0
+                                                        : false;
+    Geometry geo = points[i].geo();
+    if (non_point) {
+      const Coordinate c = geo.AsPoint();
+      geo = i % 2 == 0 ? Geometry::MakeBox(Envelope(
+                             c.x, c.y, c.x + rng.Uniform(0.1, max_extent),
+                             c.y + rng.Uniform(0.1, max_extent)))
+                       : test::RandomGeometry(&rng);
+    }
+    const Instant t = rng.UniformInt(0, 1000);
+    switch (i % 3) {
+      case 0:
+        out.emplace_back(all_timed ? STObject(geo, t) : STObject(geo),
+                         static_cast<int64_t>(i));
+        break;
+      case 1:
+        out.emplace_back(STObject(geo, t), static_cast<int64_t>(i));
+        break;
+      default:
+        out.emplace_back(STObject(geo, t, t + rng.UniformInt(0, 300)),
+                         static_cast<int64_t>(i));
+        break;
     }
   }
-  // The enabled runs must actually have gone through the kernels.
-  EXPECT_GT(GlobalColumnarMetrics().rows->Value(), rows_before);
+  return out;
 }
 
-TEST_F(ColumnarEndToEndTest, CheckpointColumnarPartsRoundTrip) {
-  using Element = std::pair<STObject, int64_t>;
-  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/135, 60);
-  const std::vector<STObject> objs = MakeObjects(pop);
+struct Input {
+  std::string name;
   std::vector<Element> data;
-  for (size_t i = 0; i < objs.size(); ++i) {
-    data.emplace_back(objs[i], static_cast<int64_t>(i));
-  }
-  Context ctx(2);
-  const std::string dir = test::UniqueTempPath("columnar_ckpt");
-  ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()), 0);
+  std::vector<JoinPredicate> preds;
+};
 
-  columnar::SetEnabled(true);
-  ASSERT_TRUE(Checkpoint(MakeRDD(&ctx, data, 3), dir).ok());
-  auto loaded = LoadCheckpoint<Element>(&ctx, dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::vector<Element> got = loaded.ValueOrDie().Collect();
-  ASSERT_EQ(got.size(), data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_EQ(got[i].second, data[i].second);
-    ASSERT_EQ(STBytes(got[i].first), STBytes(data[i].first)) << "row " << i;
-  }
+std::vector<JoinPredicate> StandardPredicates() {
+  return {JoinPredicate::Intersects(), JoinPredicate::Contains(),
+          JoinPredicate::ContainedBy(), JoinPredicate::WithinDistance(1.5)};
+}
 
-  // The same directory read with the kill-switch off decodes identically —
-  // the format is self-describing via the part magic.
-  columnar::SetEnabled(false);
-  auto loaded_off = LoadCheckpoint<Element>(&ctx, dir);
-  ASSERT_TRUE(loaded_off.ok());
-  EXPECT_EQ(loaded_off.ValueOrDie().Collect().size(), data.size());
-  std::system(("rm -rf " + dir).c_str());
+std::vector<Input> Inputs(bool all_timed) {
+  return {
+      {"points", MakeData(Shape::kPoints, 400, 61, all_timed, 2.0),
+       StandardPredicates()},
+      {"mixed", MakeData(Shape::kMixed, 400, 62, all_timed, 2.0),
+       StandardPredicates()},
+      {"half-mixed", MakeData(Shape::kHalfMixed, 400, 63, all_timed, 2.0),
+       StandardPredicates()},
+      {"custom-distance points",
+       MakeData(Shape::kPoints, 400, 64, all_timed, 2.0),
+       {CustomDistance(1.5)}},
+      {"custom-distance mixed",
+       MakeData(Shape::kMixed, 400, 65, all_timed, 2.0),
+       {CustomDistance(1.5)}},
+  };
+}
+
+// The other join side: points and larger regions, 500 rows so that the
+// data side (400) is the smaller, broadcast one.
+std::vector<Element> Probes() {
+  std::vector<Element> probes =
+      MakeData(Shape::kMixed, 500, 71, /*all_timed=*/false, 8.0);
+  for (auto& p : probes) p.second += 100000;
+  return probes;
+}
+
+std::vector<STObject> FilterQueries() {
+  return {STObject(Geometry::MakeBox(Envelope(20, 20, 60, 55)), Instant{100},
+                   Instant{700}),
+          STObject(Geometry::MakeBox(Envelope(20, 20, 60, 55))),
+          STObject(Geometry::MakePoint({50.0, 50.0}), Instant{0},
+                   Instant{1000})};
+}
+
+using IdPairs = std::vector<std::pair<int64_t, int64_t>>;
+
+template <typename Pairs>
+IdPairs IdsOf(const Pairs& pairs) {
+  IdPairs ids;
+  for (const auto& [l, r] : pairs) ids.emplace_back(l.second, r.second);
+  return ids;
+}
+
+std::vector<Element> Flatten(const std::vector<std::vector<Element>>& parts) {
+  std::vector<Element> all;
+  for (const auto& part : parts) all.insert(all.end(), part.begin(), part.end());
+  return all;
+}
+
+PackedRTree<size_t> TreeOver(const std::vector<Element>& items,
+                             size_t order) {
+  std::vector<std::pair<Envelope, size_t>> entries;
+  for (size_t e = 0; e < items.size(); ++e) {
+    entries.emplace_back(items[e].first.envelope(), e);
+  }
+  return PackedRTree<size_t>(order, std::move(entries));
+}
+
+constexpr size_t kOrder = 10;
+
+TEST(ColumnarDifferentialTest, FilterMatchesBruteForce) {
+  Context ctx(4);
+  for (const Input& in : Inputs(/*all_timed=*/false)) {
+    for (const JoinPredicate& pred : in.preds) {
+      for (const STObject& query : FilterQueries()) {
+        std::vector<int64_t> expect;
+        for (const auto& [obj, id] : in.data) {
+          if (pred.Eval(obj, query)) expect.push_back(id);
+        }
+        const auto rdd = SpatialRDD<int64_t>::FromVector(&ctx, in.data, 4);
+        // Twice: the second filter reuses the cached slabs (or the cached
+        // "not all points" outcome).
+        for (int round = 0; round < 2; ++round) {
+          std::vector<int64_t> got;
+          for (const auto& [obj, id] : rdd.Filter(query, pred).Collect()) {
+            got.push_back(id);
+          }
+          ASSERT_EQ(got, expect) << in.name << " " << PredicateName(pred.type)
+                                 << " query=" << query.geo().ToWkt();
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnarDifferentialTest, BroadcastJoinsMatchBruteForce) {
+  Context ctx(4);
+  JoinOptions options;
+  options.index_order = kOrder;
+  options.broadcast_threshold = 1000000;
+  const std::vector<Element> probes = Probes();
+  for (const Input& in : Inputs(/*all_timed=*/false)) {
+    for (const JoinPredicate& pred : in.preds) {
+      const double margin = pred.EnvelopeMargin();
+      const std::string what =
+          in.name + " " + PredicateName(pred.type);
+      {
+        // Right side broadcast: the data is the batched side, probes are
+        // the fixed operands, one task per probe partition.
+        const auto left = SpatialRDD<int64_t>::FromVector(&ctx, probes, 4);
+        const auto right = SpatialRDD<int64_t>::FromVector(&ctx, in.data, 3);
+        const std::vector<Element> small =
+            Flatten(right.rdd().CollectPartitions());
+        const PackedRTree<size_t> tree = TreeOver(small, kOrder);
+        IdPairs expect;
+        for (const auto& part : left.rdd().CollectPartitions()) {
+          for (const Element& l : part) {
+            tree.Query(l.first.envelope().Expanded(margin),
+                       [&](const Envelope&, const size_t& e) {
+                         if (pred.Eval(l.first, small[e].first)) {
+                           expect.emplace_back(l.second, small[e].second);
+                         }
+                       });
+          }
+        }
+        ASSERT_EQ(IdsOf(SpatialJoin(left, right, pred, options).Collect()),
+                  expect)
+            << what << " (right broadcast)";
+      }
+      {
+        // Left side broadcast: the data is the batched side again, now in
+        // the left operand slot.
+        const auto left = SpatialRDD<int64_t>::FromVector(&ctx, in.data, 3);
+        const auto right = SpatialRDD<int64_t>::FromVector(&ctx, probes, 4);
+        const std::vector<Element> small =
+            Flatten(left.rdd().CollectPartitions());
+        const PackedRTree<size_t> tree = TreeOver(small, kOrder);
+        IdPairs expect;
+        for (const auto& part : right.rdd().CollectPartitions()) {
+          for (const Element& r : part) {
+            tree.Query(r.first.envelope().Expanded(margin),
+                       [&](const Envelope&, const size_t& e) {
+                         if (pred.Eval(small[e].first, r.first)) {
+                           expect.emplace_back(small[e].second, r.second);
+                         }
+                       });
+          }
+        }
+        ASSERT_EQ(IdsOf(SpatialJoin(left, right, pred, options).Collect()),
+                  expect)
+            << what << " (left broadcast)";
+      }
+    }
+  }
+}
+
+TEST(ColumnarDifferentialTest, PartitionPairJoinMatchesBruteForce) {
+  Context ctx(4);
+  JoinOptions options;
+  options.index_order = kOrder;
+  options.skew_split_factor = 2.0;
+  // One dense probe partition and three sparse ones, so the dense pairs
+  // are skew-split into sub-range tasks.
+  const std::vector<Element> probes = Probes();
+  std::vector<std::vector<Element>> probe_parts(4);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    probe_parts[i < 440 ? 0 : 1 + i % 3].push_back(probes[i]);
+  }
+  const SpatialRDD<int64_t> right(MakeRDDFromPartitions(&ctx, probe_parts));
+  for (const Input& in : Inputs(/*all_timed=*/false)) {
+    const auto left = SpatialRDD<int64_t>::FromVector(&ctx, in.data, 4);
+    const std::vector<std::vector<Element>> lparts =
+        left.rdd().CollectPartitions();
+    std::vector<PackedRTree<size_t>> trees;
+    std::vector<size_t> left_sizes, right_sizes;
+    for (const auto& part : lparts) {
+      trees.push_back(TreeOver(part, kOrder));
+      left_sizes.push_back(part.size());
+    }
+    std::vector<std::pair<size_t, size_t>> pairs;
+    for (size_t j = 0; j < probe_parts.size(); ++j) {
+      right_sizes.push_back(probe_parts[j].size());
+    }
+    for (size_t i = 0; i < lparts.size(); ++i) {
+      for (size_t j = 0; j < probe_parts.size(); ++j) pairs.emplace_back(i, j);
+    }
+    size_t pairs_split = 0;
+    const std::vector<join_internal::ProbeTask> tasks =
+        join_internal::PlanProbeTasks(pairs, left_sizes, right_sizes,
+                                      /*indexed=*/true, options, &pairs_split);
+    ASSERT_GT(pairs_split, 0u);
+    for (const JoinPredicate& pred : in.preds) {
+      // The join's task order, each task probing its sub-range row by row.
+      IdPairs expect;
+      for (const join_internal::ProbeTask& task : tasks) {
+        const std::vector<Element>& lv = lparts[task.left];
+        for (size_t rix = task.begin; rix < task.end; ++rix) {
+          const Element& r = probe_parts[task.right][rix];
+          trees[task.left].Query(
+              r.first.envelope().Expanded(pred.EnvelopeMargin()),
+              [&](const Envelope&, const size_t& e) {
+                if (pred.Eval(lv[e].first, r.first)) {
+                  expect.emplace_back(lv[e].second, r.second);
+                }
+              });
+        }
+      }
+      ASSERT_EQ(IdsOf(SpatialJoin(left, right, pred, options).Collect()),
+                expect)
+          << in.name << " " << PredicateName(pred.type);
+    }
+  }
+}
+
+TEST(ColumnarDifferentialTest, SnapshotFilterMatchesBruteForce) {
+  const struct {
+    const char* name;
+    PredicateType type;
+    std::string args;  // Piglet arguments after the WKT literal
+    double max_distance;
+  } kPreds[] = {
+      {"INTERSECTS", PredicateType::kIntersects, "", 0.0},
+      {"CONTAINS", PredicateType::kContains, "", 0.0},
+      {"CONTAINEDBY", PredicateType::kContainedBy, "", 0.0},
+      {"WITHINDISTANCE", PredicateType::kWithinDistance, ", 1.5", 1.5},
+  };
+  const std::vector<std::string> wkts = {
+      "POLYGON ((20 20, 60 20, 60 55, 20 55, 20 20))", "POINT (50 50)"};
+  // Custom distance functions cannot be written in Piglet, so the snapshot
+  // site sees the all-point and mixed shapes only.
+  for (const Input& in : Inputs(/*all_timed=*/true)) {
+    if (in.preds.front().distance != nullptr) continue;
+    std::vector<stream::StreamEvent> events;
+    for (const auto& [obj, id] : in.data) events.emplace_back(id, "c", obj);
+    const auto snap = std::make_shared<const serve::DatasetSnapshot>(
+        serve::BuildSnapshot(1, events, 8));
+    for (const auto& p : kPreds) {
+      for (const std::string& wkt : wkts) {
+        const std::string call =
+            std::string(p.name) + "('" + wkt + "'" + p.args + ", 0, 600)";
+        auto query = STObject::FromWkt(wkt, Instant{0}, Instant{600});
+        ASSERT_TRUE(query.ok());
+        JoinPredicate pred;
+        pred.type = p.type;
+        pred.max_distance = p.max_distance;
+        std::vector<int64_t> expect;
+        snap->tree->Query(
+            query.ValueOrDie().envelope().Expanded(pred.EnvelopeMargin()),
+            [&](const Envelope&, const uint32_t& idx) {
+              if (pred.Eval((*snap->events)[idx].obj, query.ValueOrDie())) {
+                expect.push_back((*snap->events)[idx].id);
+              }
+            });
+
+        Context ctx(1);
+        std::ostringstream out;
+        piglet::Interpreter interp(&ctx, &out);
+        piglet::PigRelation rel;
+        rel.schema = {"id", "category", "time", "wkt"};
+        rel.spatialized = true;
+        rel.snapshot = snap;
+        std::vector<piglet::PigRow> rows;
+        for (const stream::StreamEvent& e : events) {
+          rows.push_back(piglet::RowFromStreamEvent(e));
+        }
+        rel.rdd = MakeRDD(&ctx, std::move(rows));
+        interp.BindRelation("events", std::move(rel));
+        // Twice: the second query reuses the epoch's cached selection.
+        for (int round = 0; round < 2; ++round) {
+          ASSERT_TRUE(
+              interp.RunScript("hits = FILTER events BY " + call + ";").ok())
+              << call;
+          auto hits = interp.relation("hits");
+          ASSERT_TRUE(hits.ok());
+          std::vector<int64_t> got;
+          for (const piglet::PigRow& row : hits.ValueOrDie()->rdd.Collect()) {
+            got.push_back(std::get<int64_t>(row.fields[0]));
+          }
+          ASSERT_EQ(got, expect) << in.name << " " << call;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Counter semantics
+// ---------------------------------------------------------------------------
+
+struct RefineDelta {
+  uint64_t rows;
+  uint64_t fallbacks;
+};
+
+template <typename Fn>
+RefineDelta MeasureRefine(Fn&& fn) {
+  const ColumnarMetricSet& m = GlobalColumnarMetrics();
+  const uint64_t rows = m.rows->Value();
+  const uint64_t fallbacks = m.fallbacks->Value();
+  fn();
+  return {m.rows->Value() - rows, m.fallbacks->Value() - fallbacks};
+}
+
+// engine.columnar.fallbacks counts the rows handed to the scalar refine at
+// a site that considered the kernels; engine.columnar.rows the rows the
+// kernels refined.
+TEST(ColumnarCountersTest, FallbacksCountRowsRefinedByTheScalarPath) {
+  Context ctx(4);
+  const STObject query(Geometry::MakeBox(Envelope(20, 20, 60, 55)));
+  const std::vector<Element> points =
+      MakeData(Shape::kPoints, 400, 81, /*all_timed=*/false, 2.0);
+  const std::vector<Element> mixed =
+      MakeData(Shape::kMixed, 400, 82, /*all_timed=*/false, 2.0);
+
+  const RefineDelta all_point_filter = MeasureRefine([&] {
+    SpatialRDD<int64_t>::FromVector(&ctx, points, 4)
+        .Filter(query, JoinPredicate::Intersects())
+        .Collect();
+  });
+  EXPECT_GT(all_point_filter.rows, 0u);
+  EXPECT_EQ(all_point_filter.fallbacks, 0u);
+
+  const RefineDelta mixed_join = MeasureRefine([&] {
+    SpatialJoin(SpatialRDD<int64_t>::FromVector(&ctx, mixed, 4),
+                SpatialRDD<int64_t>::FromVector(&ctx, Probes(), 4),
+                JoinPredicate::Intersects())
+        .Collect();
+  });
+  EXPECT_EQ(mixed_join.rows, 0u);
+  EXPECT_GT(mixed_join.fallbacks, 0u);
+
+  const RefineDelta custom_filter = MeasureRefine([&] {
+    SpatialRDD<int64_t>::FromVector(&ctx, points, 4)
+        .Filter(query, CustomDistance(1.5))
+        .Collect();
+  });
+  EXPECT_EQ(custom_filter.rows, 0u);
+  EXPECT_EQ(custom_filter.fallbacks, points.size());
 }
 
 TEST(CsvColumnarTest, ParsePointWktAgreesWithFullParser) {
@@ -500,49 +764,6 @@ TEST(CsvColumnarTest, ParsePointWktAgreesWithFullParser) {
     double x = 0.0, y = 0.0;
     EXPECT_FALSE(ParsePointWkt(wkt, &x, &y)) << wkt;
   }
-}
-
-TEST(CsvColumnarTest, EventsToColumnarBatchMatchesEventsToPairs) {
-  std::vector<EventRecord> records;
-  for (int i = 0; i < 20; ++i) {
-    EventRecord rec;
-    rec.id = i;
-    rec.category = i % 2 ? "sports" : "politics";
-    rec.time = 100 + i;
-    rec.wkt = "POINT (" + std::to_string(i) + " " + std::to_string(2 * i) +
-              ".5)";
-    records.push_back(rec);
-  }
-  EventRecord poly;
-  poly.id = 99;
-  poly.category = "culture";
-  poly.time = 7;
-  poly.wkt = "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))";
-  records.push_back(poly);
-
-  auto batch = EventsToColumnarBatch(records);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  auto pairs = EventsToPairs(records);
-  ASSERT_TRUE(pairs.ok());
-  auto objs = batch.ValueOrDie().ToObjects();
-  ASSERT_TRUE(objs.ok());
-  ASSERT_EQ(objs.ValueOrDie().size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    ASSERT_EQ(STBytes(objs.ValueOrDie()[i]),
-              STBytes(pairs.ValueOrDie()[i].first))
-        << "row " << i;
-  }
-  EXPECT_EQ(batch.ValueOrDie().non_point_rows(), 1u);
-
-  // File round trip with payload columns.
-  const std::string path = test::UniqueTempPath("columnar_events.csv");
-  ASSERT_TRUE(WriteEventsCsv(path, records).ok());
-  auto cols = ReadEventsCsvColumnar(path);
-  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
-  ASSERT_EQ(cols.ValueOrDie().batch.rows(), records.size());
-  EXPECT_EQ(cols.ValueOrDie().ids[3], 3);
-  EXPECT_EQ(cols.ValueOrDie().categories[1], "sports");
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -228,9 +228,11 @@ TEST_F(ServeTest, SetStateIsSessionScoped) {
   std::unique_ptr<Session> a = server.OpenSession();
   std::unique_ptr<Session> b = server.OpenSession();
 
-  // a sets a 1ms deadline and a batch class; b must be unaffected.
-  ASSERT_TRUE(a->Run("SET job.deadline_ms 1;").status.ok());
+  // a sets a batch class and a 1ms deadline; b must be unaffected. The
+  // deadline goes last: it covers queue wait, so a later statement of a
+  // could miss it on a loaded machine.
   ASSERT_TRUE(a->Run("SET serve.class 1;").status.ok());
+  ASSERT_TRUE(a->Run("SET job.deadline_ms 1;").status.ok());
   EXPECT_EQ(a->query_class(), QueryClass::kBatch);
   EXPECT_EQ(b->query_class(), QueryClass::kInteractive);
 
@@ -320,6 +322,16 @@ TEST_F(ServeTest, ConcurrentSubmitsOnOneSessionWithDeadline) {
 // recorder must contain cancel events for the post-mortem.
 TEST_F(ServeTest, DeadlineCancelStorm) {
   obs::DefaultFlightRecorder().Enable();
+  // Enough matching rows that each query does real work: on 100 events a
+  // fast machine can finish even the 1ms-deadline half in time.
+  std::vector<stream::StreamEvent> dense;
+  for (size_t i = 0; i < 3000; ++i) {
+    dense.push_back(PointEvent(static_cast<int64_t>(1000 + i),
+                               2.0 + static_cast<double>(i % 50) * 0.08,
+                               2.0 + static_cast<double>(i / 50) * 0.07,
+                               static_cast<int64_t>(i % 100)));
+  }
+  ASSERT_TRUE(catalog_.Ingest("events", std::move(dense)).ok());
 
   ServerOptions options;
   options.query_threads = 2;

@@ -308,6 +308,26 @@ TEST_F(SpatialRddTest, LoadFromMissingDirectoryFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
 
+// A part file whose element count exceeds its size must be a clean
+// IOError, not a length_error/bad_alloc thrown out of reserve().
+TEST_F(SpatialRddTest, LoadRejectsElementCountBeyondPartSize) {
+  const std::string dir = test::UniqueTempPath("stark_index_count");
+  ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()), 0);
+  ASSERT_TRUE(MakeSpatial(1).Index(6).Save(dir).ok());
+
+  BinaryWriter part;
+  part.WriteU32(0x53544950);  // "STIP"
+  part.WriteU64(uint64_t{1} << 60);
+  part.WriteU64(0);
+  ASSERT_TRUE(WriteFileBytes(dir + "/part-0.idx", part.buffer()).ok());
+
+  auto loaded = IndexedSpatialRDD<int64_t>::Load(&ctx_, dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("count"), std::string::npos);
+  std::system(("rm -rf " + dir).c_str());
+}
+
 TEST_F(SpatialRddTest, SpatialWrapperMirrorsImplicitConversion) {
   RDD<Element> plain = MakeRDD(&ctx_, data_, 4);
   SpatialRDD<int64_t> wrapped = Spatial(plain);

@@ -140,5 +140,28 @@ TEST(WktPropertyTest, RoundTripRandomGeometries) {
   }
 }
 
+// Mutated WKT must be rejected with a typed status, never crash or hang.
+TEST(WktFuzzTest, MutatedStringsNeverCrash) {
+  Rng rng(19);
+  const std::string base =
+      "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))";
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string fuzzed = base;
+    const int mutations = static_cast<int>(rng.UniformInt(1, 6));
+    for (int m = 0; m < mutations; ++m) {
+      const size_t pos =
+          static_cast<size_t>(rng.UniformInt(0, fuzzed.size() - 1));
+      fuzzed[pos] = static_cast<char>(rng.UniformInt(32, 126));
+    }
+    auto result = ParseWkt(fuzzed);  // must not crash or hang
+    if (!result.ok()) {
+      const auto code = result.status().code();
+      EXPECT_TRUE(code == StatusCode::kParseError ||
+                  code == StatusCode::kInvalidArgument)
+          << fuzzed;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace stark
