@@ -13,12 +13,18 @@ void WriteCoordinates(BinaryWriter* writer,
   }
 }
 
-Result<std::vector<Coordinate>> ReadCoordinates(BinaryReader* reader) {
+/// Reads a coordinate count and checks the stream holds that many pairs.
+Result<uint64_t> ReadCoordinateCount(BinaryReader* reader) {
   STARK_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
   // Divide instead of multiplying so absurd counts cannot overflow.
   if (n > reader->Remaining() / (2 * sizeof(double))) {
     return Status::IOError("coordinate list exceeds stream");
   }
+  return n;
+}
+
+Result<std::vector<Coordinate>> ReadCoordinates(BinaryReader* reader) {
+  STARK_ASSIGN_OR_RETURN(uint64_t n, ReadCoordinateCount(reader));
   std::vector<Coordinate> coords(n);
   for (uint64_t i = 0; i < n; ++i) {
     STARK_ASSIGN_OR_RETURN(coords[i].x, reader->ReadDouble());
@@ -58,9 +64,12 @@ Result<Geometry> ReadGeometry(BinaryReader* reader) {
   const auto type = static_cast<GeometryType>(tag);
   switch (type) {
     case GeometryType::kPoint: {
-      STARK_ASSIGN_OR_RETURN(auto coords, ReadCoordinates(reader));
-      if (coords.size() != 1) return Status::IOError("bad point payload");
-      return Geometry::MakePoint(coords[0]);
+      // The point is read in place: no one-element coordinate vector.
+      STARK_ASSIGN_OR_RETURN(uint64_t n, ReadCoordinateCount(reader));
+      if (n != 1) return Status::IOError("bad point payload");
+      STARK_ASSIGN_OR_RETURN(double x, reader->ReadDouble());
+      STARK_ASSIGN_OR_RETURN(double y, reader->ReadDouble());
+      return Geometry::MakePoint(x, y);
     }
     case GeometryType::kMultiPoint: {
       STARK_ASSIGN_OR_RETURN(auto coords, ReadCoordinates(reader));

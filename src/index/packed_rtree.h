@@ -41,14 +41,24 @@ namespace stark {
 template <typename T>
 class PackedRTree {
  public:
+  /// Largest node capacity. Query keeps `order` scratch slots per probe, and
+  /// an order near SIZE_MAX wraps the STR leaf count to zero, so larger
+  /// orders are clamped here and rejected when read from disk.
+  static constexpr size_t kMaxOrder = 4096;
+
+  /// The node capacity a tree built with \p order uses: [2, kMaxOrder].
+  static constexpr size_t ClampOrder(size_t order) {
+    return std::clamp<size_t>(order, 2, kMaxOrder);
+  }
+
   /// Creates an empty tree (no entries, queries yield nothing).
   PackedRTree() = default;
 
-  /// STR bulk load with node capacity \p order (>= 2). Uses the same
-  /// sort-tile-recursive tiling as RTree::BulkLoad, so the leaf composition
-  /// matches the classic tree built from the same entries.
+  /// STR bulk load with node capacity \p order (clamped by ClampOrder).
+  /// Uses the same sort-tile-recursive tiling as RTree::BulkLoad, so the
+  /// leaf composition matches the classic tree built from the same entries.
   PackedRTree(size_t order, std::vector<std::pair<Envelope, T>> entries)
-      : order_(std::max<size_t>(order, 2)) {
+      : order_(ClampOrder(order)) {
     Build(std::move(entries));
   }
 

@@ -8,6 +8,7 @@
 #define STARK_SPATIAL_RDD_SPATIAL_RDD_H_
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,11 +52,13 @@ class IndexedSpatialRDD {
   using Element = std::pair<STObject, V>;
   using TreePtr = std::shared_ptr<const PackedRTree<Element>>;
 
+  /// \p order is clamped like the trees' own node capacity
+  /// (PackedRTree::ClampOrder), so Save never writes an order Load rejects.
   IndexedSpatialRDD(RDD<TreePtr> trees,
                     std::shared_ptr<std::vector<Envelope>> extents,
                     size_t order)
       : trees_(std::move(trees)), extents_(std::move(extents)),
-        order_(order) {}
+        order_(PackedRTree<Element>::ClampOrder(order)) {}
 
   const RDD<TreePtr>& trees() const { return trees_; }
   size_t order() const { return order_; }
@@ -238,8 +241,25 @@ class IndexedSpatialRDD {
   /// \brief Persists the index to \p directory (one binary file per
   /// partition plus a meta file) — the paper's persistent index mode with
   /// HDFS substituted by the local filesystem.
+  ///
+  /// The parts are written by one `index.save` engine job, one task per
+  /// partition, under the context's deadline, cancel token and retry
+  /// policy. `index.meta` is removed first and written last, only once
+  /// every part is on disk, so a failed or interrupted Save leaves no meta
+  /// and Load fails with an IOError instead of reading a half-written
+  /// index. Returns the job's Status if the job failed, else the error of
+  /// the lowest-index part that could not be written.
   Status Save(const std::string& directory) const {
-    std::vector<std::vector<TreePtr>> parts = trees_.CollectPartitions();
+    STARK_ASSIGN_OR_RETURN(const std::vector<std::vector<TreePtr>> parts,
+                           trees_.TryCollectPartitions());
+    const std::string meta_path = directory + "/index.meta";
+    std::remove(meta_path.c_str());
+    std::vector<Status> part_status(parts.size());
+    STARK_RETURN_NOT_OK(trees_.ctx()->TryRunTasks(
+        "index.save", parts.size(), [&](size_t p) {
+          part_status[p] = SavePart(directory, p, parts[p]);
+        }));
+    for (const Status& status : part_status) STARK_RETURN_NOT_OK(status);
     BinaryWriter meta;
     meta.WriteU32(kMetaMagic);
     meta.WriteU64(parts.size());
@@ -250,29 +270,18 @@ class IndexedSpatialRDD {
                                   : Envelope();
       WriteEnvelope(&meta, extent);
     }
-    STARK_RETURN_NOT_OK(
-        WriteFileBytes(directory + "/index.meta", meta.buffer()));
-    for (size_t p = 0; p < parts.size(); ++p) {
-      BinaryWriter w;
-      size_t count = 0;
-      for (const TreePtr& tree : parts[p]) count += tree->size();
-      w.WriteU32(kPartMagic);
-      w.WriteU64(count);
-      for (const TreePtr& tree : parts[p]) {
-        tree->ForEach([&w](const Envelope&, const Element& e) {
-          WriteSTObject(&w, e.first);
-          Serde<V>::Write(&w, e.second);
-        });
-      }
-      STARK_RETURN_NOT_OK(
-          WriteFileBytes(directory + "/part-" + std::to_string(p) + ".idx",
-                         w.buffer()));
-    }
-    return Status::OK();
+    return WriteFileBytes(meta_path, meta.buffer());
   }
 
-  /// Loads an index previously written with Save. Trees are re-packed with
-  /// STR bulk loading, which is at least as good as the saved layout.
+  /// Loads an index previously written with Save. One `index.load` engine
+  /// job reads the part files, one task per part: each task reads, decodes
+  /// and STR-packs its part, so the packed trees are rebuilt in parallel
+  /// (re-packing is at least as good as the saved layout). The job runs
+  /// under the context's deadline, cancel token and retry policy. A corrupt
+  /// or missing part is not a task failure — a retry would read the same
+  /// bytes — so Load returns the job's own Status if the job failed, and
+  /// otherwise the error of the lowest-index bad part, whatever order the
+  /// tasks ran in. A meta order above PackedRTree::kMaxOrder is an IOError.
   static Result<IndexedSpatialRDD<V>> Load(Context* ctx,
                                            const std::string& directory) {
     STARK_ASSIGN_OR_RETURN(std::vector<char> meta_buf,
@@ -282,38 +291,28 @@ class IndexedSpatialRDD {
     if (magic != kMetaMagic) return Status::IOError("bad index meta magic");
     STARK_ASSIGN_OR_RETURN(uint64_t num_parts, meta.ReadU64());
     STARK_ASSIGN_OR_RETURN(uint64_t order, meta.ReadU64());
+    if (order > PackedRTree<Element>::kMaxOrder) {
+      return Status::IOError("index meta order " + std::to_string(order) +
+                             " exceeds the maximum node capacity " +
+                             std::to_string(PackedRTree<Element>::kMaxOrder));
+    }
     auto extents = std::make_shared<std::vector<Envelope>>();
     for (uint64_t p = 0; p < num_parts; ++p) {
       STARK_ASSIGN_OR_RETURN(Envelope e, ReadEnvelope(&meta));
       extents->push_back(e);
     }
     std::vector<std::vector<TreePtr>> parts(num_parts);
-    for (uint64_t p = 0; p < num_parts; ++p) {
-      STARK_ASSIGN_OR_RETURN(
-          std::vector<char> buf,
-          ReadFileBytes(directory + "/part-" + std::to_string(p) + ".idx"));
-      BinaryReader r(buf);
-      STARK_ASSIGN_OR_RETURN(uint32_t part_magic, r.ReadU32());
-      if (part_magic != kPartMagic) {
-        return Status::IOError("bad index part magic");
-      }
-      STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-      // Every element takes at least one byte, so a count beyond the bytes
-      // left is corrupt — and must not reach reserve().
-      if (count > r.Remaining()) {
-        return Status::IOError("index part element count exceeds file size");
-      }
-      std::vector<std::pair<Envelope, Element>> entries;
-      entries.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        STARK_ASSIGN_OR_RETURN(STObject obj, ReadSTObject(&r));
-        STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
-        Envelope env = obj.envelope();
-        entries.emplace_back(env, Element{std::move(obj), std::move(value)});
-      }
-      parts[p].push_back(
-          std::make_shared<PackedRTree<Element>>(order, std::move(entries)));
-    }
+    std::vector<Status> part_status(num_parts);
+    STARK_RETURN_NOT_OK(ctx->TryRunTasks(
+        "index.load", num_parts, [&](size_t p) {
+          Result<TreePtr> tree = LoadPart(directory, p, order);
+          if (tree.ok()) {
+            parts[p] = {std::move(tree).ValueOrDie()};
+          } else {
+            part_status[p] = tree.status();
+          }
+        }));
+    for (const Status& status : part_status) STARK_RETURN_NOT_OK(status);
     RDD<TreePtr> trees = MakeRDDFromPartitions(ctx, std::move(parts));
     return IndexedSpatialRDD<V>(trees.Cache(), std::move(extents), order);
   }
@@ -321,6 +320,64 @@ class IndexedSpatialRDD {
  private:
   static constexpr uint32_t kMetaMagic = 0x53544958;  // "STIX"
   static constexpr uint32_t kPartMagic = 0x53544950;  // "STIP"
+
+  static std::string PartPath(const std::string& directory, size_t p) {
+    return directory + "/part-" + std::to_string(p) + ".idx";
+  }
+
+  /// Serialises partition \p p's trees into its part file.
+  static Status SavePart(const std::string& directory, size_t p,
+                         const std::vector<TreePtr>& trees) {
+    BinaryWriter w;
+    size_t count = 0;
+    for (const TreePtr& tree : trees) count += tree->size();
+    w.WriteU32(kPartMagic);
+    w.WriteU64(count);
+    for (const TreePtr& tree : trees) {
+      tree->ForEach([&w](const Envelope&, const Element& e) {
+        WriteSTObject(&w, e.first);
+        Serde<V>::Write(&w, e.second);
+      });
+    }
+    if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+      span->records_in = count;
+      span->bytes = w.buffer().size();
+    }
+    return WriteFileBytes(PartPath(directory, p), w.buffer());
+  }
+
+  /// Reads, checks and decodes part file \p p, then STR-packs its elements.
+  static Result<TreePtr> LoadPart(const std::string& directory, size_t p,
+                                  size_t order) {
+    const std::string path = PartPath(directory, p);
+    STARK_ASSIGN_OR_RETURN(std::vector<char> buf, ReadFileBytes(path));
+    BinaryReader r(buf);
+    STARK_ASSIGN_OR_RETURN(uint32_t part_magic, r.ReadU32());
+    if (part_magic != kPartMagic) {
+      return Status::IOError("bad index part magic: " + path);
+    }
+    STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
+    // Every element takes at least one byte, so a count beyond the bytes
+    // left is corrupt — and must not reach reserve().
+    if (count > r.Remaining()) {
+      return Status::IOError("index part element count exceeds file size: " +
+                             path);
+    }
+    std::vector<std::pair<Envelope, Element>> entries;
+    entries.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      STARK_ASSIGN_OR_RETURN(STObject obj, ReadSTObject(&r));
+      STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
+      Envelope env = obj.envelope();
+      entries.emplace_back(env, Element{std::move(obj), std::move(value)});
+    }
+    if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+      span->records_out = count;
+      span->bytes = buf.size();
+    }
+    return TreePtr(
+        std::make_shared<PackedRTree<Element>>(order, std::move(entries)));
+  }
 
   RDD<TreePtr> trees_;
   std::shared_ptr<std::vector<Envelope>> extents_;  // may be null

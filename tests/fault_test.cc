@@ -6,12 +6,14 @@
 // across runs.
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "engine/checkpoint.h"
 #include "engine/pair_rdd.h"
@@ -19,6 +21,8 @@
 #include "fault/failpoint.h"
 #include "fault/retry.h"
 #include "obs/metrics.h"
+#include "partition/grid_partitioner.h"
+#include "spatial_rdd/spatial_rdd.h"
 #include "spatial_rdd/value_serde.h"
 #include "test_util.h"
 
@@ -550,6 +554,81 @@ TEST_F(FaultTest, CheckpointReadRecoversFromTransientFault) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.ValueOrDie().Collect().size(), 100u);
   EXPECT_GE(DefaultFailPoints().Get("engine.checkpoint.read")->fires(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Persistent index: Load runs as an engine job, one task per part file
+// ---------------------------------------------------------------------------
+
+class IndexLoadFaultTest : public FaultTest {
+ protected:
+  using Indexed = IndexedSpatialRDD<int64_t>;
+
+  /// Saves a 16-part grid-partitioned point index to a fresh directory.
+  std::string SaveIndex(const std::string& stem) {
+    const std::string dir = test::UniqueTempPath(stem);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<std::pair<STObject, int64_t>> data;
+    Rng rng(7);
+    for (int64_t i = 0; i < 800; ++i) {
+      data.emplace_back(STObject(Geometry::MakePoint(rng.Uniform(0, 100),
+                                                     rng.Uniform(0, 100))),
+                        i);
+    }
+    auto grid =
+        std::make_shared<GridPartitioner>(Envelope(0, 0, 100, 100), 4);
+    const Status saved = SpatialRDD<int64_t>::FromVector(&ctx_, data, 4)
+                             .Index(8, grid)
+                             .Save(dir);
+    EXPECT_TRUE(saved.ok()) << saved.ToString();
+    return dir;
+  }
+
+  /// Partition-wise element ids in tree storage order.
+  static std::vector<std::vector<int64_t>> PartIds(const Indexed& indexed) {
+    std::vector<std::vector<int64_t>> out;
+    for (const auto& trees : indexed.trees().CollectPartitions()) {
+      out.emplace_back();
+      for (const auto& tree : trees) {
+        tree->ForEach([&](const Envelope&, const auto& e) {
+          out.back().push_back(e.second);
+        });
+      }
+    }
+    return out;
+  }
+};
+
+TEST_F(IndexLoadFaultTest, TransientTaskFaultLoadsTheSameIndex) {
+  const std::string dir = SaveIndex("fault_index_load");
+  auto clean = Indexed::Load(&ctx_, dir);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const auto expected = PartIds(clean.ValueOrDie());
+  ASSERT_EQ(expected.size(), 16u);
+
+  const uint64_t retries_before = CounterValue("engine.task.retries");
+  ASSERT_TRUE(DefaultFailPoints().ArmFromSpec("engine.task.run=nth:1").ok());
+  auto loaded = Indexed::Load(&ctx_, dir);
+  DefaultFailPoints().DisarmAll();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(PartIds(loaded.ValueOrDie()), expected);
+  EXPECT_EQ(*loaded.ValueOrDie().extents(), *clean.ValueOrDie().extents());
+  EXPECT_GT(CounterValue("engine.task.retries"), retries_before);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(IndexLoadFaultTest, RetriesExhaustedSurfaceStatusNotException) {
+  const std::string dir = SaveIndex("fault_index_load_hard");
+  ASSERT_TRUE(DefaultFailPoints().ArmFromSpec("engine.task.run=every:1").ok());
+  Result<Indexed> loaded = Status::UnknownError("unset");
+  EXPECT_NO_THROW(loaded = Indexed::Load(&ctx_, dir));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("index.load"), std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("engine.task.run"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

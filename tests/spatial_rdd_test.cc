@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <set>
 
@@ -15,6 +16,7 @@
 #include "io/generator.h"
 #include "partition/bsp_partitioner.h"
 #include "partition/grid_partitioner.h"
+#include "spatial_rdd/join.h"
 #include "spatial_rdd/spatial_rdd.h"
 
 namespace stark {
@@ -326,6 +328,204 @@ TEST_F(SpatialRddTest, LoadRejectsElementCountBeyondPartSize) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
   EXPECT_NE(loaded.status().message().find("count"), std::string::npos);
   std::system(("rm -rf " + dir).c_str());
+}
+
+// ---- Persistent index: one engine task per part file --------------------
+
+/// An empty directory unique to this test process.
+std::string FreshDir(const std::string& stem) {
+  const std::string dir = test::UniqueTempPath(stem);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// The elements of every partition, in tree storage order.
+std::vector<std::vector<Element>> PartitionElements(
+    const IndexedSpatialRDD<int64_t>& indexed) {
+  std::vector<std::vector<Element>> out;
+  for (const auto& trees : indexed.trees().CollectPartitions()) {
+    out.emplace_back();
+    for (const auto& tree : trees) {
+      tree->ForEach([&](const Envelope&, const Element& e) {
+        out.back().push_back(e);
+      });
+    }
+  }
+  return out;
+}
+
+class PersistentIndexTest : public SpatialRddTest {
+ protected:
+  /// The fixture's data with every 4th element a 1x1 box footprint (time
+  /// kept), BSP-partitioned into at least 16 parts and indexed.
+  IndexedSpatialRDD<int64_t> MixedBspIndex() {
+    std::vector<Element> mixed = data_;
+    std::vector<Coordinate> centroids;
+    for (size_t i = 0; i < mixed.size(); ++i) {
+      STObject& obj = mixed[i].first;
+      if (i % 4 == 3) {
+        const Coordinate c = obj.Centroid();
+        obj = STObject(Geometry::MakeBox(Envelope(c.x - 0.5, c.y - 0.5,
+                                                  c.x + 0.5, c.y + 0.5)),
+                       obj.time());
+      }
+      centroids.push_back(obj.Centroid());
+    }
+    BSPartitioner::Options opt;
+    opt.max_cost = 100;
+    auto bsp = std::make_shared<BSPartitioner>(universe_, centroids, opt);
+    return SpatialRDD<int64_t>::FromVector(&ctx_, std::move(mixed), 4)
+        .Index(6, bsp);
+  }
+
+  static Result<IndexedSpatialRDD<int64_t>> Load(Context* ctx,
+                                                 const std::string& dir) {
+    return IndexedSpatialRDD<int64_t>::Load(ctx, dir);
+  }
+};
+
+TEST_F(PersistentIndexTest, LoadOnOneAndFourWorkersIsIdentical) {
+  const std::string dir = FreshDir("stark_index_parallel");
+  const auto indexed = MixedBspIndex();
+  ASSERT_GE(indexed.NumPartitions(), 16u);
+  ASSERT_TRUE(indexed.Save(dir).ok());
+
+  Context serial(1);
+  Context parallel(4);
+  auto one_or = Load(&serial, dir);
+  auto four_or = Load(&parallel, dir);
+  ASSERT_TRUE(one_or.ok()) << one_or.status().ToString();
+  ASSERT_TRUE(four_or.ok()) << four_or.status().ToString();
+  const auto& one = one_or.ValueOrDie();
+  const auto& four = four_or.ValueOrDie();
+
+  const auto parts = PartitionElements(one);
+  EXPECT_EQ(parts, PartitionElements(four));
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  EXPECT_EQ(total, data_.size());
+  ASSERT_NE(one.extents(), nullptr);
+  ASSERT_NE(four.extents(), nullptr);
+  EXPECT_EQ(*one.extents(), *four.extents());
+  EXPECT_EQ(*one.extents(), *indexed.extents());
+
+  const STObject qry = QueryPolygon();
+  const std::vector<Element> filtered = one.Intersects(qry).Collect();
+  EXPECT_EQ(filtered, four.Intersects(qry).Collect());
+  EXPECT_EQ(Ids(filtered), Ids(indexed.Intersects(qry).Collect()));
+
+  const STObject pt(Geometry::MakePoint(42, 42));
+  const auto knn = one.Knn(pt, 9);
+  ASSERT_EQ(knn.size(), 9u);
+  EXPECT_EQ(knn, four.Knn(pt, 9));
+
+  std::vector<Element> regions;
+  for (int r = 0; r < 25; ++r) {
+    const double x = 4.0 * r;
+    regions.emplace_back(
+        STObject(Geometry::MakeBox(Envelope(x, x, x + 6.0, x + 6.0))), r);
+  }
+  auto join = [&regions](Context* ctx, const IndexedSpatialRDD<int64_t>& in) {
+    auto pairs =
+        SpatialJoinProject(in, SpatialRDD<int64_t>::FromVector(ctx, regions),
+                           JoinPredicate::Intersects(), JoinOptions{},
+                           [](const Element& l, const Element& r) {
+                             return std::make_pair(l.second, r.second);
+                           })
+            .Collect();
+    std::sort(pairs.begin(), pairs.end());
+    return pairs;
+  };
+  const auto joined = join(&serial, one);
+  EXPECT_FALSE(joined.empty());
+  EXPECT_EQ(joined, join(&parallel, four));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(PersistentIndexTest, LoadReturnsTheLowestIndexBadPartEveryTime) {
+  const std::string dir = FreshDir("stark_index_two_bad_parts");
+  const auto indexed = MixedBspIndex();
+  ASSERT_GE(indexed.NumPartitions(), 12u);
+  ASSERT_TRUE(indexed.Save(dir).ok());
+
+  // Part 3 fails late (its last element is cut short), part 11 at once.
+  auto part3 = ReadFileBytes(dir + "/part-3.idx");
+  ASSERT_TRUE(part3.ok());
+  std::vector<char> truncated = part3.ValueOrDie();
+  truncated.pop_back();
+  ASSERT_TRUE(WriteFileBytes(dir + "/part-3.idx", truncated).ok());
+  BinaryWriter bad_magic;
+  bad_magic.WriteU32(0xDEADBEEF);
+  bad_magic.WriteU64(0);
+  ASSERT_TRUE(WriteFileBytes(dir + "/part-11.idx", bad_magic.buffer()).ok());
+
+  for (int i = 0; i < 20; ++i) {
+    auto loaded = Load(&ctx_, dir);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(loaded.status().message().find("end of binary stream"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// An order read from index.meta used to reach PackedRTree unchecked:
+// UINT64_MAX wrapped the STR leaf count to zero (a division by zero), and a
+// large finite order made every probe allocate `order` scratch slots.
+TEST_F(PersistentIndexTest, LoadRejectsAnOrderAboveTheMaximum) {
+  const std::string dir = FreshDir("stark_index_order");
+  ASSERT_TRUE(MakeSpatial(1).Index(6).Save(dir).ok());
+  for (const uint64_t order : {UINT64_MAX, uint64_t{1} << 40,
+                               uint64_t{PackedRTree<Element>::kMaxOrder} + 1}) {
+    BinaryWriter meta;
+    meta.WriteU32(0x53544958);  // "STIX"
+    meta.WriteU64(1);
+    meta.WriteU64(order);
+    WriteEnvelope(&meta, Envelope());
+    ASSERT_TRUE(WriteFileBytes(dir + "/index.meta", meta.buffer()).ok());
+    Result<IndexedSpatialRDD<int64_t>> loaded = Status::UnknownError("unset");
+    EXPECT_NO_THROW(loaded = Load(&ctx_, dir));
+    ASSERT_FALSE(loaded.ok()) << order;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << order;
+    EXPECT_NE(loaded.status().message().find("order"), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(PersistentIndexTest, IndexClampsTheOrderItSaves) {
+  const std::string dir = FreshDir("stark_index_clamped_order");
+  const auto indexed = MakeSpatial(2).Index(size_t{1} << 40);
+  EXPECT_EQ(indexed.order(), PackedRTree<Element>::kMaxOrder);
+  ASSERT_TRUE(indexed.Save(dir).ok());
+  auto loaded = Load(&ctx_, dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.ValueOrDie().order(), PackedRTree<Element>::kMaxOrder);
+  EXPECT_EQ(Ids(loaded.ValueOrDie().ToElements().Collect()), Ids(data_));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(PersistentIndexTest, FailedSaveLeavesNoLoadableIndex) {
+  const std::string dir = FreshDir("stark_index_failed_save");
+  const auto indexed = MixedBspIndex();
+  ASSERT_TRUE(indexed.Save(dir).ok());
+  ASSERT_TRUE(Load(&ctx_, dir).ok());
+
+  // A directory where part 3 belongs makes that part's write fail; the
+  // meta of the earlier Save must not survive to describe the new parts.
+  std::filesystem::remove(dir + "/part-3.idx");
+  std::filesystem::create_directory(dir + "/part-3.idx");
+  const Status saved = indexed.Save(dir);
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.code(), StatusCode::kIOError);
+  EXPECT_NE(saved.message().find("part-3.idx"), std::string::npos)
+      << saved.ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir + "/index.meta"));
+  auto loaded = Load(&ctx_, dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SpatialRddTest, SpatialWrapperMirrorsImplicitConversion) {

@@ -69,6 +69,35 @@ TEST(STObjectSerdeTest, BogusCoordinateCountIsRejected) {
   EXPECT_FALSE(ReadGeometry(&r).ok());
 }
 
+TEST(STObjectSerdeTest, PointWithoutExactlyOneCoordinateIsRejected) {
+  for (const uint64_t count : {uint64_t{0}, uint64_t{2}}) {
+    BinaryWriter w;
+    w.WriteU8(0);  // POINT tag
+    w.WriteU64(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      w.WriteDouble(1.0);
+      w.WriteDouble(2.0);
+    }
+    BinaryReader r(w.buffer());
+    auto back = ReadGeometry(&r);
+    ASSERT_FALSE(back.ok()) << count;
+    EXPECT_EQ(back.status().code(), StatusCode::kIOError);
+    EXPECT_NE(back.status().message().find("bad point payload"),
+              std::string::npos);
+  }
+}
+
+TEST(STObjectSerdeTest, PointMissingItsCoordinateIsRejected) {
+  BinaryWriter w;
+  w.WriteU8(0);  // POINT tag
+  w.WriteU64(1);
+  w.WriteDouble(1.0);  // y is missing
+  BinaryReader r(w.buffer());
+  auto back = ReadGeometry(&r);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kIOError);
+}
+
 TEST(EnvelopeSerdeTest, RoundTrip) {
   for (const Envelope& env :
        {Envelope(), Envelope(-1, -2, 3, 4), Envelope(0, 0, 0, 0)}) {
