@@ -88,7 +88,7 @@ struct Statement {
   std::unique_ptr<Expr> filter;          // kFilter
 
   PartitionerKind partitioner = PartitionerKind::kGrid;  // kPartition
-  double partitioner_param = 4;          // grid cells per dim / bsp max cost
+  size_t partitioner_param = 4;          // grid cells per dim / bsp max cost
   size_t time_buckets = 0;               // 0 = spatial-only partitioning
 
   std::string aggregate_column;          // kAggregate

@@ -84,7 +84,7 @@ std::string FormatStatement(const Statement& s) {
       std::string out = s.target + " = PARTITION " + s.input + " BY " +
                         (s.partitioner == PartitionerKind::kGrid ? "GRID"
                                                                  : "BSP") +
-                        "(" + FormatNumber(s.partitioner_param) + ")";
+                        "(" + std::to_string(s.partitioner_param) + ")";
       if (s.time_buckets > 0) {
         out += " TIME(" + std::to_string(s.time_buckets) + ")";
       }

@@ -881,7 +881,7 @@ Result<PigRelation> Interpreter::ExecPartition(const Statement& stmt) {
   std::shared_ptr<SpatialPartitioner> partitioner;
   if (stmt.partitioner == PartitionerKind::kGrid) {
     const size_t cells =
-        std::max<size_t>(1, static_cast<size_t>(stmt.partitioner_param));
+        std::max<size_t>(1, stmt.partitioner_param);
     const Envelope grown = universe.Expanded(universe.Width() * 1e-9 + 1e-9);
     if (stmt.time_buckets > 0) {
       // Spatio-temporal grid over the data's observed time range.
@@ -909,7 +909,7 @@ Result<PigRelation> Interpreter::ExecPartition(const Statement& stmt) {
     }
     BSPartitioner::Options options;
     options.max_cost =
-        std::max<size_t>(1, static_cast<size_t>(stmt.partitioner_param));
+        std::max<size_t>(1, stmt.partitioner_param);
     partitioner = std::make_shared<BSPartitioner>(
         universe.Expanded(universe.Width() * 1e-9 + 1e-9), centroids,
         options);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "piglet/lexer.h"
 
@@ -15,6 +18,17 @@ std::string Upper(std::string s) {
     return static_cast<char>(std::toupper(c));
   });
   return s;
+}
+
+/// Whether truncating \p value toward zero gives a representable T. A
+/// static_cast from a double outside that range is undefined behaviour.
+/// False for NaN.
+template <typename T>
+bool TruncatesInto(double value) {
+  const double upper = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const bool above_lower =
+      std::is_signed_v<T> ? value >= -upper : value > -1.0;
+  return above_lower && value < upper;
 }
 
 /// Token-stream cursor with keyword helpers.
@@ -87,6 +101,21 @@ class Parser {
     return Next().number;
   }
 
+  /// Reads a number as an integer argument: the fraction is truncated, a
+  /// value below \p min or one that does not fit in T is a ParseError.
+  template <typename T>
+  Result<T> ExpectInteger(const char* what,
+                          T min = std::numeric_limits<T>::lowest()) {
+    STARK_ASSIGN_OR_RETURN(const double value, ExpectNumber(what));
+    if (value < static_cast<double>(min)) {
+      return Error(std::string(what) + " must be >= " + std::to_string(min));
+    }
+    if (!TruncatesInto<T>(value)) {
+      return Error(std::string(what) + " is out of range");
+    }
+    return static_cast<T>(value);
+  }
+
   Result<Statement> ParseStatement() {
     // Non-assignment statements.
     if (PeekKeyword("DUMP") || PeekKeyword("STORE") || PeekKeyword("DESCRIBE")) {
@@ -134,8 +163,9 @@ class Parser {
         return Error("expected GRID or BSP");
       }
       STARK_RETURN_NOT_OK(Expect(TokenType::kLParen, "'('"));
-      STARK_ASSIGN_OR_RETURN(stmt.partitioner_param,
-                             ExpectNumber("partitioner parameter"));
+      STARK_ASSIGN_OR_RETURN(
+          stmt.partitioner_param,
+          ExpectInteger<size_t>("partitioner parameter", 0));
       STARK_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
       // Optional TIME(k): spatio-temporal partitioning (GRID only).
       if (PeekKeyword("TIME")) {
@@ -144,9 +174,8 @@ class Parser {
         }
         Next();
         STARK_RETURN_NOT_OK(Expect(TokenType::kLParen, "'('"));
-        STARK_ASSIGN_OR_RETURN(double buckets, ExpectNumber("time buckets"));
-        if (buckets < 1) return Error("time buckets must be >= 1");
-        stmt.time_buckets = static_cast<size_t>(buckets);
+        STARK_ASSIGN_OR_RETURN(stmt.time_buckets,
+                               ExpectInteger<size_t>("time buckets", 1));
         STARK_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
       }
       return stmt;
@@ -163,9 +192,8 @@ class Parser {
       stmt.kind = Statement::Kind::kIndex;
       STARK_ASSIGN_OR_RETURN(stmt.input, ExpectIdent("relation"));
       STARK_RETURN_NOT_OK(ExpectKeyword("ORDER"));
-      STARK_ASSIGN_OR_RETURN(double order, ExpectNumber("index order"));
-      if (order < 2) return Error("index order must be >= 2");
-      stmt.index_order = static_cast<size_t>(order);
+      STARK_ASSIGN_OR_RETURN(stmt.index_order,
+                             ExpectInteger<size_t>("index order", 2));
       return stmt;
     }
     if (op == "JOIN") {
@@ -192,9 +220,7 @@ class Parser {
       STARK_ASSIGN_OR_RETURN(STObject query, STObject::FromWkt(wkt));
       stmt.knn_query = std::move(query);
       STARK_RETURN_NOT_OK(ExpectKeyword("K"));
-      STARK_ASSIGN_OR_RETURN(double k, ExpectNumber("k"));
-      if (k < 1) return Error("K must be >= 1");
-      stmt.knn_k = static_cast<size_t>(k);
+      STARK_ASSIGN_OR_RETURN(stmt.knn_k, ExpectInteger<size_t>("K", 1));
       return stmt;
     }
     if (op == "CLUSTER") {
@@ -205,15 +231,13 @@ class Parser {
       STARK_RETURN_NOT_OK(Expect(TokenType::kLParen, "'('"));
       STARK_ASSIGN_OR_RETURN(stmt.dbscan_eps, ExpectNumber("eps"));
       STARK_RETURN_NOT_OK(Expect(TokenType::kComma, "','"));
-      STARK_ASSIGN_OR_RETURN(double min_pts, ExpectNumber("min_pts"));
-      if (min_pts < 1) return Error("min_pts must be >= 1");
-      stmt.dbscan_min_pts = static_cast<size_t>(min_pts);
+      STARK_ASSIGN_OR_RETURN(stmt.dbscan_min_pts,
+                             ExpectInteger<size_t>("min_pts", 1));
       STARK_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
       if (PeekKeyword("GRID")) {
         Next();
-        STARK_ASSIGN_OR_RETURN(double cells, ExpectNumber("grid cells"));
-        if (cells < 1) return Error("grid cells must be >= 1");
-        stmt.cluster_grid = static_cast<size_t>(cells);
+        STARK_ASSIGN_OR_RETURN(stmt.cluster_grid,
+                               ExpectInteger<size_t>("grid cells", 1));
       }
       return stmt;
     }
@@ -221,21 +245,20 @@ class Parser {
       stmt.kind = Statement::Kind::kWindow;
       STARK_ASSIGN_OR_RETURN(stmt.input, ExpectIdent("stream"));
       STARK_RETURN_NOT_OK(ExpectKeyword("SIZE"));
-      STARK_ASSIGN_OR_RETURN(double size, ExpectNumber("window size"));
-      if (size < 1) return Error("window size must be >= 1");
-      stmt.window_size = static_cast<int64_t>(size);
+      STARK_ASSIGN_OR_RETURN(stmt.window_size,
+                             ExpectInteger<int64_t>("window size", 1));
       if (PeekKeyword("SLIDE")) {
         Next();
-        STARK_ASSIGN_OR_RETURN(double slide, ExpectNumber("window slide"));
-        if (slide < 1) return Error("window slide must be >= 1");
-        if (slide > size) return Error("window slide must be <= SIZE");
-        stmt.window_slide = static_cast<int64_t>(slide);
+        STARK_ASSIGN_OR_RETURN(stmt.window_slide,
+                               ExpectInteger<int64_t>("window slide", 1));
+        if (stmt.window_slide > stmt.window_size) {
+          return Error("window slide must be <= SIZE");
+        }
       }
       if (PeekKeyword("LATENESS")) {
         Next();
-        STARK_ASSIGN_OR_RETURN(double late, ExpectNumber("lateness bound"));
-        if (late < 0) return Error("lateness bound must be >= 0");
-        stmt.window_lateness = static_cast<int64_t>(late);
+        STARK_ASSIGN_OR_RETURN(stmt.window_lateness,
+                               ExpectInteger<int64_t>("lateness bound", 0));
       }
       return stmt;
     }
@@ -243,9 +266,7 @@ class Parser {
     if (op == "LIMIT") {
       stmt.kind = Statement::Kind::kLimit;
       STARK_ASSIGN_OR_RETURN(stmt.input, ExpectIdent("relation"));
-      STARK_ASSIGN_OR_RETURN(double lim, ExpectNumber("limit"));
-      if (lim < 0) return Error("limit must be >= 0");
-      stmt.limit = static_cast<size_t>(lim);
+      STARK_ASSIGN_OR_RETURN(stmt.limit, ExpectInteger<size_t>("limit", 0));
       return stmt;
     }
     return Error("unknown operator '" + op + "'");
@@ -282,16 +303,13 @@ class Parser {
       Next();
       stmt.stream_source = StreamSourceKind::kGenerator;
       STARK_RETURN_NOT_OK(Expect(TokenType::kLParen, "'('"));
-      STARK_ASSIGN_OR_RETURN(double count, ExpectNumber("event count"));
-      if (count < 0) return Error("event count must be >= 0");
-      stmt.gen_count = static_cast<int64_t>(count);
+      STARK_ASSIGN_OR_RETURN(stmt.gen_count,
+                             ExpectInteger<int64_t>("event count", 0));
       STARK_RETURN_NOT_OK(Expect(TokenType::kComma, "','"));
-      STARK_ASSIGN_OR_RETURN(double seed, ExpectNumber("seed"));
-      stmt.gen_seed = static_cast<int64_t>(seed);
+      STARK_ASSIGN_OR_RETURN(stmt.gen_seed, ExpectInteger<int64_t>("seed"));
       STARK_RETURN_NOT_OK(Expect(TokenType::kComma, "','"));
-      STARK_ASSIGN_OR_RETURN(double step, ExpectNumber("time step"));
-      if (step < 1) return Error("time step must be >= 1");
-      stmt.gen_step = static_cast<int64_t>(step);
+      STARK_ASSIGN_OR_RETURN(stmt.gen_step,
+                             ExpectInteger<int64_t>("time step", 1));
       STARK_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
       return stmt;
     }
@@ -339,9 +357,8 @@ class Parser {
       }
       if (PeekKeyword("WITHIN")) {
         Next();
-        STARK_ASSIGN_OR_RETURN(double within, ExpectNumber("WITHIN bound"));
-        if (within < 1) return Error("WITHIN bound must be >= 1");
-        stmt.pattern_within = static_cast<int64_t>(within);
+        STARK_ASSIGN_OR_RETURN(stmt.pattern_within,
+                               ExpectInteger<int64_t>("WITHIN bound", 1));
       }
     } else if (PeekKeyword("ABSENT")) {
       Next();
@@ -360,8 +377,8 @@ class Parser {
       if (stmt.pattern_cmp == "!=") {
         return Error("COUNT supports ==, <, <=, >, >=");
       }
-      STARK_ASSIGN_OR_RETURN(double threshold, ExpectNumber("threshold"));
-      stmt.pattern_threshold = static_cast<int64_t>(threshold);
+      STARK_ASSIGN_OR_RETURN(stmt.pattern_threshold,
+                             ExpectInteger<int64_t>("threshold"));
     } else {
       return Error("expected SEQ, ABSENT or COUNT");
     }
@@ -379,11 +396,13 @@ class Parser {
       std::optional<std::pair<Instant, Instant>> window;
       if (Peek().type == TokenType::kComma) {
         Next();
-        STARK_ASSIGN_OR_RETURN(double begin, ExpectNumber("window begin"));
+        STARK_ASSIGN_OR_RETURN(const Instant begin,
+                               ExpectInteger<Instant>("window begin"));
         STARK_RETURN_NOT_OK(Expect(TokenType::kComma, "','"));
-        STARK_ASSIGN_OR_RETURN(double end, ExpectNumber("window end"));
+        STARK_ASSIGN_OR_RETURN(const Instant end,
+                               ExpectInteger<Instant>("window end"));
         if (end < begin) return Error("window end before begin");
-        window = {static_cast<Instant>(begin), static_cast<Instant>(end)};
+        window = {begin, end};
       }
       STARK_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
       Result<STObject> region =
@@ -503,11 +522,13 @@ class Parser {
     std::optional<std::pair<Instant, Instant>> window;
     if (Peek().type == TokenType::kComma) {
       Next();
-      STARK_ASSIGN_OR_RETURN(double begin, ExpectNumber("window begin"));
+      STARK_ASSIGN_OR_RETURN(const Instant begin,
+                             ExpectInteger<Instant>("window begin"));
       STARK_RETURN_NOT_OK(Expect(TokenType::kComma, "','"));
-      STARK_ASSIGN_OR_RETURN(double end, ExpectNumber("window end"));
+      STARK_ASSIGN_OR_RETURN(const Instant end,
+                             ExpectInteger<Instant>("window end"));
       if (end < begin) return Error("window end before begin");
-      window = {static_cast<Instant>(begin), static_cast<Instant>(end)};
+      window = {begin, end};
     }
     STARK_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
 
@@ -536,11 +557,13 @@ class Parser {
     node->op = Next().text;
     if (Peek().type == TokenType::kNumber) {
       const Token t = Next();
-      // Integral literals compare as int64, others as double.
-      if (t.number == static_cast<double>(static_cast<int64_t>(t.number)) &&
-          t.text.find('.') == std::string::npos &&
+      // Integral literals compare as int64, others (and integers too big
+      // for int64) as double.
+      if (t.text.find('.') == std::string::npos &&
           t.text.find('e') == std::string::npos &&
-          t.text.find('E') == std::string::npos) {
+          t.text.find('E') == std::string::npos &&
+          TruncatesInto<int64_t>(t.number) &&
+          t.number == static_cast<double>(static_cast<int64_t>(t.number))) {
         node->literal = static_cast<int64_t>(t.number);
       } else {
         node->literal = t.number;

@@ -104,13 +104,22 @@ void EnumerateSequences(const std::vector<StreamEvent>& events,
 
 }  // namespace
 
+size_t WindowJobTasks(size_t events, size_t tasks_per_window,
+                      size_t parallelism) {
+  const size_t wanted =
+      tasks_per_window != 0
+          ? tasks_per_window
+          : std::min(parallelism, (events + kEventsPerWindowTask - 1) /
+                                      kEventsPerWindowTask);
+  return std::max<size_t>(1, std::min(wanted, events));
+}
+
 Result<std::vector<size_t>> MatchStepIndices(
-    Context* ctx, const std::shared_ptr<const std::vector<StreamEvent>>& events,
-    const StepPredicate& step, size_t num_tasks) {
-  const size_t n = events->size();
-  const size_t tasks = std::max<size_t>(
-      1, std::min(num_tasks != 0 ? num_tasks : ctx->default_parallelism(),
-                  std::max<size_t>(n, 1)));
+    Context* ctx, const std::vector<StreamEvent>& events,
+    const StepPredicate& step, size_t tasks_per_window) {
+  const size_t n = events.size();
+  const size_t tasks =
+      WindowJobTasks(n, tasks_per_window, ctx->default_parallelism());
   std::vector<std::vector<size_t>> slots(tasks);
   const size_t chunk = (n + tasks - 1) / tasks;
   STARK_RETURN_NOT_OK(
@@ -119,7 +128,7 @@ Result<std::vector<size_t>> MatchStepIndices(
         const size_t end = std::min(begin + chunk, n);
         // A retried or speculative copy rebuilds its slot from scratch;
         // the claim protocol guarantees a single writer per slot.
-        slots[p] = MatchRange(*events, step, begin, end);
+        slots[p] = MatchRange(events, step, begin, end);
       }));
   std::vector<size_t> matched;
   for (std::vector<size_t>& slot : slots) {
@@ -131,19 +140,19 @@ Result<std::vector<size_t>> MatchStepIndices(
 Result<std::vector<PatternMatch>> EvaluatePattern(Context* ctx,
                                                   const PatternSpec& spec,
                                                   const FiredWindow& window,
-                                                  size_t num_tasks) {
+                                                  size_t tasks_per_window) {
   static obs::Counter* const matches_counter =
       obs::DefaultMetrics().GetCounter("stream.matches");
   if (spec.steps.empty()) {
     return Status::InvalidArgument("stream: pattern has no steps");
   }
-  const auto events =
-      std::make_shared<const std::vector<StreamEvent>>(window.events);
+  const std::vector<StreamEvent>& events = window.events;
   std::vector<std::vector<size_t>> step_indices;
   step_indices.reserve(spec.steps.size());
   for (const StepPredicate& step : spec.steps) {
-    STARK_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                           MatchStepIndices(ctx, events, step, num_tasks));
+    STARK_ASSIGN_OR_RETURN(
+        std::vector<size_t> indices,
+        MatchStepIndices(ctx, events, step, tasks_per_window));
     step_indices.push_back(std::move(indices));
   }
 
@@ -157,7 +166,7 @@ Result<std::vector<PatternMatch>> EvaluatePattern(Context* ctx,
         match.window_end = window.end;
         match.count = count;
         for (size_t i : step_indices[0]) {
-          match.events.push_back((*events)[i]);
+          match.events.push_back(events[i]);
         }
         matches.push_back(std::move(match));
       }
@@ -180,14 +189,14 @@ Result<std::vector<PatternMatch>> EvaluatePattern(Context* ctx,
       }
       std::vector<std::vector<size_t>> tuples;
       std::vector<size_t> tuple;
-      EnumerateSequences(*events, step_indices, spec.within, 0, 0, 0, &tuple,
+      EnumerateSequences(events, step_indices, spec.within, 0, 0, 0, &tuple,
                          &tuples);
       for (const std::vector<size_t>& t : tuples) {
         PatternMatch match;
         match.window_start = window.start;
         match.window_end = window.end;
         match.count = static_cast<int64_t>(t.size());
-        for (size_t i : t) match.events.push_back((*events)[i]);
+        for (size_t i : t) match.events.push_back(events[i]);
         matches.push_back(std::move(match));
       }
       break;

@@ -10,7 +10,6 @@
 #define STARK_STREAM_CEP_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,18 +87,31 @@ struct PatternMatch {
   int64_t count = 0;
 };
 
+/// Events one window-job task is sized for. Matching a small window inline
+/// costs less than dispatching it, so a window job fans out only when its
+/// window holds more events than this (docs/PERFORMANCE.md has the sweep).
+constexpr size_t kEventsPerWindowTask = 4096;
+
+/// Tasks for one window job over \p events events: an explicit
+/// \p tasks_per_window wins (capped at one task per event); otherwise
+/// ceil(events / kEventsPerWindowTask), clamped to [1, parallelism].
+size_t WindowJobTasks(size_t events, size_t tasks_per_window,
+                      size_t parallelism);
+
 /// \brief Indices (into \p events, ascending) of the events matching
-/// \p step, computed as one engine job of \p num_tasks partition-tasks.
+/// \p step, computed as one engine job of WindowJobTasks(events.size(),
+/// \p tasks_per_window, parallelism) partition-tasks.
 ///
 /// Each task evaluates a contiguous index range: category prefilter, then
 /// either a PackedRTree candidate pass over the range (prunable region
 /// predicates on enough events) refined with BoundPredicate, or a direct
 /// BoundPredicate scan. Both paths are exact, so the result equals the
 /// scalar `step.Matches` applied to every event — the task decomposition
-/// and index structure are invisible in the answer.
+/// and index structure are invisible in the answer. \p events is read in
+/// place: the job settles before this returns, so no task outlives it.
 Result<std::vector<size_t>> MatchStepIndices(
-    Context* ctx, const std::shared_ptr<const std::vector<StreamEvent>>& events,
-    const StepPredicate& step, size_t num_tasks);
+    Context* ctx, const std::vector<StreamEvent>& events,
+    const StepPredicate& step, size_t tasks_per_window);
 
 /// Evaluates \p spec over one fired window, running each step's matching as
 /// an engine job on \p ctx (deadlines, retries, speculation and the flight
@@ -108,7 +120,7 @@ Result<std::vector<size_t>> MatchStepIndices(
 Result<std::vector<PatternMatch>> EvaluatePattern(Context* ctx,
                                                   const PatternSpec& spec,
                                                   const FiredWindow& window,
-                                                  size_t num_tasks);
+                                                  size_t tasks_per_window);
 
 }  // namespace stream
 }  // namespace stark

@@ -57,10 +57,10 @@ GeneratorSource::GeneratorSource(const GeneratorOptions& options)
   std::sort(arrival.begin(), arrival.end());
   schedule_.reserve(in_order.size());
   for (const auto& [key, i] : arrival) {
-    schedule_.push_back(in_order[i]);
+    schedule_.push_back(std::move(in_order[i]));
     if (options.duplicate_probability > 0 &&
         rng.Bernoulli(options.duplicate_probability)) {
-      schedule_.push_back(in_order[i]);  // at-least-once redelivery
+      schedule_.push_back(schedule_.back());  // at-least-once redelivery
     }
   }
 }

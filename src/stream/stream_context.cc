@@ -84,14 +84,16 @@ Instant StreamContext::CombinedWatermark() const {
   return combined;
 }
 
-void StreamContext::Ingest(size_t source_idx, const StreamEvent& event) {
+void StreamContext::Ingest(size_t source_idx, StreamEvent event) {
   // Late is judged against the watermark *before* this event advances it,
   // so an in-order event is never late against itself. A non-late event's
   // windows all end after this watermark, hence after every fired window:
   // accepted events are complete in all their windows, atomically.
   const Instant watermark = IngestWatermark();
-  const WindowManager::IngestResult result = manager_.Ingest(event, watermark);
-  trackers_[source_idx]->Observe(event.event_time());
+  const Instant t = event.event_time();
+  const WindowManager::IngestResult result =
+      manager_.Ingest(std::move(event), watermark);
+  trackers_[source_idx]->Observe(t);
   IngestedCounter()->Increment();
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.ingested;
@@ -134,7 +136,7 @@ Result<size_t> StreamContext::Step() {
   for (size_t i = 0; i < sources_.size(); ++i) {
     if (sources_[i] == nullptr || sources_[i]->Exhausted()) continue;
     for (StreamEvent& event : sources_[i]->Poll(options_.poll_batch)) {
-      Ingest(i, event);
+      Ingest(i, std::move(event));
       ++polled;
     }
   }
@@ -204,14 +206,10 @@ Status StreamContext::ExecuteWindow(FiredWindow window) {
   } else {
     // No pattern: still materialize the window through a real engine job,
     // so deadline/retry/speculation coverage is identical either way.
-    const size_t tasks = options_.tasks_per_window != 0
-                             ? options_.tasks_per_window
-                             : ctx_->default_parallelism();
-    RDD<StreamEvent> rdd =
-        MakeRDD(ctx_, window.events,
-                std::max<size_t>(1, std::min(tasks,
-                                             std::max<size_t>(
-                                                 window.events.size(), 1))));
+    RDD<StreamEvent> rdd = MakeRDD(
+        ctx_, window.events,
+        WindowJobTasks(window.events.size(), options_.tasks_per_window,
+                       ctx_->default_parallelism()));
     const Result<size_t> count = rdd.TryCount();
     if (!count.ok()) return count.status();
   }

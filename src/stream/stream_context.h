@@ -66,7 +66,9 @@ class StreamContext {
     std::optional<PatternSpec> pattern;
     /// Events pulled per source per Step().
     size_t poll_batch = 256;
-    /// Partition-tasks per window job; 0 = the context's parallelism.
+    /// Partition-tasks per window job; 0 = sized to the window: one task
+    /// per kEventsPerWindowTask events, clamped to [1, the context's
+    /// parallelism] (see WindowJobTasks).
     size_t tasks_per_window = 0;
   };
 
@@ -86,7 +88,8 @@ class StreamContext {
   void SetSink(std::function<void(const WindowResult&)> sink);
 
   /// Routes one event attributed to source slot \p source_idx. Thread-safe.
-  void Ingest(size_t source_idx, const StreamEvent& event);
+  /// The event moves into the window buffers; pass a copy to keep one.
+  void Ingest(size_t source_idx, StreamEvent event);
 
   /// Minimum watermark across sources. An exhausted source no longer holds
   /// the query back (it contributes +inf); before any source has observed

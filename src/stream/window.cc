@@ -1,14 +1,18 @@
 #include "stream/window.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace stark {
 namespace stream {
 
-WindowManager::IngestResult WindowManager::Ingest(const StreamEvent& event,
+WindowManager::IngestResult WindowManager::Ingest(StreamEvent event,
                                                   Instant watermark) {
   IngestResult result;
   const Instant t = event.event_time();
+  const int64_t slide = spec_.EffectiveSlide();
+  const int64_t last = LastWindowStart(t, spec_);
+  int64_t first = FirstWindowStart(t, spec_);
   std::lock_guard<std::mutex> lock(mu_);
   if (!seen_ids_.insert(event.id).second) {
     result.duplicate = true;
@@ -16,11 +20,12 @@ WindowManager::IngestResult WindowManager::Ingest(const StreamEvent& event,
   }
   if (watermark != kMinWatermark && t < watermark) {
     result.late = true;
-    if (policy_ == LatePolicy::kSideOutput) side_output_.push_back(event);
+    if (policy_ == LatePolicy::kSideOutput) {
+      side_output_.push_back(std::move(event));
+    }
     return result;
   }
-  std::vector<int64_t> starts = WindowStartsFor(t, spec_);
-  if (starts.empty()) {
+  if (first > last) {
     // slide > size leaves gaps between windows; an event falling in a gap
     // is on time but belongs to no window.
     result.accepted = true;
@@ -34,23 +39,21 @@ WindowManager::IngestResult WindowManager::Ingest(const StreamEvent& event,
     // whose every window has fired is reclassified as late, keeping sink
     // delivery exactly-once. Before the first firing no window has fired,
     // so an out-of-order event may still open earlier windows freely.
-    starts.erase(std::remove_if(starts.begin(), starts.end(),
-                                [this](int64_t s) {
-                                  return s < *next_start_;
-                                }),
-                 starts.end());
-    if (starts.empty()) {
+    // Window starts and the frontier share the slide alignment.
+    first = std::max(first, *next_start_);
+    if (first > last) {
       result.late = true;
-      if (policy_ == LatePolicy::kSideOutput) side_output_.push_back(event);
+      if (policy_ == LatePolicy::kSideOutput) {
+        side_output_.push_back(std::move(event));
+      }
       return result;
     }
   }
-  for (int64_t s : starts) buffered_[s].push_back(event);
+  for (int64_t s = first; s < last; s += slide) buffered_[s].push_back(event);
+  buffered_[last].push_back(std::move(event));
   // The frontier starts at the earliest window of the earliest accepted
   // event; before the first firing it can only extend downward.
-  if (!next_start_.has_value() || starts.front() < *next_start_) {
-    next_start_ = starts.front();
-  }
+  if (!next_start_.has_value() || first < *next_start_) next_start_ = first;
   result.accepted = true;
   return result;
 }
@@ -61,10 +64,29 @@ void WindowManager::FireFrontierLocked(std::vector<FiredWindow>* out) {
   fired.end = *next_start_ + spec_.size;
   const auto it = buffered_.find(*next_start_);
   if (it != buffered_.end()) {
-    fired.events = std::move(it->second);
+    std::vector<StreamEvent>& arrived = it->second;
+    // Sort compact keys instead of the events, then move each event once
+    // into place. Same order as CanonicalLess; ids are unique after dedupe,
+    // so the slot never breaks a tie.
+    struct Key {
+      Instant time;
+      int64_t id;
+      size_t slot;
+    };
+    std::vector<Key> keys;
+    keys.reserve(arrived.size());
+    for (size_t i = 0; i < arrived.size(); ++i) {
+      keys.push_back({arrived[i].event_time(), arrived[i].id, i});
+    }
+    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+      return a.time != b.time ? a.time < b.time : a.id < b.id;
+    });
+    fired.events.reserve(arrived.size());
+    for (const Key& key : keys) {
+      fired.events.push_back(std::move(arrived[key.slot]));
+    }
     buffered_.erase(it);
   }
-  std::sort(fired.events.begin(), fired.events.end(), CanonicalLess);
   out->push_back(std::move(fired));
   *next_start_ += spec_.EffectiveSlide();
   fired_any_ = true;

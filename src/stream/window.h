@@ -48,18 +48,17 @@ inline int64_t LastWindowStart(Instant t, const WindowSpec& spec) {
   return FloorDiv(t, spec.EffectiveSlide()) * spec.EffectiveSlide();
 }
 
-/// All aligned window starts whose half-open window [s, s + size) contains
-/// event time \p t, in ascending order.
-inline std::vector<int64_t> WindowStartsFor(Instant t, const WindowSpec& spec) {
+/// Start of the first (lowest-start) window containing event time \p t.
+/// The windows containing t start at FirstWindowStart, FirstWindowStart +
+/// slide, ..., LastWindowStart: exactly one for a tumbling window, none
+/// (FirstWindowStart > LastWindowStart) when slide > size leaves t in a gap.
+inline int64_t FirstWindowStart(Instant t, const WindowSpec& spec) {
   const int64_t slide = spec.EffectiveSlide();
-  std::vector<int64_t> starts;
-  for (int64_t s = LastWindowStart(t, spec); s > t - spec.size; s -= slide) {
-    starts.push_back(s);
-  }
-  for (size_t i = 0, j = starts.size(); i + 1 < j; ++i, --j) {
-    std::swap(starts[i], starts[j - 1]);
-  }
-  return starts;
+  const int64_t last = LastWindowStart(t, spec);
+  // Earlier starts last - k * slide qualify while they stay above
+  // t - size; last - t lies in (-slide, 0], so the numerator is >= -slide
+  // and a gap yields k = -1, one slide past the last start.
+  return last - FloorDiv(last - t + spec.size - 1, slide) * slide;
 }
 
 /// One complete window, ready for pattern evaluation. Events are in
@@ -101,8 +100,10 @@ class WindowManager {
     bool duplicate = false;
   };
 
-  /// Routes one event given the combined watermark at its arrival.
-  IngestResult Ingest(const StreamEvent& event, Instant watermark);
+  /// Routes one event given the combined watermark at its arrival. The
+  /// event moves into its last window and is copied only into the earlier
+  /// windows of a sliding spec (or moves to the side output when late).
+  IngestResult Ingest(StreamEvent event, Instant watermark);
 
   /// Fires every window with end <= \p watermark, in start order. Includes
   /// empty windows between the first-ever occupied window and the frontier.
@@ -118,8 +119,9 @@ class WindowManager {
   const WindowSpec& spec() const { return spec_; }
 
  private:
-  /// Pops the window starting at next_start_ (occupied or empty), advances
-  /// the frontier, and appends it to \p out. Caller holds mu_.
+  /// Pops the window starting at next_start_ (occupied or empty), puts its
+  /// events in canonical order, advances the frontier, and appends it to
+  /// \p out. Caller holds mu_.
   void FireFrontierLocked(std::vector<FiredWindow>* out);
 
   WindowSpec spec_;

@@ -342,5 +342,172 @@ TEST_F(CepTest, TimedRegionConstrainsTemporally) {
   EXPECT_EQ(run.Matches()[0].events[0].id, 1);
 }
 
+// ---------------------------------------------------------------------------
+// Window job sizing: a window job gets one task per kEventsPerWindowTask
+// events, clamped to [1, parallelism]; an explicit tasks_per_window wins.
+// The split must never show in the answer.
+// ---------------------------------------------------------------------------
+
+TEST(WindowJobTasksTest, SizesToEventsAndHonoursAnExplicitCount) {
+  using stream::kEventsPerWindowTask;
+  using stream::WindowJobTasks;
+  EXPECT_EQ(WindowJobTasks(0, 0, 4), 1u);
+  EXPECT_EQ(WindowJobTasks(100, 0, 4), 1u);
+  EXPECT_EQ(WindowJobTasks(kEventsPerWindowTask, 0, 4), 1u);
+  EXPECT_EQ(WindowJobTasks(kEventsPerWindowTask + 1, 0, 4), 2u);
+  EXPECT_EQ(WindowJobTasks(2 * kEventsPerWindowTask + 1, 0, 4), 3u);
+  EXPECT_EQ(WindowJobTasks(100 * kEventsPerWindowTask, 0, 4), 4u);
+  EXPECT_EQ(WindowJobTasks(100 * kEventsPerWindowTask, 0, 0), 1u);
+  // An explicit count wins over the sizing rule and the parallelism, but
+  // never exceeds one task per event.
+  EXPECT_EQ(WindowJobTasks(100, 4, 2), 4u);
+  EXPECT_EQ(WindowJobTasks(3, 4, 2), 3u);
+  EXPECT_EQ(WindowJobTasks(0, 4, 2), 1u);
+}
+
+class WindowJobSizingTest : public ::testing::Test {
+ protected:
+  /// Engine jobs and tasks one replay ran, from the global counters.
+  struct JobCounts {
+    uint64_t jobs = 0;
+    uint64_t tasks = 0;
+  };
+
+  static JobCounts CountJobs(Context* ctx,
+                             const std::vector<StreamEvent>& arrivals,
+                             int64_t bound,
+                             const StreamContext::Options& options,
+                             ReplayRun* run) {
+    obs::Counter* const jobs = obs::DefaultMetrics().GetCounter("engine.jobs");
+    obs::Counter* const tasks =
+        obs::DefaultMetrics().GetCounter("engine.tasks");
+    const JobCounts before{jobs->Value(), tasks->Value()};
+    *run = Replay(ctx, arrivals, bound, options);
+    return {jobs->Value() - before.jobs, tasks->Value() - before.tasks};
+  }
+
+  /// The run's windows and matches equal a one-thread replay's and the
+  /// batch oracle's.
+  static void ExpectSameAnswer(const ReplayRun& run,
+                               const std::vector<StreamEvent>& events,
+                               const std::vector<StreamEvent>& arrivals,
+                               int64_t bound,
+                               const StreamContext::Options& options) {
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    Context single(1);
+    const ReplayRun reference = Replay(&single, arrivals, bound, options);
+    ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+    const auto oracle = BatchWindows(events, options.window);
+    const std::string windows = test::FormatWindows(run.Windows());
+    EXPECT_EQ(windows, test::FormatWindows(reference.Windows()));
+    EXPECT_EQ(windows, test::FormatWindows(oracle));
+    std::vector<stream::PatternMatch> expected;
+    if (options.pattern.has_value()) {
+      for (const auto& w : oracle) {
+        const auto ref = test::ReferencePattern(*options.pattern, w);
+        expected.insert(expected.end(), ref.begin(), ref.end());
+      }
+    }
+    const std::string matches = FormatMatches(run.Matches());
+    EXPECT_EQ(matches, FormatMatches(reference.Matches()));
+    EXPECT_EQ(matches, FormatMatches(expected));
+  }
+
+  /// \p count events at times 0..count-1 (ids equal to times), categories
+  /// alternating a/b, seeded positions.
+  static std::vector<StreamEvent> Events(size_t count, uint64_t seed) {
+    Rng rng(seed);
+    std::vector<StreamEvent> events;
+    events.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      events.push_back(MakeEvent(static_cast<int64_t>(i),
+                                 static_cast<Instant>(i), i % 2 ? "b" : "a",
+                                 rng.Uniform(0.0, 100.0),
+                                 rng.Uniform(0.0, 100.0)));
+    }
+    return events;
+  }
+
+  static PatternSpec CountPattern() {
+    PatternSpec pattern;
+    pattern.kind = PatternKind::kCount;
+    pattern.threshold = 1;
+    StepPredicate step;
+    step.category = "a";
+    step.region = STObject(Geometry::MakeBox(Envelope(20, 20, 70, 70)));
+    step.pred = JoinPredicate::Intersects();
+    pattern.steps.push_back(step);
+    return pattern;
+  }
+};
+
+TEST_F(WindowJobSizingTest, SmallWindowsRunOneTaskPerStep) {
+  const std::vector<StreamEvent> events = Events(400, 5);
+  const std::vector<StreamEvent> arrivals = ShuffledArrivals(events, 5, 6);
+  Context ctx(4);
+  // A two-step SEQ: one job per step per window, each a single task.
+  StreamContext::Options options;
+  options.window.size = 100;
+  options.pattern = PatternSpec();
+  options.pattern->kind = PatternKind::kSequence;
+  options.pattern->within = 3;
+  for (const char* cat : {"a", "b"}) {
+    StepPredicate step;
+    step.category = cat;
+    step.region = STObject(Geometry::MakeBox(Envelope(0, 0, 60, 60)));
+    options.pattern->steps.push_back(step);
+  }
+  ReplayRun run;
+  const JobCounts counts = CountJobs(&ctx, arrivals, 6, options, &run);
+  ExpectSameAnswer(run, events, arrivals, 6, options);
+  ASSERT_EQ(run.stats.windows_fired, 4u);
+  EXPECT_EQ(counts.jobs, 4u * 2u);
+  EXPECT_EQ(counts.tasks, counts.jobs);
+
+  // Without a pattern each window is still one engine job of one task.
+  options.pattern.reset();
+  const JobCounts bare = CountJobs(&ctx, arrivals, 6, options, &run);
+  ExpectSameAnswer(run, events, arrivals, 6, options);
+  EXPECT_EQ(bare.jobs, 4u);
+  EXPECT_EQ(bare.tasks, bare.jobs);
+}
+
+TEST_F(WindowJobSizingTest, BigWindowFansOutToAtMostParallelism) {
+  // One window of more than two tasks' worth of events: ceil(n / 4096) = 3
+  // tasks, clamped by the context's parallelism.
+  const size_t n = 2 * stream::kEventsPerWindowTask + 100;
+  const std::vector<StreamEvent> events = Events(n, 11);
+  const std::vector<StreamEvent> arrivals = ShuffledArrivals(events, 11, 8);
+  StreamContext::Options options;
+  options.window.size = static_cast<int64_t>(n);
+  options.pattern = CountPattern();
+  for (const size_t parallelism : {2u, 4u}) {
+    Context ctx(parallelism);
+    ReplayRun run;
+    const JobCounts counts = CountJobs(&ctx, arrivals, 8, options, &run);
+    ExpectSameAnswer(run, events, arrivals, 8, options);
+    ASSERT_EQ(run.stats.windows_fired, 1u);
+    EXPECT_EQ(counts.jobs, 1u);
+    EXPECT_EQ(counts.tasks, std::min<size_t>(parallelism, 3))
+        << "parallelism " << parallelism;
+  }
+}
+
+TEST_F(WindowJobSizingTest, ExplicitTasksPerWindowStillWins) {
+  const std::vector<StreamEvent> events = Events(300, 17);
+  const std::vector<StreamEvent> arrivals = ShuffledArrivals(events, 17, 4);
+  Context ctx(2);
+  StreamContext::Options options;
+  options.window.size = 100;
+  options.pattern = CountPattern();
+  options.tasks_per_window = 4;
+  ReplayRun run;
+  const JobCounts counts = CountJobs(&ctx, arrivals, 4, options, &run);
+  ExpectSameAnswer(run, events, arrivals, 4, options);
+  ASSERT_EQ(run.stats.windows_fired, 3u);
+  EXPECT_EQ(counts.jobs, 3u);
+  EXPECT_EQ(counts.tasks, 3u * 4u);
+}
+
 }  // namespace
 }  // namespace stark

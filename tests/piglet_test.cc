@@ -572,6 +572,106 @@ TEST(PigletParserTest, StreamingErrors) {
             "WHERE INTERSECTS('POINT(0 0)', 500, 100);").ok());
 }
 
+// Integer arguments: a number that does not fit the argument's type is a
+// ParseError naming the argument, never a wrapped value. One test per
+// statement kind; each also parses the largest value that fits.
+void ExpectOutOfRange(const std::string& script, const std::string& what) {
+  const Result<Program> program = Parse(script);
+  ASSERT_FALSE(program.ok()) << script;
+  EXPECT_EQ(program.status().code(), StatusCode::kParseError) << script;
+  EXPECT_NE(program.status().message().find(what), std::string::npos)
+      << script << ": " << program.status().ToString();
+}
+
+// The largest double below 2^63, i.e. the largest that fits an int64.
+constexpr const char* kMaxInt64Double = "9223372036854774784";
+
+TEST(PigletParserTest, WindowIntegerArgumentsAreRangeChecked) {
+  ExpectOutOfRange("w = WINDOW s SIZE 1e19;", "window size is out of range");
+  ExpectOutOfRange("w = WINDOW s SIZE 10 SLIDE 1e19;",
+                   "window slide is out of range");
+  ExpectOutOfRange("w = WINDOW s SIZE 10 LATENESS 1e300;",
+                   "lateness bound is out of range");
+  const Result<Program> program =
+      Parse(std::string("w = WINDOW s SIZE ") + kMaxInt64Double +
+            " SLIDE 5.9 LATENESS " + kMaxInt64Double + ";");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const Statement& stmt = program.ValueOrDie().statements[0];
+  EXPECT_EQ(stmt.window_size, 9223372036854774784);
+  EXPECT_EQ(stmt.window_slide, 5);  // fractions truncate, as before
+  EXPECT_EQ(stmt.window_lateness, 9223372036854774784);
+}
+
+TEST(PigletParserTest, PatternIntegerArgumentsAreRangeChecked) {
+  ExpectOutOfRange("p = PATTERN w SEQ 'a', 'b' WITHIN 1e19;",
+                   "WITHIN bound is out of range");
+  ExpectOutOfRange("p = PATTERN w COUNT 'a' >= 1e19;",
+                   "threshold is out of range");
+  ExpectOutOfRange("p = PATTERN w COUNT 'a' >= -1e19;", "threshold");
+  ExpectOutOfRange(
+      "p = PATTERN w ABSENT 'a' WHERE INTERSECTS('POINT(0 0)', 0, 1e19);",
+      "window end is out of range");
+  const Result<Program> program =
+      Parse("p = PATTERN w COUNT 'a' >= -5;");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program.ValueOrDie().statements[0].pattern_threshold, -5);
+}
+
+TEST(PigletParserTest, GeneratorIntegerArgumentsAreRangeChecked) {
+  ExpectOutOfRange("STREAM s FROM GENERATOR(1e19, 1, 1);",
+                   "event count is out of range");
+  ExpectOutOfRange("STREAM s FROM GENERATOR(10, 1e19, 1);",
+                   "seed is out of range");
+  ExpectOutOfRange("STREAM s FROM GENERATOR(10, -1e19, 1);", "seed");
+  ExpectOutOfRange("STREAM s FROM GENERATOR(10, 1, 1e300);",
+                   "time step is out of range");
+  const Result<Program> program =
+      Parse("STREAM s FROM GENERATOR(10, -3, 2);");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program.ValueOrDie().statements[0].gen_seed, -3);
+}
+
+TEST(PigletParserTest, KnnLimitAndIndexArgumentsAreRangeChecked) {
+  ExpectOutOfRange("x = KNN y QUERY 'POINT(0 0)' K 1e20;",
+                   "K is out of range");
+  ExpectOutOfRange("x = LIMIT y 1e20;", "limit is out of range");
+  ExpectOutOfRange("x = INDEX y ORDER 1e20;", "index order is out of range");
+  // size_t arguments take values up to 2^64.
+  const Result<Program> program = Parse("x = LIMIT y 1e19;");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program.ValueOrDie().statements[0].limit,
+            size_t{10000000000000000000u});
+}
+
+TEST(PigletParserTest, ClusterAndPartitionArgumentsAreRangeChecked) {
+  ExpectOutOfRange("c = CLUSTER y USING DBSCAN(1.5, 1e20);",
+                   "min_pts is out of range");
+  ExpectOutOfRange("c = CLUSTER y USING DBSCAN(1.5, 4) GRID 1e20;",
+                   "grid cells is out of range");
+  ExpectOutOfRange("p = PARTITION y BY GRID(1e20);",
+                   "partitioner parameter is out of range");
+  ExpectOutOfRange("p = PARTITION y BY BSP(-5);", "partitioner parameter");
+  ExpectOutOfRange("p = PARTITION y BY GRID(4) TIME(1e20);",
+                   "time buckets is out of range");
+  const Result<Program> program = Parse("p = PARTITION y BY GRID(4) TIME(3);");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program.ValueOrDie().statements[0].partitioner_param, 4u);
+}
+
+TEST(PigletParserTest, FilterTimeWindowIsRangeChecked) {
+  ExpectOutOfRange("x = FILTER y BY INTERSECTS('POINT(0 0)', 1e19, 1e20);",
+                   "window begin is out of range");
+  ExpectOutOfRange("x = FILTER y BY INTERSECTS('POINT(0 0)', -1e300, 5);",
+                   "window begin");
+  // An integer comparison literal too big for int64 compares as a double.
+  const Result<Program> program =
+      Parse("x = FILTER y BY id < 100000000000000000000;");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const Expr& e = *program.ValueOrDie().statements[0].filter;
+  ASSERT_TRUE(std::holds_alternative<double>(e.literal));
+  EXPECT_EQ(std::get<double>(e.literal), 1e20);
+}
+
 TEST_F(PigletInterpreterTest, GeneratorStreamEmitsWindows) {
   // 40 in-order events at t = 0..39 through tumbling 10s windows: four
   // full windows, nothing late, nothing dropped.

@@ -157,7 +157,7 @@ inline std::vector<FiredWindow> BatchWindows(
     max_t = std::max(max_t, e.event_time());
   }
   const int64_t slide = spec.EffectiveSlide();
-  const int64_t first = stream::WindowStartsFor(min_t, spec).front();
+  const int64_t first = stream::FirstWindowStart(min_t, spec);
   const int64_t last = stream::LastWindowStart(max_t, spec);
   for (int64_t s = first; s <= last; s += slide) {
     FiredWindow w;
@@ -260,9 +260,11 @@ inline std::vector<stream::PatternMatch> ReferencePattern(
 // strings, so "equal" means equal in every field and in order.
 // ---------------------------------------------------------------------------
 
+/// The whole event: id, time, category and geometry, so a moved-from or
+/// otherwise damaged event cannot pass for the original on its id alone.
 inline std::string FormatEventRef(const StreamEvent& e) {
   return std::to_string(e.id) + "@" + std::to_string(e.event_time()) + ":" +
-         e.category;
+         e.category + ":" + e.obj.geo().ToWkt();
 }
 
 inline std::string FormatWindow(const FiredWindow& w) {
