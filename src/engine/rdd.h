@@ -31,7 +31,20 @@ class RDDImpl {
   virtual ~RDDImpl() = default;
 
   virtual size_t NumPartitions() const = 0;
+  /// An owned copy of one partition's contents.
   virtual std::vector<T> Compute(size_t partition) const = 0;
+
+  /// The partition this node already holds in memory, readable in place
+  /// for as long as the node lives; null when it has to be computed.
+  virtual const std::vector<T>* Stored(size_t partition) const {
+    (void)partition;
+    return nullptr;
+  }
+
+  /// Number of elements in one partition; O(1) on stored nodes.
+  virtual size_t Count(size_t partition) const {
+    return Compute(partition).size();
+  }
 
   Context* ctx() const { return ctx_; }
 
@@ -40,6 +53,16 @@ class RDDImpl {
 };
 
 namespace engine_internal {
+
+/// Partition \p p of \p impl for reading: the stored partition when the
+/// node holds one, else the partition computed into \p storage.
+template <typename T>
+const std::vector<T>& Borrow(const RDDImpl<T>& impl, size_t p,
+                             std::vector<T>* storage) {
+  if (const std::vector<T>* stored = impl.Stored(p)) return *stored;
+  *storage = impl.Compute(p);
+  return *storage;
+}
 
 /// Materialized data, the leaf of every lineage graph.
 template <typename T>
@@ -50,6 +73,10 @@ class CollectionRDD final : public RDDImpl<T> {
 
   size_t NumPartitions() const override { return partitions_.size(); }
   std::vector<T> Compute(size_t p) const override { return partitions_[p]; }
+  const std::vector<T>* Stored(size_t p) const override {
+    return &partitions_[p];
+  }
+  size_t Count(size_t p) const override { return partitions_[p].size(); }
 
  private:
   std::vector<std::vector<T>> partitions_;
@@ -85,15 +112,40 @@ class FilterRDD final : public RDDImpl<T> {
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
   std::vector<T> Compute(size_t p) const override {
-    std::vector<T> in = parent_->Compute(p);
     std::vector<T> out;
+    if constexpr (kReadsConst) {
+      // A stored parent is read in place: only the survivors are copied.
+      if (const std::vector<T>* in = parent_->Stored(p)) {
+        for (const T& x : *in) {
+          if (fn_(x)) out.push_back(x);
+        }
+        return out;
+      }
+    }
+    std::vector<T> in = parent_->Compute(p);
     for (auto& x : in) {
       if (fn_(x)) out.push_back(std::move(x));
     }
     return out;
   }
+  size_t Count(size_t p) const override {
+    if constexpr (kReadsConst) {
+      std::vector<T> storage;
+      const std::vector<T>& in = Borrow(*parent_, p, &storage);
+      size_t hits = 0;
+      for (const T& x : in) {
+        if (fn_(x)) ++hits;
+      }
+      return hits;
+    } else {
+      return Compute(p).size();
+    }
+  }
 
  private:
+  /// Whether the predicate can test an element it may not modify.
+  static constexpr bool kReadsConst = std::is_invocable_v<const F&, const T&>;
+
   std::shared_ptr<const RDDImpl<T>> parent_;
   F fn_;
 };
@@ -196,7 +248,12 @@ class CacheRDD final : public RDDImpl<T> {
         slots_(parent_->NumPartitions()) {}
 
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
-  std::vector<T> Compute(size_t p) const override {
+  std::vector<T> Compute(size_t p) const override { return *Stored(p); }
+  size_t Count(size_t p) const override { return Stored(p)->size(); }
+
+  /// Materializes partition \p p on first use; every call counts one
+  /// cache hit or miss.
+  const std::vector<T>* Stored(size_t p) const override {
     static obs::Counter* const hits =
         obs::DefaultMetrics().GetCounter("engine.cache.hits");
     static obs::Counter* const misses =
@@ -207,20 +264,26 @@ class CacheRDD final : public RDDImpl<T> {
     bool computed = false;
     // An injected (or real) failure propagates out of call_once without
     // setting the flag, so a retried task re-materializes the partition —
-    // the cache never latches a half-built slot.
+    // the cache never latches a half-built slot. A parent that already
+    // stores the partition is referenced, not copied.
     std::call_once(slot.once, [&] {
       fault::MaybeThrow(cache_fp);
-      slot.data = parent_->Compute(p);
+      slot.view = parent_->Stored(p);
+      if (slot.view == nullptr) {
+        slot.data = parent_->Compute(p);
+        slot.view = &slot.data;
+      }
       computed = true;
     });
     (computed ? misses : hits)->Increment();
-    return slot.data;
+    return slot.view;
   }
 
  private:
   struct Slot {
     std::once_flag once;
     std::vector<T> data;
+    const std::vector<T>* view = nullptr;
   };
   std::shared_ptr<const RDDImpl<T>> parent_;
   mutable std::vector<Slot> slots_;
@@ -338,18 +401,27 @@ class RDD {
     ctx()->RunTasks("rdd.shuffle.map", in_parts, [&](size_t p) {
       fault::MaybeThrow(shuffle_fp);
       std::vector<std::vector<T>> buckets(num_partitions);
-      std::vector<T> in = impl_->Compute(p);
-      if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-        span->records_in = in.size();
-        span->records_out = in.size();
-        span->bytes = in.size() * sizeof(T);
+      // A stored partition is read in place and each element copied once
+      // into its bucket; a computed one is owned here, so it is moved.
+      auto route = [&](auto& in) {
+        if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+          span->records_in = in.size();
+          span->records_out = in.size();
+          span->bytes = in.size() * sizeof(T);
+        }
+        for (auto& x : in) {
+          const size_t t = target(x);
+          STARK_DCHECK(t < num_partitions);
+          buckets[t].push_back(std::move(x));
+        }
+        shuffle_records->Add(in.size());
+      };
+      if (const std::vector<T>* stored = impl_->Stored(p)) {
+        route(*stored);
+      } else {
+        std::vector<T> computed = impl_->Compute(p);
+        route(computed);
       }
-      for (auto& x : in) {
-        const size_t t = target(x);
-        STARK_DCHECK(t < num_partitions);
-        buckets[t].push_back(std::move(x));
-      }
-      shuffle_records->Add(in.size());
       routed[p] = std::move(buckets);
     });
     // ...then concatenate the buckets per target partition.
@@ -415,6 +487,34 @@ class RDD {
     return std::move(parts).ValueOrDie();
   }
 
+  /// Read-only views of all partitions, in partition order, for consumers
+  /// that only read them. A partition the lineage already stores (a
+  /// Cache()d or in-memory RDD) is borrowed in place and stays valid while
+  /// this RDD lives; any other partition is computed into \p storage, which
+  /// must outlive the views.
+  Result<std::vector<const std::vector<T>*>> TryPartitionViews(
+      std::vector<std::vector<T>>* storage) const {
+    const size_t n = NumPartitions();
+    storage->assign(n, {});
+    std::vector<const std::vector<T>*> views(n, nullptr);
+    STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.collect", n, [&](size_t p) {
+      views[p] = &engine_internal::Borrow(*impl_, p, &(*storage)[p]);
+      if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+        span->records_in = views[p]->size();
+        span->records_out = views[p]->size();
+      }
+    }));
+    return views;
+  }
+
+  std::vector<const std::vector<T>*> PartitionViews(
+      std::vector<std::vector<T>>* storage) const {
+    Result<std::vector<const std::vector<T>*>> views =
+        TryPartitionViews(storage);
+    if (!views.ok()) throw StatusError(views.status());
+    return std::move(views).ValueOrDie();
+  }
+
   /// Evaluates and concatenates all partitions.
   Result<std::vector<T>> TryCollect() const {
     STARK_ASSIGN_OR_RETURN(std::vector<std::vector<T>> parts,
@@ -440,7 +540,7 @@ class RDD {
     const size_t n = NumPartitions();
     std::vector<size_t> counts(n, 0);
     STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.count", n, [&](size_t p) {
-      counts[p] = impl_->Compute(p).size();
+      counts[p] = impl_->Count(p);
       if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
         span->records_in = counts[p];
         span->records_out = 1;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "common/serde.h"
 #include "obs/json_util.h"
@@ -14,7 +15,7 @@ namespace obs {
 namespace {
 
 size_t RoundUpPow2(size_t v) {
-  size_t p = 64;
+  size_t p = 2;
   while (p < v) p <<= 1;
   return p;
 }
@@ -62,13 +63,31 @@ void FlightRecorder::Record(FlightEvent e) {
   if (e.ts_ns == 0) e.ts_ns = NowNanos();
   const uint64_t i = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[i & mask_];
-  // Seqlock write: mark the slot in-progress (odd), store the payload as
-  // relaxed atomic words, then publish with the slot's even sequence for
-  // lap i. A reader accepts the slot only when it sees the same even
-  // sequence before and after reading the words. Two writers a full lap
-  // apart can interleave on the same slot; whichever publishes last wins
-  // and intermediate readers skip — acceptable for a stats ring.
-  s.seq.store(2 * i + 1, std::memory_order_release);
+  // Seqlock write. Writers a lap or more apart share a slot, so the writer
+  // of lap i first claims it exclusively: a CAS from an even (published or
+  // empty) sequence to its own odd 2i+1. While an earlier lap is still
+  // storing words (odd, older) it waits; once a later lap has claimed or
+  // published the slot, event i is already overwritten and is dropped.
+  // Only the claim holder stores words and publishes, with its own even
+  // 2(i+1), so a reader that sees the same even sequence before and after
+  // reading the words has read one writer's whole record.
+  const uint64_t claim = 2 * i + 1;
+  uint64_t seq = s.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (seq > claim) return;
+    if ((seq & 1) != 0) {
+      std::this_thread::yield();
+      seq = s.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (s.seq.compare_exchange_weak(seq, claim, std::memory_order_acquire,
+                                    std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Orders the claim before the payload stores, so a reader that sees any
+  // word of this record also sees the odd sequence on its second load.
+  std::atomic_thread_fence(std::memory_order_release);
   s.words[0].store(e.ts_ns, std::memory_order_relaxed);
   s.words[1].store(e.job, std::memory_order_relaxed);
   s.words[2].store(PackIds(e), std::memory_order_relaxed);

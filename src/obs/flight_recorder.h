@@ -8,10 +8,12 @@
 /// decisions that led up to the failure can be dumped for a post-mortem
 /// without re-running anything.
 ///
-/// Concurrency model: writers claim a slot with one fetch_add and publish
-/// it with a per-slot sequence counter (a seqlock); the payload itself is
-/// stored as relaxed atomic words, so late readers either observe a fully
-/// published event or skip the slot — no locks, no torn reads, TSan-clean.
+/// Concurrency model: writers take an index with one fetch_add, claim its
+/// slot exclusively by CAS on a per-slot sequence counter and publish it
+/// through that counter (a seqlock); the payload itself is stored as
+/// relaxed atomic words, so late readers either observe a fully published
+/// event or skip the slot — no torn reads, TSan-clean. A writer lapped by a
+/// later one drops its already-overwritten event.
 ///
 /// Dumps: `Dump(path, reason)` writes a JSON post-mortem of the surviving
 /// ring contents. Arm auto-dumping with STARK_FLIGHT_RECORDER=<path> (or
@@ -74,7 +76,7 @@ struct FlightEvent {
 /// private recorders.
 class FlightRecorder {
  public:
-  /// \p capacity is rounded up to a power of two; minimum 64.
+  /// \p capacity is rounded up to a power of two; minimum 2.
   explicit FlightRecorder(size_t capacity = 8192);
   STARK_DISALLOW_COPY_AND_ASSIGN(FlightRecorder);
 
@@ -94,8 +96,9 @@ class FlightRecorder {
             .count());
   }
 
-  /// Records one event (timestamps it if \p e.ts_ns is 0). Lock-free;
-  /// callable from any thread including pool workers mid-task.
+  /// Records one event (timestamps it if \p e.ts_ns is 0). Takes no lock;
+  /// it waits only while an older event is still being stored into the
+  /// same slot. Callable from any thread including pool workers mid-task.
   void Record(FlightEvent e);
 
   /// Convenience: build + record a task-lifecycle event.

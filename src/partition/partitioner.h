@@ -23,8 +23,9 @@ namespace stark {
 /// \brief Base class of STARK's spatial partitioners.
 ///
 /// Mirrors Spark's `Partitioner` contract (stable element -> partition id
-/// mapping) extended with spatial metadata. GrowExtent is thread-safe so a
-/// parallel shuffle can update extents concurrently.
+/// mapping) extended with spatial metadata. GrowExtent is thread-safe;
+/// SpatialRDD::PartitionBy calls it once per partition per shuffle, with
+/// the union of the envelopes routed there.
 class SpatialPartitioner {
  public:
   virtual ~SpatialPartitioner() = default;

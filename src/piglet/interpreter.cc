@@ -443,6 +443,14 @@ Status Interpreter::ExecuteImpl(const Statement& stmt) {
   return Status::UnknownError("piglet: unhandled statement");
 }
 
+Status CheckSetValue(const std::string& key, double value, double min,
+                     double max) {
+  if (value >= min && value <= max) return Status::OK();
+  char range[64];
+  std::snprintf(range, sizeof(range), "[%.15g, %.15g]", min, max);
+  return Status::InvalidArgument("piglet: " + key + " must be in " + range);
+}
+
 Status Interpreter::ExecSet(const Statement& stmt) {
   const std::string& key = stmt.set_key;
   const double value = stmt.set_value;
@@ -451,9 +459,7 @@ Status Interpreter::ExecSet(const Statement& stmt) {
     if (handled) return Status::OK();
   }
   if (key == "job.deadline_ms") {
-    if (value < 0) {
-      return Status::InvalidArgument("piglet: job.deadline_ms must be >= 0");
-    }
+    STARK_RETURN_NOT_OK(CheckSetValue(key, value, 0, kMaxSetMs));
     ctx_->set_job_deadline_ms(static_cast<uint64_t>(value));
     return Status::OK();
   }
@@ -464,20 +470,16 @@ Status Interpreter::ExecSet(const Statement& stmt) {
     return Status::OK();
   }
   if (key == "job.speculation_multiplier") {
-    if (value < 1.0) {
-      return Status::InvalidArgument(
-          "piglet: job.speculation_multiplier must be >= 1");
-    }
+    // The multiplier scales a median task time in nanoseconds into a
+    // uint64 threshold; 1000x keeps that product in range.
+    STARK_RETURN_NOT_OK(CheckSetValue(key, value, 1, 1000));
     SpeculationPolicy policy = ctx_->speculation_policy();
     policy.multiplier = value;
     ctx_->set_speculation_policy(policy);
     return Status::OK();
   }
   if (key == "job.speculation_quantile") {
-    if (value < 0.0 || value > 1.0) {
-      return Status::InvalidArgument(
-          "piglet: job.speculation_quantile must be in [0, 1]");
-    }
+    STARK_RETURN_NOT_OK(CheckSetValue(key, value, 0, 1));
     SpeculationPolicy policy = ctx_->speculation_policy();
     policy.quantile = value;
     ctx_->set_speculation_policy(policy);
@@ -495,9 +497,7 @@ Status Interpreter::ExecSet(const Statement& stmt) {
           "piglet: '" + key +
           "' is process-global and cannot be set from a served session");
     }
-    if (value < 0) {
-      return Status::InvalidArgument("piglet: " + key + " must be >= 0");
-    }
+    STARK_RETURN_NOT_OK(CheckSetValue(key, value, 0, kMaxSetMs));
     if (key == "obs.slow_task_ms") {
       obs::GlobalSlowLog().set_slow_task_ms(value);
     } else {

@@ -80,6 +80,17 @@ struct PatternDef {
   stream::PatternSpec spec;
 };
 
+/// The largest millisecond value a `SET` may give a deadline or a slow-log
+/// threshold: 10^12 ms, about 31 years. Larger values would overflow the
+/// engine's nanosecond and microsecond clock arithmetic.
+inline constexpr double kMaxSetMs = 1e12;
+
+/// OK when a `SET key value` lies in [min, max], else InvalidArgument
+/// naming the range. NaN is never in range. Every SET value is a double
+/// until it passes this check, so the casts after it are defined.
+Status CheckSetValue(const std::string& key, double value, double min,
+                     double max);
+
 /// \brief Interprets Piglet statements against a Context.
 ///
 /// DUMP/DESCRIBE output goes to the stream passed at construction, so tests

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -149,14 +150,15 @@ Session::Session(Server* server, uint64_t id)
   interp_->set_set_hook(
       [this](const std::string& key, double value) -> Result<bool> {
         if (key == "serve.class") {
-          const int cls = static_cast<int>(value);
-          if (cls < 0 || cls >= static_cast<int>(kNumQueryClasses) ||
-              static_cast<double>(cls) != value) {
+          // Checked as a double first: casting one outside int's range (or
+          // NaN) to int is undefined behaviour.
+          if (!(value >= 0 && value < static_cast<double>(kNumQueryClasses)) ||
+              std::trunc(value) != value) {
             return Status::InvalidArgument(
                 "serve: serve.class must be 0 (interactive), 1 (batch) or 2 "
                 "(best-effort)");
           }
-          cls_.store(cls);
+          cls_.store(static_cast<int>(value));
           return true;
         }
         if (key == "job.deadline_ms") {
@@ -165,10 +167,8 @@ Session::Session(Server* server, uint64_t id)
           // Context so the rest of the current script honors it. The hook
           // runs on the query worker under run_mu_, the only place ctx_ is
           // mutated.
-          if (value < 0) {
-            return Status::InvalidArgument(
-                "piglet: job.deadline_ms must be >= 0");
-          }
+          STARK_RETURN_NOT_OK(
+              piglet::CheckSetValue(key, value, 0, piglet::kMaxSetMs));
           const uint64_t ms = static_cast<uint64_t>(value);
           deadline_ms_.store(ms, std::memory_order_relaxed);
           ctx_->set_job_deadline_ms(ms);

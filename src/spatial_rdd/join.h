@@ -273,15 +273,20 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   // for the rest, building trees would be pure wasted work.
   const bool use_index = options.index_order > 0 && pred.Prunable();
 
-  // Materialize both sides once.
-  std::vector<std::vector<L>> left_parts = left.rdd().CollectPartitions();
-  std::vector<std::vector<R>> right_parts = right.rdd().CollectPartitions();
+  // Read both sides in place: cached or in-memory partitions are borrowed,
+  // the rest are computed once into the storage here.
+  std::vector<std::vector<L>> left_storage;
+  std::vector<std::vector<R>> right_storage;
+  const std::vector<const std::vector<L>*> left_parts =
+      left.rdd().PartitionViews(&left_storage);
+  const std::vector<const std::vector<R>*> right_parts =
+      right.rdd().PartitionViews(&right_storage);
   std::vector<size_t> left_sizes(nl, 0);
   std::vector<size_t> right_sizes(nr, 0);
   size_t total_l = 0;
   size_t total_r = 0;
-  for (size_t i = 0; i < nl; ++i) total_l += left_sizes[i] = left_parts[i].size();
-  for (size_t j = 0; j < nr; ++j) total_r += right_sizes[j] = right_parts[j].size();
+  for (size_t i = 0; i < nl; ++i) total_l += left_sizes[i] = left_parts[i]->size();
+  for (size_t j = 0; j < nr; ++j) total_r += right_sizes[j] = right_parts[j]->size();
 
   // ---- Broadcast strategy -------------------------------------------------
   // One side fits under the threshold: flatten it, index it once, and probe
@@ -300,8 +305,8 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
       // Broadcast the right side; one task per left partition.
       std::vector<R> small;
       small.reserve(total_r);
-      for (auto& part : right_parts) {
-        for (auto& r : part) small.push_back(std::move(r));
+      for (const std::vector<R>* part : right_parts) {
+        small.insert(small.end(), part->begin(), part->end());
       }
       PackedRTree<size_t> tree;
       if (use_index) {
@@ -343,7 +348,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
                            : EvalWithPreparedRight(pred, l.first, r.first,
                                                    cache.Get(r.first.geo()));
         };
-        for (const L& l : left_parts[i]) {
+        for (const L& l : *left_parts[i]) {
           // Cooperative checkpoint: long probe tasks stop here when their
           // job is cancelled or past its deadline.
           if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
@@ -389,7 +394,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
                              ji::IndexDetail(packed_probes,
                                              cache.hits() + prep_hits,
                                              cache.misses() + prep_misses),
-                         left_parts[i].size(), sink.size(), packed_probes,
+                         left_parts[i]->size(), sink.size(), packed_probes,
                          sink.size());
         metrics.prefilter_skips->Add(prefilter_skips);
         metrics.results->Add(sink.size());
@@ -401,8 +406,8 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
     // Broadcast the left side; one task per right partition.
     std::vector<L> small;
     small.reserve(total_l);
-    for (auto& part : left_parts) {
-      for (auto& l : part) small.push_back(std::move(l));
+    for (const std::vector<L>* part : left_parts) {
+      small.insert(small.end(), part->begin(), part->end());
     }
     PackedRTree<size_t> tree;
     if (use_index) {
@@ -442,7 +447,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
                          : EvalWithPreparedLeft(pred, l.first, r.first,
                                                 cache.Get(l.first.geo()));
       };
-      for (const R& r : right_parts[j]) {
+      for (const R& r : *right_parts[j]) {
         if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
         const Envelope probe = r.first.envelope().Expanded(margin);
         if (small_points != nullptr) {
@@ -486,7 +491,7 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
                            ji::IndexDetail(packed_probes,
                                            cache.hits() + prep_hits,
                                            cache.misses() + prep_misses),
-                       right_parts[j].size(), sink.size(), packed_probes,
+                       right_parts[j]->size(), sink.size(), packed_probes,
                        sink.size());
       metrics.prefilter_skips->Add(prefilter_skips);
       metrics.results->Add(sink.size());
@@ -539,16 +544,16 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
       if (!left_used[i]) return;
       std::vector<std::pair<Envelope, size_t>> entries;
-      entries.reserve(left_parts[i].size());
-      for (size_t e = 0; e < left_parts[i].size(); ++e) {
-        entries.emplace_back(left_parts[i][e].first.envelope(), e);
+      const std::vector<L>& part = *left_parts[i];
+      entries.reserve(part.size());
+      for (size_t e = 0; e < part.size(); ++e) {
+        entries.emplace_back(part[e].first.envelope(), e);
       }
       left_trees[i] = std::make_unique<PackedRTree<size_t>>(
           options.index_order, std::move(entries));
       left_points[i] = columnar_refine::SelectKernels(pred, [&] {
         return ColumnarBatch::BuildPoints(
-            left_parts[i],
-            [](const L& e) -> const STObject& { return e.first; });
+            part, [](const L& e) -> const STObject& { return e.first; });
       });
     });
     metrics.tree_builds->Add(builds);
@@ -564,8 +569,8 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   std::vector<std::vector<Out>> out(tasks.size());
   ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
     const ji::ProbeTask& task = tasks[t];
-    const std::vector<L>& lv = left_parts[task.left];
-    const std::vector<R>& rv = right_parts[task.right];
+    const std::vector<L>& lv = *left_parts[task.left];
+    const std::vector<R>& rv = *right_parts[task.right];
     std::vector<Out>& sink = out[t];
     sink.clear();  // retry-idempotent: a re-run starts from scratch
     size_t prefilter_skips = 0;
@@ -683,16 +688,20 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   const double margin = pred.EnvelopeMargin();
   const JoinMetricSet& metrics = GlobalJoinMetrics();
 
-  // Collecting a cached trees RDD hands back the shared tree pointers
-  // without copying or rebuilding anything.
-  std::vector<std::vector<TreePtr>> left_trees = left.trees().CollectPartitions();
-  std::vector<std::vector<R>> right_parts = right.rdd().CollectPartitions();
+  // A cached trees RDD is read in place: the shared tree pointers are
+  // neither copied nor rebuilt. The right side is borrowed the same way.
+  std::vector<std::vector<TreePtr>> tree_storage;
+  std::vector<std::vector<R>> right_storage;
+  const std::vector<const std::vector<TreePtr>*> left_trees =
+      left.trees().PartitionViews(&tree_storage);
+  const std::vector<const std::vector<R>*> right_parts =
+      right.rdd().PartitionViews(&right_storage);
   std::vector<size_t> left_sizes(nl, 0);
   std::vector<size_t> right_sizes(nr, 0);
   for (size_t i = 0; i < nl; ++i) {
-    for (const TreePtr& tree : left_trees[i]) left_sizes[i] += tree->size();
+    for (const TreePtr& tree : *left_trees[i]) left_sizes[i] += tree->size();
   }
-  for (size_t j = 0; j < nr; ++j) right_sizes[j] = right_parts[j].size();
+  for (size_t j = 0; j < nr; ++j) right_sizes[j] = right_parts[j]->size();
 
   // Enumerate pairs, pruned with the extents captured when the index was
   // built (they grow with the indexed data, exactly like partitioner
@@ -725,7 +734,7 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   }
   size_t reuse_hits = 0;
   for (size_t i = 0; i < nl; ++i) {
-    if (left_used[i]) reuse_hits += left_trees[i].size();
+    if (left_used[i]) reuse_hits += left_trees[i]->size();
   }
   metrics.tree_reuse_hits->Add(reuse_hits);
 
@@ -740,7 +749,7 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
       std::vector<L>& elems = left_elems[i];
       elems.clear();
       elems.reserve(left_sizes[i]);
-      for (const TreePtr& tree : left_trees[i]) {
+      for (const TreePtr& tree : *left_trees[i]) {
         tree->ForEach([&](const Envelope&, const L& e) { elems.push_back(e); });
       }
     });
@@ -755,7 +764,7 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   std::vector<std::vector<Out>> out(tasks.size());
   ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
     const ji::ProbeTask& task = tasks[t];
-    const std::vector<R>& rv = right_parts[task.right];
+    const std::vector<R>& rv = *right_parts[task.right];
     std::vector<Out>& sink = out[t];
     sink.clear();  // retry-idempotent: a re-run starts from scratch
     size_t packed_probes = 0;
@@ -769,7 +778,7 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
         const Envelope probe = r.first.envelope().Expanded(margin);
         BoundPredicate bound(pred, r.first,
                              BoundPredicate::Side::kCandidateLeft);
-        for (const TreePtr& tree : left_trees[task.left]) {
+        for (const TreePtr& tree : *left_trees[task.left]) {
           tree->Query(probe, [&](const Envelope&, const L& l) {
             if (bound.Eval(l.first)) sink.push_back(project(l, r));
           });

@@ -43,15 +43,19 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
   const size_t nl = left.NumPartitions();
   const size_t nr = right.NumPartitions();
 
-  // Materialize and index the right side once (straight into the packed
-  // layout — kNN traversal walks SoA node arrays, no pointer chasing).
-  std::vector<std::vector<R>> right_parts = right.rdd().CollectPartitions();
+  // Read the right side in place (cached or in-memory partitions are
+  // borrowed) and index it once, straight into the packed layout — kNN
+  // traversal walks SoA node arrays, no pointer chasing.
+  std::vector<std::vector<R>> right_storage;
+  const std::vector<const std::vector<R>*> right_parts =
+      right.rdd().PartitionViews(&right_storage);
   std::vector<std::unique_ptr<PackedRTree<size_t>>> right_trees(nr);
   ctx->pool().ParallelFor(nr, [&](size_t j) {
+    const std::vector<R>& part = *right_parts[j];
     std::vector<std::pair<Envelope, size_t>> entries;
-    entries.reserve(right_parts[j].size());
-    for (size_t e = 0; e < right_parts[j].size(); ++e) {
-      entries.emplace_back(right_parts[j][e].first.envelope(), e);
+    entries.reserve(part.size());
+    for (size_t e = 0; e < part.size(); ++e) {
+      entries.emplace_back(part[e].first.envelope(), e);
     }
     right_trees[j] =
         std::make_unique<PackedRTree<size_t>>(index_order, std::move(entries));
@@ -66,14 +70,16 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
                            : right_trees[j]->bounds();
   }
 
-  std::vector<std::vector<L>> left_parts = left.rdd().CollectPartitions();
+  std::vector<std::vector<L>> left_storage;
+  const std::vector<const std::vector<L>*> left_parts =
+      left.rdd().PartitionViews(&left_storage);
   std::vector<std::vector<Out>> out(nl);
   ctx->pool().ParallelFor(nl, [&](size_t i) {
     size_t packed_probes = 0;
     size_t prep_hits = 0;
     size_t prep_misses = 0;
-    out[i].reserve(left_parts[i].size());
-    for (L& l : left_parts[i]) {
+    out[i].reserve(left_parts[i]->size());
+    for (const L& l : *left_parts[i]) {
       // Each left element's geometry is interrogated once per candidate;
       // prepare it lazily so elements whose partitions all get pruned (or
       // that find no candidates) never pay for preparation.
@@ -101,7 +107,7 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
       std::vector<std::pair<double, size_t>> order;
       order.reserve(nr);
       for (size_t j = 0; j < nr; ++j) {
-        if (right_parts[j].empty()) continue;
+        if (right_parts[j]->empty()) continue;
         order.emplace_back(right_extents[j].Distance(lenv), j);
       }
       std::sort(order.begin(), order.end());
@@ -116,12 +122,12 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
         }
         if (left_is_point) {
           auto hits = right_trees[j]->Knn(c, k, [&](const size_t& e) {
-            return exact(right_parts[j][e].first.geo());
+            return exact((*right_parts[j])[e].first.geo());
           });
           ++packed_probes;
-          for (auto& [dist, e] : hits) merge(dist, right_parts[j][*e]);
+          for (auto& [dist, e] : hits) merge(dist, (*right_parts[j])[*e]);
         } else {
-          for (const R& r : right_parts[j]) {
+          for (const R& r : *right_parts[j]) {
             merge(exact(r.first.geo()), r);
           }
         }
@@ -133,7 +139,7 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
           best.erase(best.begin() + static_cast<ptrdiff_t>(k), best.end());
         }
       }
-      out[i].emplace_back(std::move(l), std::move(best));
+      out[i].emplace_back(l, std::move(best));
     }
     const IndexMetricSet& index_metrics = GlobalIndexMetrics();
     index_metrics.packed_probes->Add(packed_probes);

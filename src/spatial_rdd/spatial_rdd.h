@@ -422,11 +422,21 @@ class SpatialRDD {
     p->ResetExtents();
     RDD<Element> shuffled = rdd_.PartitionBy(
         p->NumPartitions(), [p](const Element& e) {
-          const size_t target =
-              p->PartitionForST(e.first.Centroid(), e.first.time());
-          p->GrowExtent(target, e.first.envelope());
-          return target;
+          return p->PartitionForST(e.first.Centroid(), e.first.time());
         });
+    // Each output partition's extent grows once, by the union of the
+    // envelopes routed to it, read in place from the shuffled partitions.
+    std::vector<Envelope> unions(shuffled.NumPartitions());
+    ctx()->RunTasks("spatial.partition.extents", unions.size(), [&](size_t t) {
+      std::vector<Element> storage;
+      Envelope u;
+      for (const Element& e :
+           engine_internal::Borrow(*shuffled.impl(), t, &storage)) {
+        u.ExpandToInclude(e.first.envelope());
+      }
+      unions[t] = u;
+    });
+    for (size_t t = 0; t < unions.size(); ++t) p->GrowExtent(t, unions[t]);
     return SpatialRDD(std::move(shuffled), std::move(p));
   }
 

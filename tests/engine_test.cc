@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/rdd.h"
+#include "fault/failpoint.h"
+#include "obs/metrics.h"
 
 namespace stark {
 namespace {
@@ -189,6 +191,149 @@ TEST_F(EngineTest, CollectPartitionsPreservesStructure) {
   size_t total = 0;
   for (const auto& p : parts) total += p.size();
   EXPECT_EQ(total, 10u);
+}
+
+// ---- Reading partitions in place ------------------------------------------
+
+/// An element that counts every copy made of it, anywhere.
+struct Tracked {
+  static std::atomic<int64_t> copies;
+  int value = 0;
+
+  Tracked() = default;
+  explicit Tracked(int v) : value(v) {}
+  Tracked(const Tracked& other) : value(other.value) { copies.fetch_add(1); }
+  Tracked& operator=(const Tracked& other) {
+    value = other.value;
+    copies.fetch_add(1);
+    return *this;
+  }
+  Tracked(Tracked&&) noexcept = default;
+  Tracked& operator=(Tracked&&) noexcept = default;
+};
+std::atomic<int64_t> Tracked::copies{0};
+
+std::vector<std::vector<Tracked>> TrackedPartitions(int n, size_t parts) {
+  std::vector<std::vector<Tracked>> out(parts);
+  for (int i = 0; i < n; ++i) out[static_cast<size_t>(i) % parts].emplace_back(i);
+  return out;
+}
+
+uint64_t CounterValue(const std::string& name) {
+  return obs::DefaultMetrics().GetCounter(name)->Value();
+}
+
+TEST_F(EngineTest, CountsReadStoredPartitionsWithoutCopying) {
+  RDD<Tracked> stored = MakeRDDFromPartitions(&ctx_, TrackedPartitions(100, 4));
+  // A cache over a computed (mapped) parent, and over a stored one.
+  RDD<Tracked> cached =
+      stored.Map([](Tracked& t) { return Tracked(t.value); }).Cache();
+  RDD<Tracked> cached_stored = stored.Cache();
+  EXPECT_EQ(cached.Count(), 100u);  // materializes; the Map constructs
+  const auto even = [](const Tracked& t) { return t.value % 2 == 0; };
+
+  Tracked::copies = 0;
+  for (const RDD<Tracked>& rdd : {stored, cached, cached_stored}) {
+    EXPECT_EQ(rdd.Count(), 100u);
+    EXPECT_EQ(rdd.Filter(even).Count(), 50u);
+  }
+  EXPECT_EQ(Tracked::copies.load(), 0);
+
+  // A filter over a stored parent copies only its survivors.
+  EXPECT_EQ(stored.Filter(even).Collect().size(), 50u);
+  EXPECT_EQ(Tracked::copies.load(), 50);
+}
+
+TEST_F(EngineTest, FilterWithMutablePredicateStillCountsAndCollects) {
+  RDD<Tracked> stored = MakeRDDFromPartitions(&ctx_, TrackedPartitions(30, 3));
+  auto bump = stored.Filter([](Tracked& t) {
+    t.value += 1;
+    return t.value % 3 == 0;
+  });
+  EXPECT_EQ(bump.Count(), 10u);
+  std::vector<Tracked> out = bump.Collect();
+  ASSERT_EQ(out.size(), 10u);
+  for (const Tracked& t : out) EXPECT_EQ(t.value % 3, 0);
+  // The stored input is untouched: the predicate ran on copies.
+  EXPECT_EQ(stored.Collect()[0].value, 0);
+}
+
+TEST_F(EngineTest, PartitionViewsBorrowStoredAndComputeTheRest) {
+  RDD<Tracked> stored = MakeRDDFromPartitions(&ctx_, TrackedPartitions(40, 4));
+  RDD<Tracked> cached = stored.Map([](Tracked& t) { return Tracked(t.value); })
+                            .Cache();
+  RDD<Tracked> mapped =
+      stored.Map([](Tracked& t) { return Tracked(t.value * 2); });
+  EXPECT_EQ(cached.Count(), 40u);  // materializes the cache
+  Tracked::copies = 0;
+  for (const RDD<Tracked>& rdd : {stored, cached}) {
+    std::vector<std::vector<Tracked>> storage;
+    const auto first = rdd.PartitionViews(&storage);
+    const auto second = rdd.PartitionViews(&storage);
+    EXPECT_EQ(first, second);  // the same stored vectors, both times
+    for (size_t p = 0; p < first.size(); ++p) {
+      EXPECT_TRUE(storage[p].empty());
+      EXPECT_EQ(first[p]->size(), 10u);
+    }
+  }
+  EXPECT_EQ(Tracked::copies.load(), 0);
+  std::vector<std::vector<Tracked>> storage;
+  const auto views = mapped.PartitionViews(&storage);
+  ASSERT_EQ(views.size(), 4u);
+  for (size_t p = 0; p < views.size(); ++p) {
+    EXPECT_EQ(views[p], &storage[p]);  // computed into caller storage
+    for (size_t k = 0; k < views[p]->size(); ++k) {
+      EXPECT_EQ((*views[p])[k].value, 2 * static_cast<int>(p + 4 * k));
+    }
+  }
+}
+
+TEST_F(EngineTest, CacheHitsAndMissesAreCountedOncePerPartitionRead) {
+  RDD<int> cached =
+      MakeRDD(&ctx_, Iota(60), 3).Map([](int& x) { return x; }).Cache();
+  auto delta = [&](auto&& action) {
+    const uint64_t hits = CounterValue("engine.cache.hits");
+    const uint64_t misses = CounterValue("engine.cache.misses");
+    action();
+    return std::pair<uint64_t, uint64_t>(
+        CounterValue("engine.cache.hits") - hits,
+        CounterValue("engine.cache.misses") - misses);
+  };
+  using Delta = std::pair<uint64_t, uint64_t>;  // (hits, misses)
+  EXPECT_EQ(delta([&] { EXPECT_EQ(cached.Collect(), Iota(60)); }),
+            (Delta{0, 3}));
+  EXPECT_EQ(delta([&] { EXPECT_EQ(cached.Count(), 60u); }), (Delta{3, 0}));
+  EXPECT_EQ(delta([&] {
+              EXPECT_EQ(cached.Filter([](const int& x) { return x < 10; })
+                            .Count(),
+                        10u);
+            }),
+            (Delta{3, 0}));
+  EXPECT_EQ(delta([&] {
+              std::vector<std::vector<int>> storage;
+              EXPECT_EQ(cached.PartitionViews(&storage).size(), 3u);
+            }),
+            (Delta{3, 0}));
+}
+
+TEST_F(EngineTest, CountOverCacheRetriesAnInjectedMaterializeFault) {
+  fault::FailPoint* const fp =
+      fault::DefaultFailPoints().Get("engine.cache.materialize");
+  ASSERT_TRUE(fault::DefaultFailPoints()
+                  .ArmFromSpec("engine.cache.materialize=nth:1")
+                  .ok());
+  std::atomic<int> computes{0};
+  RDD<int> cached = MakeRDD(&ctx_, Iota(40), 4)
+                        .Map([&computes](int& x) {
+                          computes.fetch_add(1);
+                          return x;
+                        })
+                        .Cache();
+  EXPECT_EQ(cached.Count(), 40u);
+  EXPECT_EQ(fp->fires(), 1u);  // arming reset the counter
+  EXPECT_EQ(computes.load(), 40);  // the failed attempt computed nothing
+  EXPECT_EQ(cached.Filter([](const int& x) { return x >= 30; }).Count(), 10u);
+  fault::DefaultFailPoints().DisarmAll();
 }
 
 }  // namespace

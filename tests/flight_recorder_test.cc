@@ -39,7 +39,9 @@ class FlightRecorderTest : public ::testing::Test {
 };
 
 TEST_F(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FlightRecorder(1).capacity(), 64u);
+  EXPECT_EQ(FlightRecorder(1).capacity(), 2u);
+  EXPECT_EQ(FlightRecorder(2).capacity(), 2u);
+  EXPECT_EQ(FlightRecorder(3).capacity(), 4u);
   EXPECT_EQ(FlightRecorder(64).capacity(), 64u);
   EXPECT_EQ(FlightRecorder(65).capacity(), 128u);
   EXPECT_EQ(FlightRecorder(8192).capacity(), 8192u);
@@ -165,6 +167,57 @@ TEST_F(FlightRecorderTest, ConcurrentWritersNeverTearReaders) {
   }
   stop.store(true);
   for (auto& w : writers) w.join();
+}
+
+// Writers a lap apart share a slot. On a two-slot ring with eight writers,
+// writer i and writer i+2 collide constantly. Every field of an event is
+// stamped from one number, so a published record that mixes two writers'
+// words — seen during the run or left behind after it — is caught. A
+// seqlock whose writers publish without first claiming the slot fails this
+// within its budget.
+TEST_F(FlightRecorderTest, LappedWritersNeverPublishMixedRecords) {
+  FlightRecorder ring(2);
+  ASSERT_EQ(ring.capacity(), 2u);
+  constexpr uint64_t kWriters = 8;
+  constexpr uint64_t kEventsPerWriter = 50'000;
+  auto stamped = [](uint64_t stamp) {
+    FlightEvent e;
+    e.ts_ns = stamp;
+    e.job = stamp;
+    e.value = stamp;
+    e.partition = static_cast<uint32_t>(stamp);
+    e.worker = static_cast<int32_t>(stamp >> 32);
+    e.kind = FlightEventKind::kFinish;
+    std::snprintf(e.detail, sizeof(e.detail), "%llx",
+                  static_cast<unsigned long long>(stamp));
+    return e;
+  };
+  size_t mixed = 0;
+  auto check = [&](const std::vector<FlightEvent>& events) {
+    for (const FlightEvent& e : events) {
+      const FlightEvent want = stamped(e.value);
+      if (e.ts_ns != want.ts_ns || e.job != want.job ||
+          e.partition != want.partition || e.worker != want.worker ||
+          e.kind != want.kind || std::string(e.detail) != want.detail) {
+        ++mixed;
+      }
+    }
+  };
+  std::atomic<uint64_t> running{kWriters};
+  std::vector<std::thread> writers;
+  for (uint64_t t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (uint64_t i = 0; i < kEventsPerWriter; ++i) {
+        ring.Record(stamped(((t + 1) << 32) | i));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  while (running.load() > 0) check(ring.Snapshot());
+  for (auto& w : writers) w.join();
+  check(ring.Snapshot());
+  EXPECT_EQ(mixed, 0u);
+  EXPECT_EQ(ring.total_recorded(), kWriters * kEventsPerWriter);
 }
 
 // ---------------------------------------------------------------------------

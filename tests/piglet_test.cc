@@ -2,6 +2,7 @@
 // execution against the spatial operators.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -414,6 +415,38 @@ TEST_F(PigletInterpreterTest, SetRejectsUnknownKeyAndBadValues) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(interp_.RunScript("SET obs.slow_task_ms -1;").code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(PigletInterpreterTest, SetRangeChecksValuesBeforeCasting) {
+  // Each of these keys casts its value to an integer; 1e300 would overflow.
+  for (const std::string key :
+       {"job.deadline_ms", "obs.slow_task_ms", "obs.slow_query_ms",
+        "job.speculation_multiplier"}) {
+    const Status status = interp_.RunScript("SET " + key + " 1e300;");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(status.message().find("must be in"), std::string::npos) << key;
+  }
+  EXPECT_EQ(interp_.RunScript("SET job.deadline_ms -1;").code(),
+            StatusCode::kInvalidArgument);
+  // The largest deadline is accepted; a fraction is truncated.
+  ASSERT_TRUE(interp_.RunScript("SET job.deadline_ms 1e12;").ok());
+  EXPECT_EQ(ctx_.job_deadline_ms(), 1'000'000'000'000u);
+  ASSERT_TRUE(interp_.RunScript("SET job.deadline_ms 2.9;").ok());
+  EXPECT_EQ(ctx_.job_deadline_ms(), 2u);
+  // The lexer admits no NaN or infinity: 'nan' and 'inf' are identifiers
+  // and 1e400 is not a double. A rejected SET leaves the value as it was.
+  for (const std::string value : {"nan", "inf", "1e400", "-1e400"}) {
+    EXPECT_FALSE(interp_.RunScript("SET job.deadline_ms " + value + ";").ok())
+        << value;
+  }
+  EXPECT_EQ(ctx_.job_deadline_ms(), 2u);
+  // The range check itself never accepts NaN or an infinity.
+  for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(CheckSetValue("job.deadline_ms", value, 0, kMaxSetMs).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(PigletInterpreterTest, SetObsProfilePrintsQueryTreeAfterScripts) {

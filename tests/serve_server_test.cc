@@ -248,6 +248,30 @@ TEST_F(ServeTest, SetStateIsSessionScoped) {
   server.Shutdown();
 }
 
+TEST_F(ServeTest, SetRejectsOutOfRangeClassAndDeadline) {
+  ServerOptions options;
+  options.query_threads = 1;
+  Server server(&catalog_, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::unique_ptr<Session> session = server.OpenSession();
+  ASSERT_TRUE(session->Run("SET serve.class 1;").status.ok());
+  ASSERT_TRUE(session->Run("SET job.deadline_ms 5000;").status.ok());
+  // 1e300 overflows an int or uint64 cast; a class must be an integer.
+  for (const char* script :
+       {"SET serve.class 1e300;", "SET serve.class -1;",
+        "SET serve.class 1.5;", "SET serve.class 3;",
+        "SET job.deadline_ms 1e300;", "SET job.deadline_ms -1;"}) {
+    EXPECT_EQ(session->Run(script).status.code(),
+              StatusCode::kInvalidArgument)
+        << script;
+  }
+  // The rejected values changed nothing.
+  EXPECT_EQ(session->query_class(), QueryClass::kBatch);
+  QueryResult result = session->Run(kFilterScript);
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  server.Shutdown();
+}
+
 TEST_F(ServeTest, OverloadShedsWithTypedStatusAndRetryHint) {
   ServerOptions options;
   options.query_threads = 1;

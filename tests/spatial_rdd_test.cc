@@ -2,6 +2,7 @@
 // kNN, and the live/persistent indexing modes — all verified against brute
 // force over the same data.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +17,8 @@
 #include "io/generator.h"
 #include "partition/bsp_partitioner.h"
 #include "partition/grid_partitioner.h"
+#include "partition/st_grid_partitioner.h"
+#include "obs/metrics.h"
 #include "spatial_rdd/join.h"
 #include "spatial_rdd/spatial_rdd.h"
 
@@ -533,6 +536,157 @@ TEST_F(SpatialRddTest, SpatialWrapperMirrorsImplicitConversion) {
   SpatialRDD<int64_t> wrapped = Spatial(plain);
   EXPECT_EQ(wrapped.NumPartitions(), 4u);
   EXPECT_EQ(wrapped.rdd().Count(), data_.size());
+}
+
+// ---- The spatial shuffle's extents and in-place join inputs ---------------
+
+/// Every shuffled element sits in the partition PartitionForST assigns it,
+/// and every extent is that partition's bounds grown by the envelopes of
+/// exactly the elements routed to it — what growing the extent element by
+/// element gives.
+void ExpectExtentsMatchBruteForce(const SpatialRDD<int64_t>& parted) {
+  const SpatialPartitioner& part = *parted.partitioner();
+  const std::vector<std::vector<Element>> parts =
+      parted.rdd().CollectPartitions();
+  ASSERT_EQ(parts.size(), part.NumPartitions());
+  for (size_t t = 0; t < parts.size(); ++t) {
+    Envelope want = part.PartitionBounds(t);
+    for (const Element& e : parts[t]) {
+      EXPECT_EQ(part.PartitionForST(e.first.Centroid(), e.first.time()), t);
+      want.ExpandToInclude(e.first.envelope());
+    }
+    EXPECT_EQ(part.PartitionExtent(t), want) << "partition " << t;
+  }
+}
+
+TEST_F(SpatialRddTest, ShuffledExtentsEqualPerPartitionEnvelopeUnions) {
+  // Boxes of up to 6x6 around the points, so extents outgrow the bounds.
+  std::vector<Element> boxes;
+  Rng rng(53);
+  for (const auto& [obj, id] : data_) {
+    const Coordinate c = obj.Centroid();
+    const double w = rng.Uniform(0, 6);
+    const double h = rng.Uniform(0, 6);
+    Geometry box = Geometry::MakeBox(Envelope(c.x - w / 2, c.y - h / 2,
+                                              c.x + w / 2, c.y + h / 2));
+    boxes.emplace_back(STObject(std::move(box), obj.time()), id);
+  }
+  // A second dataset in one corner leaves most partitions empty.
+  std::vector<Element> corner;
+  for (const Element& e : boxes) {
+    if (e.first.Centroid().x < 15 && e.first.Centroid().y < 15) {
+      corner.push_back(e);
+    }
+  }
+  ASSERT_FALSE(corner.empty());
+
+  std::vector<Coordinate> centroids;
+  for (const Element& e : boxes) centroids.push_back(e.first.Centroid());
+  BSPartitioner::Options bsp_options;
+  bsp_options.max_cost = 200;
+  const std::vector<std::shared_ptr<SpatialPartitioner>> partitioners = {
+      std::make_shared<GridPartitioner>(universe_, 5),
+      std::make_shared<BSPartitioner>(universe_, centroids, bsp_options),
+      std::make_shared<SpatioTemporalGridPartitioner>(universe_, 4, 0, 1000,
+                                                      3)};
+  for (const auto& partitioner : partitioners) {
+    SCOPED_TRACE(partitioner->Name());
+    // One partitioner reused for both datasets: each shuffle's extents
+    // come from its own elements only.
+    const auto all =
+        SpatialRDD<int64_t>::FromVector(&ctx_, boxes, 4).PartitionBy(partitioner);
+    const auto few =
+        SpatialRDD<int64_t>::FromVector(&ctx_, corner, 3).PartitionBy(partitioner);
+    ExpectExtentsMatchBruteForce(all);
+    ExpectExtentsMatchBruteForce(few);
+    size_t empty = 0;
+    for (size_t t = 0; t < few.NumPartitions(); ++t) {
+      if (few.partitioner()->PartitionExtent(t) ==
+          partitioner->PartitionBounds(t)) {
+        ++empty;
+      }
+    }
+    EXPECT_GT(empty, 0u);
+    // The caller's instance is never grown.
+    for (size_t t = 0; t < partitioner->NumPartitions(); ++t) {
+      EXPECT_EQ(partitioner->PartitionExtent(t),
+                partitioner->PartitionBounds(t));
+    }
+  }
+}
+
+/// A join payload that counts every copy made of it, anywhere.
+struct CountedId {
+  static std::atomic<int64_t> copies;
+  int64_t id = 0;
+
+  CountedId() = default;
+  explicit CountedId(int64_t v) : id(v) {}
+  CountedId(const CountedId& other) : id(other.id) { copies.fetch_add(1); }
+  CountedId& operator=(const CountedId& other) {
+    id = other.id;
+    copies.fetch_add(1);
+    return *this;
+  }
+  CountedId(CountedId&&) noexcept = default;
+  CountedId& operator=(CountedId&&) noexcept = default;
+};
+std::atomic<int64_t> CountedId::copies{0};
+
+TEST_F(SpatialRddTest, JoinReadsStoredInputsWithoutCopying) {
+  using Counted = std::pair<STObject, CountedId>;
+  constexpr size_t kRows = 600;
+  constexpr double kDistance = 3.0;
+  const JoinPredicate pred = JoinPredicate::WithinDistance(kDistance);
+  std::vector<std::vector<Counted>> parts(3);
+  for (size_t i = 0; i < kRows; ++i) {
+    parts[i % 3].emplace_back(data_[i].first, CountedId(data_[i].second));
+  }
+  size_t expected = 0;
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < kRows; ++j) {
+      if (pred.Eval(data_[i].first, data_[j].first)) ++expected;
+    }
+  }
+  ASSERT_GT(expected, kRows);
+
+  const SpatialRDD<CountedId> in_memory(
+      MakeRDDFromPartitions(&ctx_, std::move(parts)));
+  const SpatialRDD<CountedId> cached =
+      in_memory.PartitionBy(std::make_shared<GridPartitioner>(universe_, 4))
+          .Cache();
+  const auto ids = [](const Counted& l, const Counted& r) {
+    return std::pair<int64_t, int64_t>(l.second.id, r.second.id);
+  };
+  auto cache_delta = [](auto&& action) {
+    obs::MetricsRegistry& m = obs::DefaultMetrics();
+    const uint64_t hits = m.GetCounter("engine.cache.hits")->Value();
+    const uint64_t misses = m.GetCounter("engine.cache.misses")->Value();
+    action();
+    return std::pair<uint64_t, uint64_t>(
+        m.GetCounter("engine.cache.hits")->Value() - hits,
+        m.GetCounter("engine.cache.misses")->Value() - misses);
+  };
+  using Delta = std::pair<uint64_t, uint64_t>;  // (hits, misses)
+  const size_t n = cached.NumPartitions();
+
+  CountedId::copies = 0;
+  EXPECT_EQ(SpatialJoinProject(in_memory, in_memory, pred, {}, ids).Count(),
+            expected);
+  // Cold cache: the left side's reads miss, the right side's hit.
+  EXPECT_EQ(cache_delta([&] {
+              EXPECT_EQ(SpatialJoinProject(cached, cached, pred, {}, ids)
+                            .Count(),
+                        expected);
+            }),
+            (Delta{n, n}));
+  EXPECT_EQ(cache_delta([&] {
+              EXPECT_EQ(SpatialJoinProject(cached, in_memory, pred, {}, ids)
+                            .Count(),
+                        expected);
+            }),
+            (Delta{n, 0}));
+  EXPECT_EQ(CountedId::copies.load(), 0);
 }
 
 }  // namespace
