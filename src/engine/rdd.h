@@ -6,6 +6,7 @@
 #ifndef STARK_ENGINE_RDD_H_
 #define STARK_ENGINE_RDD_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -262,26 +263,33 @@ class CacheRDD final : public RDDImpl<T> {
         fault::DefaultFailPoints().Get("engine.cache.materialize");
     Slot& slot = slots_[p];
     bool computed = false;
-    // An injected (or real) failure propagates out of call_once without
-    // setting the flag, so a retried task re-materializes the partition —
-    // the cache never latches a half-built slot. A parent that already
-    // stores the partition is referenced, not copied.
-    std::call_once(slot.once, [&] {
-      fault::MaybeThrow(cache_fp);
-      slot.view = parent_->Stored(p);
-      if (slot.view == nullptr) {
-        slot.data = parent_->Compute(p);
-        slot.view = &slot.data;
+    // The acquire load pairs with the release store below: a reader that
+    // sees `done` also sees the slot's contents. An injected (or real)
+    // failure propagates out before `done` is set, so a retried task
+    // re-materializes the partition — the cache never latches a half-built
+    // slot. A parent that already stores the partition is referenced, not
+    // copied.
+    if (!slot.done.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(slot.mu);
+      if (!slot.done.load(std::memory_order_relaxed)) {
+        fault::MaybeThrow(cache_fp);
+        slot.view = parent_->Stored(p);
+        if (slot.view == nullptr) {
+          slot.data = parent_->Compute(p);
+          slot.view = &slot.data;
+        }
+        slot.done.store(true, std::memory_order_release);
+        computed = true;
       }
-      computed = true;
-    });
+    }
     (computed ? misses : hits)->Increment();
     return slot.view;
   }
 
  private:
   struct Slot {
-    std::once_flag once;
+    std::mutex mu;
+    std::atomic<bool> done{false};
     std::vector<T> data;
     const std::vector<T>* view = nullptr;
   };

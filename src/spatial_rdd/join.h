@@ -2,19 +2,20 @@
 /// Spatio-temporal join (§2.3). STARK assigns each element to exactly one
 /// partition (centroid assignment) and keeps overlapping partition extents,
 /// so the join enumerates partition *pairs* whose extents can satisfy the
-/// predicate, indexes the left side, and probes it with the right
-/// partitions — no replication, no result deduplication (contrast with the
-/// GeoSpark-style baseline).
+/// predicate, indexes one side, and probes it with the other — no
+/// replication, no result deduplication (contrast with the GeoSpark-style
+/// baseline).
 ///
-/// Three execution strategies (see docs/JOINS.md):
-///  - live-index: build an R-tree over each participating left partition at
-///    join time (the classic STARK plan);
-///  - cached-index: the overloads taking an IndexedSpatialRDD probe the
-///    trees built by Index()/LiveIndex()/Load() instead of rebuilding —
-///    `engine.join.tree_builds` stays 0 on this path;
-///  - broadcast: when one side is small (`JoinOptions::broadcast_threshold`),
-///    it is flattened into a single R-tree and probed against every
-///    partition of the large side, skipping partition-pair enumeration.
+/// Three strategies, each a thin planner over one shared core (see
+/// docs/JOINS.md): the live partition-pair join (the SpatialRDD overload),
+/// the cached-index join (the IndexedSpatialRDD overload, which probes the
+/// trees Index()/LiveIndex()/Load() built and never builds one), and the
+/// broadcast join (a small side flattened into one R-tree, probed from
+/// every partition of the other side). The core: EnumeratePairs prunes
+/// partition pairs by extent, RunProbeTasks and RunBroadcast schedule the
+/// probe tasks, and ProbeRows is the one row loop every task runs, owning
+/// the kernel, scalar-tree and nested-loop refine paths for either operand
+/// orientation (`cand_left`).
 ///
 /// Probe work is scheduled skew-aware: per-pair cost is estimated as
 /// |probe| * log(|indexed|) (indexed) or |probe| * |build| (nested loop),
@@ -144,19 +145,18 @@ inline std::vector<ProbeTask> PlanProbeTasks(
     ProbeTask t;
     t.left = i;
     t.right = j;
-    t.begin = 0;
     t.end = right_sizes[j];
     t.cost = PairCost(right_sizes[j], left_sizes[i], indexed);
     total_cost += t.cost;
     tasks.push_back(t);
   }
 
+  size_t split_count = 0;
   if (options.skew_split_factor > 0.0 && tasks.size() > 1) {
     const double mean = total_cost / static_cast<double>(tasks.size());
     const double limit = mean * options.skew_split_factor;
     std::vector<ProbeTask> expanded;
     expanded.reserve(tasks.size());
-    size_t split_count = 0;
     for (const ProbeTask& t : tasks) {
       const size_t range = t.end - t.begin;
       size_t subtasks = 1;
@@ -179,11 +179,9 @@ inline std::vector<ProbeTask> PlanProbeTasks(
         expanded.push_back(sub);
       }
     }
-    if (pairs_split != nullptr) *pairs_split = split_count;
     tasks = std::move(expanded);
-  } else if (pairs_split != nullptr) {
-    *pairs_split = 0;
   }
+  if (pairs_split != nullptr) *pairs_split = split_count;
 
   // Longest-first: the pool consumes its queue in submission order, so a
   // descending sort is a priority schedule that stops the biggest pair
@@ -205,38 +203,324 @@ inline std::string TaskDetail(const ProbeTask& t, size_t full_range) {
   return d;
 }
 
-/// Annotates the current task span (when tracing or profiling) with the
-/// probe detail, record counts, and index candidate/refined counts; no-op
-/// outside an observed task.
-inline void AnnotateSpan(const std::string& detail, size_t records_in,
-                         size_t records_out, size_t candidates = 0,
-                         size_t refined = 0) {
+/// Partition pairs that survive extent pruning, and which left partitions
+/// take part in at least one of them.
+struct PairPlan {
+  std::vector<std::pair<size_t, size_t>> pairs;
+  std::vector<char> left_used;
+};
+
+/// \brief Enumerates the partition pairs (i, j) of an nl x nr join whose
+/// extents can satisfy \p pred, pruning only for a prunable predicate with
+/// both extent lists present (one extent per partition). Counts
+/// engine.join.pairs_{enumerated,pruned}.
+inline PairPlan EnumeratePairs(
+    size_t nl, size_t nr,
+    const std::shared_ptr<std::vector<Envelope>>& left_extents,
+    const std::shared_ptr<std::vector<Envelope>>& right_extents,
+    const JoinPredicate& pred) {
+  const bool can_prune =
+      pred.Prunable() && left_extents != nullptr && right_extents != nullptr;
+  const double margin = pred.EnvelopeMargin();
+  PairPlan plan;
+  plan.pairs.reserve(can_prune ? nl + nr : nl * nr);
+  plan.left_used.assign(nl, 0);
+  size_t pruned = 0;
+  for (size_t i = 0; i < nl; ++i) {
+    for (size_t j = 0; j < nr; ++j) {
+      if (can_prune && !(*left_extents)[i].Expanded(margin).Intersects(
+                           (*right_extents)[j])) {
+        ++pruned;
+        continue;
+      }
+      plan.pairs.emplace_back(i, j);
+      plan.left_used[i] = 1;
+    }
+  }
+  const JoinMetricSet& metrics = GlobalJoinMetrics();
+  metrics.pairs_enumerated->Add(plan.pairs.size());
+  metrics.pairs_pruned->Add(pruned);
+  return plan;
+}
+
+/// Per-task probe tallies, flushed once per task (the granularity rule).
+struct ProbeStats {
+  size_t packed_probes = 0;
+  size_t prefilter_skips = 0;
+  size_t prepared_hits = 0;
+  size_t prepared_misses = 0;
+  columnar_refine::Stats columnar;
+};
+
+/// Closes a probe task: annotates its span, e.g. "L3xR1 packed_probes=128
+/// prepared=500/3", and flushes its tallies into the global metrics.
+inline void FinishTask(const std::string& detail, size_t records_in,
+                       size_t results, const ProbeStats& stats) {
+  stats.columnar.Flush();
   if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-    span->detail = detail;
+    span->detail = detail + " packed_probes=" +
+                   std::to_string(stats.packed_probes) + " prepared=" +
+                   std::to_string(stats.prepared_hits) + "/" +
+                   std::to_string(stats.prepared_misses);
     span->records_in = records_in;
-    span->records_out = records_out;
-    span->candidates = candidates;
-    span->refined = refined;
+    span->records_out = results;
+    span->candidates = stats.packed_probes;
+    span->refined = results;
+  }
+  GlobalJoinMetrics().prefilter_skips->Add(stats.prefilter_skips);
+  GlobalJoinMetrics().results->Add(results);
+  const IndexMetricSet& m = GlobalIndexMetrics();
+  m.packed_probes->Add(stats.packed_probes);
+  m.prepared_hits->Add(stats.prepared_hits);
+  m.prepared_misses->Add(stats.prepared_misses);
+}
+
+/// A live index over a row vector: a packed R-tree of row indices, plus
+/// the point slabs columnar_refine::SelectKernels chose for the rows (null
+/// selects the scalar refine).
+struct RowIndex {
+  PackedRTree<size_t> tree;
+  std::shared_ptr<const ColumnarBatch> points;
+};
+
+template <typename T>
+RowIndex BuildRowIndex(const std::vector<T>& rows, const JoinPredicate& pred,
+                       size_t order) {
+  std::vector<std::pair<Envelope, size_t>> entries;
+  entries.reserve(rows.size());
+  for (size_t e = 0; e < rows.size(); ++e) {
+    entries.emplace_back(rows[e].first.envelope(), e);
+  }
+  RowIndex index;
+  index.tree = PackedRTree<size_t>(order, std::move(entries));
+  index.points = columnar_refine::SelectKernels(pred, [&] {
+    return ColumnarBatch::BuildPoints(
+        rows, [](const T& e) -> const STObject& { return e.first; });
+  });
+  return index;
+}
+
+/// Candidate source over a row vector: the rows its RowIndex tree returns
+/// (counted as engine.columnar.fallbacks on the scalar refine), or with no
+/// index every row behind the optional envelope prefilter: the nested loop.
+template <typename T>
+struct RowSource {
+  static constexpr bool kSlabRows = true;
+
+  const std::vector<T>* rows = nullptr;
+  const RowIndex* index = nullptr;
+  bool prefilter = false;
+
+  const ColumnarBatch* points() const {
+    return index != nullptr ? index->points.get() : nullptr;
+  }
+
+  template <typename Fn>
+  void ForEach(const Envelope& probe, ProbeStats* stats, Fn&& fn) const {
+    if (index != nullptr) {
+      index->tree.Query(probe, [&](const Envelope&, const size_t& e) {
+        ++stats->columnar.fallback_rows;
+        fn((*rows)[e]);
+      });
+      ++stats->packed_probes;
+      return;
+    }
+    for (const T& row : *rows) {
+      if (prefilter && !probe.Intersects(row.first.envelope())) {
+        ++stats->prefilter_skips;
+        continue;
+      }
+      fn(row);
+    }
+  }
+};
+
+/// Candidate source over the cached trees of one IndexedSpatialRDD
+/// partition, probed in place. They hold elements, not slab rows: always
+/// the scalar refine, outside the engine.columnar.* counts.
+template <typename T>
+struct TreeListSource {
+  static constexpr bool kSlabRows = false;
+
+  const std::vector<std::shared_ptr<const PackedRTree<T>>>* trees = nullptr;
+
+  static const ColumnarBatch* points() { return nullptr; }
+
+  template <typename Fn>
+  void ForEach(const Envelope& probe, ProbeStats* stats, Fn&& fn) const {
+    for (const auto& tree : *trees) {
+      tree->Query(probe, [&](const Envelope&, const T& row) { fn(row); });
+      ++stats->packed_probes;
+    }
+  }
+};
+
+/// Exact predicate with the candidate prepared through \p cache; custom
+/// withinDistance functions bypass preparation.
+inline bool EvalPreparedCandidate(const JoinPredicate& pred,
+                                  const STObject& cand, const STObject& fixed,
+                                  bool cand_left,
+                                  PreparedGeometryCache* cache) {
+  if (pred.type == PredicateType::kWithinDistance && pred.distance) {
+    return cand_left ? pred.Eval(cand, fixed) : pred.Eval(fixed, cand);
+  }
+  const PreparedGeometry& prep = cache->Get(cand.geo());
+  return cand_left ? EvalWithPreparedLeft(pred, cand, fixed, prep)
+                   : EvalWithPreparedRight(pred, fixed, cand, prep);
+}
+
+/// \brief The one probe loop every join task runs: probes rows
+/// [begin, end) of \p probe against \p source, whose candidates fill the
+/// \p cand_left operand slot, and calls emit(candidate, probe_row) for each
+/// match, per probe row in candidate order. When the source carries point
+/// slabs, the candidates are refined by the kernels against the probe's
+/// prepared geometry (same survivors, same order as the scalar refine).
+/// Otherwise the scalar refine prepares the probe row once through a
+/// BoundPredicate, or, with \p stable set, each candidate through that
+/// cache. A cooperative checkpoint runs every 1024 probe rows.
+template <typename P, typename Source, typename Emit>
+void ProbeRows(const JoinPredicate& pred, const Source& source,
+               bool cand_left, const std::vector<P>& probe, size_t begin,
+               size_t end, PreparedGeometryCache* stable, ProbeStats* stats,
+               Emit&& emit) {
+  const double margin = pred.EnvelopeMargin();
+  const BoundPredicate::Side side = cand_left
+                                        ? BoundPredicate::Side::kCandidateLeft
+                                        : BoundPredicate::Side::kCandidateRight;
+  const ColumnarBatch* points = source.points();
+  std::vector<uint32_t> cand;
+  std::vector<uint32_t> scratch;
+  for (size_t i = begin; i < end; ++i) {
+    if (((i - begin) & 1023u) == 0) ThrowIfTaskCancelled();
+    const P& p = probe[i];
+    const Envelope env = p.first.envelope().Expanded(margin);
+    if constexpr (Source::kSlabRows) {
+      if (points != nullptr) {
+        cand.clear();
+        source.index->tree.Query(env, [&](const Envelope&, const size_t& e) {
+          cand.push_back(static_cast<uint32_t>(e));
+        });
+        ++stats->packed_probes;
+        if (cand.empty()) continue;
+        const size_t in_count = cand.size();
+        PreparedGeometry prep(p.first.geo());
+        columnar_refine::RefineCandidates(*points, pred, p.first, prep,
+                                          cand_left, &cand, &stats->columnar,
+                                          &scratch);
+        stats->prepared_misses += 1;
+        stats->prepared_hits += in_count - 1;
+        for (const uint32_t e : cand) emit((*source.rows)[e], p);
+        continue;
+      }
+    }
+    if (stable != nullptr) {
+      source.ForEach(env, stats, [&](const auto& c) {
+        if (EvalPreparedCandidate(pred, c.first, p.first, cand_left, stable)) {
+          emit(c, p);
+        }
+      });
+      continue;
+    }
+    BoundPredicate bound(pred, p.first, side);
+    source.ForEach(env, stats, [&](const auto& c) {
+      if (bound.Eval(c.first)) emit(c, p);
+    });
+    stats->prepared_hits += bound.prepared_hits();
+    stats->prepared_misses += bound.prepared_misses();
   }
 }
 
-/// Suffix describing the packed-index / prepared-geometry work a task did,
-/// appended to its span detail (e.g. " packed_probes=128 prepared=500/3").
-inline std::string IndexDetail(size_t packed_probes, size_t prepared_hits,
-                               size_t prepared_misses) {
-  return " packed_probes=" + std::to_string(packed_probes) +
-         " prepared=" + std::to_string(prepared_hits) + "/" +
-         std::to_string(prepared_misses);
+/// \brief The partition-pair probe stage of the live and cached-index
+/// planners: PlanProbeTasks, then one `spatial.join.probe` task per
+/// ProbeTask, probing its right sub-range against source_of(task.left)
+/// (candidates in the left slot). make(l, r) projects a match.
+template <typename Out, typename R, typename SourceOf, typename Make>
+RDD<Out> RunProbeTasks(
+    Context* ctx, const PairPlan& plan, const std::vector<size_t>& left_sizes,
+    const std::vector<const std::vector<R>*>& right_parts, bool indexed,
+    const JoinPredicate& pred, const JoinOptions& options,
+    const SourceOf& source_of, const Make& make) {
+  const JoinMetricSet& metrics = GlobalJoinMetrics();
+  std::vector<size_t> right_sizes(right_parts.size());
+  for (size_t j = 0; j < right_parts.size(); ++j) {
+    right_sizes[j] = right_parts[j]->size();
+  }
+  size_t pairs_split = 0;
+  const std::vector<ProbeTask> tasks = PlanProbeTasks(
+      plan.pairs, left_sizes, right_sizes, indexed, options, &pairs_split);
+  metrics.pairs_split->Add(pairs_split);
+  metrics.subtasks->Add(tasks.size());
+
+  std::vector<std::vector<Out>> out(tasks.size());
+  ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
+    const ProbeTask& task = tasks[t];
+    const std::vector<R>& rv = *right_parts[task.right];
+    const auto source = source_of(task.left);
+    std::vector<Out>& sink = out[t];
+    sink.clear();  // retry-idempotent: a re-run starts from scratch
+    if (source.points() != nullptr && task.begin != 0) {
+      // A skew-split sub-task reuses the slab its sibling built.
+      GlobalColumnarMetrics().slab_reuse->Increment();
+    }
+    ProbeStats stats;
+    ProbeRows(pred, source, /*cand_left=*/true, rv, task.begin, task.end,
+              /*stable=*/nullptr, &stats,
+              [&](const auto& l, const R& r) { sink.push_back(make(l, r)); });
+    FinishTask(TaskDetail(task, rv.size()), task.end - task.begin,
+               sink.size(), stats);
+  });
+  return MakeRDDFromPartitions(ctx, std::move(out));
 }
 
-/// Flushes task-local packed/prepared counters into the global metric set
-/// (once per task — the granularity rule).
-inline void FlushIndexMetrics(size_t packed_probes, size_t prepared_hits,
-                              size_t prepared_misses) {
-  const IndexMetricSet& m = GlobalIndexMetrics();
-  m.packed_probes->Add(packed_probes);
-  m.prepared_hits->Add(prepared_hits);
-  m.prepared_misses->Add(prepared_misses);
+/// \brief The broadcast strategy for both directions: \p small_parts (the
+/// side under the threshold, the left one iff \p small_left) is flattened
+/// and indexed once (nested loop without \p use_index), then probed from
+/// every partition of \p big_parts, one `spatial.join.broadcast` task each.
+/// make(small_row, big_row) projects a match in (left, right) order. The
+/// small side is stable for the whole join, so its slabs are shared by
+/// every task and the scalar refine prepares its geometries through a
+/// per-task PreparedGeometryCache.
+template <typename Out, typename S, typename B, typename Make>
+RDD<Out> RunBroadcast(
+    Context* ctx, const std::vector<const std::vector<S>*>& small_parts,
+    const std::vector<const std::vector<B>*>& big_parts, bool small_left,
+    bool use_index, const JoinPredicate& pred, const JoinOptions& options,
+    const Make& make) {
+  GlobalJoinMetrics().broadcast_joins->Increment();
+  std::vector<S> small;
+  for (const std::vector<S>* part : small_parts) {
+    small.insert(small.end(), part->begin(), part->end());
+  }
+  RowIndex index;
+  if (use_index) {
+    index = BuildRowIndex(small, pred, options.index_order);
+    GlobalJoinMetrics().tree_builds->Increment();
+  }
+  const RowSource<S> source{&small, use_index ? &index : nullptr,
+                            pred.Prunable()};
+
+  std::vector<std::vector<Out>> out(big_parts.size());
+  ctx->RunTasks("spatial.join.broadcast", big_parts.size(), [&](size_t i) {
+    const std::vector<B>& probe = *big_parts[i];
+    std::vector<Out>& sink = out[i];
+    sink.clear();  // retry-idempotent: a re-run starts from scratch
+    ProbeStats stats;
+    PreparedGeometryCache cache;
+    ProbeRows(pred, source, small_left, probe, 0, probe.size(), &cache,
+              &stats,
+              [&](const S& s, const B& b) { sink.push_back(make(s, b)); });
+    stats.prepared_hits += cache.hits();
+    stats.prepared_misses += cache.misses();
+    if (source.points() != nullptr) {
+      // The broadcast slabs are shared by every task.
+      GlobalColumnarMetrics().slab_reuse->Increment();
+    }
+    const std::string part = std::to_string(i);
+    FinishTask((small_left ? "L*xR" + part : "L" + part + "xR*") +
+                   " (broadcast)",
+               probe.size(), sink.size(), stats);
+  });
+  return MakeRDDFromPartitions(ctx, std::move(out));
 }
 
 }  // namespace join_internal
@@ -246,12 +530,13 @@ inline void FlushIndexMetrics(size_t packed_probes, size_t prepared_hits,
 /// callers that only need payloads (or ids) avoid materializing full
 /// geometry pairs.
 ///
-/// Live-index strategy: an R-tree is built over each participating left
-/// partition at join time (skipped entirely when the predicate cannot use
-/// it). With `options.broadcast_threshold` set and one side small enough,
-/// the broadcast strategy is taken instead. Correctness does not require
-/// spatial partitioning; with it, extent pruning skips partition pairs that
-/// cannot match.
+/// With `options.broadcast_threshold` set and one side small enough, the
+/// broadcast strategy is taken. Otherwise partition pairs are enumerated —
+/// pruned by the partitioners' extents when both sides are spatially
+/// partitioned (correctness does not require it) — and each participating
+/// left partition gets a live R-tree built at join time, skipped entirely
+/// when the predicate cannot use it (`index_order = 0` or a non-prunable
+/// predicate: nested loop).
 template <typename V, typename W, typename Project>
 auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
                         const JoinPredicate& pred, const JoinOptions& options,
@@ -262,16 +547,8 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   using R = std::pair<STObject, W>;
   using Out = std::invoke_result_t<Project, const L&, const R&>;
   namespace ji = join_internal;
-
   Context* ctx = left.ctx();
   const size_t nl = left.NumPartitions();
-  const size_t nr = right.NumPartitions();
-  const double margin = pred.EnvelopeMargin();
-  const JoinMetricSet& metrics = GlobalJoinMetrics();
-
-  // An index only helps predicates that admit envelope candidate pruning;
-  // for the rest, building trees would be pure wasted work.
-  const bool use_index = options.index_order > 0 && pred.Prunable();
 
   // Read both sides in place: cached or in-memory partitions are borrowed,
   // the rest are computed once into the storage here.
@@ -282,383 +559,51 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   const std::vector<const std::vector<R>*> right_parts =
       right.rdd().PartitionViews(&right_storage);
   std::vector<size_t> left_sizes(nl, 0);
-  std::vector<size_t> right_sizes(nr, 0);
   size_t total_l = 0;
   size_t total_r = 0;
   for (size_t i = 0; i < nl; ++i) total_l += left_sizes[i] = left_parts[i]->size();
-  for (size_t j = 0; j < nr; ++j) total_r += right_sizes[j] = right_parts[j]->size();
+  for (const std::vector<R>* part : right_parts) total_r += part->size();
 
-  // ---- Broadcast strategy -------------------------------------------------
-  // One side fits under the threshold: flatten it, index it once, and probe
-  // it from every partition of the other side — no pair enumeration at all.
-  // The small side's geometries are stable for the whole join, so each task
-  // refines through a PreparedGeometryCache keyed on them: one preparation
-  // per distinct small geometry per task, reuse for every repeat candidate.
-  // Custom withinDistance functions bypass preparation (the kernels never
-  // see the geometry).
-  const bool custom_fn =
-      pred.type == PredicateType::kWithinDistance && pred.distance != nullptr;
+  // An index only helps predicates that admit envelope candidate pruning;
+  // for the rest, building trees would be pure wasted work.
+  const bool use_index = options.index_order > 0 && pred.Prunable();
   if (options.broadcast_threshold > 0 &&
       std::min(total_l, total_r) <= options.broadcast_threshold) {
-    metrics.broadcast_joins->Increment();
     if (total_r <= total_l) {
-      // Broadcast the right side; one task per left partition.
-      std::vector<R> small;
-      small.reserve(total_r);
-      for (const std::vector<R>* part : right_parts) {
-        small.insert(small.end(), part->begin(), part->end());
-      }
-      PackedRTree<size_t> tree;
-      if (use_index) {
-        std::vector<std::pair<Envelope, size_t>> entries;
-        entries.reserve(small.size());
-        for (size_t e = 0; e < small.size(); ++e) {
-          entries.emplace_back(small[e].first.envelope(), e);
-        }
-        tree = PackedRTree<size_t>(options.index_order, std::move(entries));
-        metrics.tree_builds->Increment();
-      }
-      // Kernel refinement when columnar_refine::SelectKernels picks it for
-      // the broadcast side, which is stable for the whole join: its point
-      // slabs are built once and each probe's candidate list is refined
-      // batch-at-a-time, the probe being the prepared fixed operand. Results
-      // and emission order are identical to the scalar refine.
-      std::shared_ptr<const ColumnarBatch> small_points;
-      if (use_index) {
-        small_points = columnar_refine::SelectKernels(pred, [&] {
-          return ColumnarBatch::BuildPoints(
-              small, [](const R& e) -> const STObject& { return e.first; });
-        });
-      }
-      std::vector<std::vector<Out>> out(nl);
-      ctx->RunTasks("spatial.join.broadcast", nl, [&](size_t i) {
-        std::vector<Out>& sink = out[i];
-        sink.clear();  // retry-idempotent: a re-run starts from scratch
-        size_t prefilter_skips = 0;
-        size_t probed = 0;
-        size_t packed_probes = 0;
-        size_t prep_hits = 0;
-        size_t prep_misses = 0;
-        PreparedGeometryCache cache;
-        columnar_refine::Stats cstats;
-        std::vector<uint32_t> cand;
-        std::vector<uint32_t> scratch;
-        auto refine = [&](const L& l, const R& r) {
-          return custom_fn ? pred.Eval(l.first, r.first)
-                           : EvalWithPreparedRight(pred, l.first, r.first,
-                                                   cache.Get(r.first.geo()));
-        };
-        for (const L& l : *left_parts[i]) {
-          // Cooperative checkpoint: long probe tasks stop here when their
-          // job is cancelled or past its deadline.
-          if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-          const Envelope probe = l.first.envelope().Expanded(margin);
-          if (small_points != nullptr) {
-            cand.clear();
-            tree.Query(probe, [&](const Envelope&, const size_t& e) {
-              cand.push_back(static_cast<uint32_t>(e));
-            });
-            ++packed_probes;
-            if (!cand.empty()) {
-              const size_t in_count = cand.size();
-              PreparedGeometry prep(l.first.geo());
-              columnar_refine::RefineCandidates(
-                  *small_points, pred, l.first, prep, /*cand_left=*/false,
-                  &cand, &cstats, &scratch);
-              prep_misses += 1;
-              prep_hits += in_count - 1;
-              for (const uint32_t e : cand) sink.push_back(project(l, small[e]));
-            }
-          } else if (use_index) {
-            tree.Query(probe, [&](const Envelope&, const size_t& e) {
-              ++cstats.fallback_rows;
-              if (refine(l, small[e])) sink.push_back(project(l, small[e]));
-            });
-            ++packed_probes;
-          } else {
-            for (const R& r : small) {
-              if (pred.Prunable() && !probe.Intersects(r.first.envelope())) {
-                ++prefilter_skips;
-                continue;
-              }
-              if (refine(l, r)) sink.push_back(project(l, r));
-            }
-          }
-        }
-        cstats.Flush();
-        if (small_points != nullptr) {
-          // The broadcast slabs are shared by every task.
-          GlobalColumnarMetrics().slab_reuse->Increment();
-        }
-        ji::AnnotateSpan("L" + std::to_string(i) + "xR* (broadcast)" +
-                             ji::IndexDetail(packed_probes,
-                                             cache.hits() + prep_hits,
-                                             cache.misses() + prep_misses),
-                         left_parts[i]->size(), sink.size(), packed_probes,
-                         sink.size());
-        metrics.prefilter_skips->Add(prefilter_skips);
-        metrics.results->Add(sink.size());
-        ji::FlushIndexMetrics(packed_probes, cache.hits() + prep_hits,
-                              cache.misses() + prep_misses);
-      });
-      return MakeRDDFromPartitions(ctx, std::move(out));
+      return ji::RunBroadcast<Out>(
+          ctx, right_parts, left_parts, /*small_left=*/false, use_index, pred,
+          options, [&](const R& r, const L& l) { return project(l, r); });
     }
-    // Broadcast the left side; one task per right partition.
-    std::vector<L> small;
-    small.reserve(total_l);
-    for (const std::vector<L>* part : left_parts) {
-      small.insert(small.end(), part->begin(), part->end());
-    }
-    PackedRTree<size_t> tree;
-    if (use_index) {
-      std::vector<std::pair<Envelope, size_t>> entries;
-      entries.reserve(small.size());
-      for (size_t e = 0; e < small.size(); ++e) {
-        entries.emplace_back(small[e].first.envelope(), e);
-      }
-      tree = PackedRTree<size_t>(options.index_order, std::move(entries));
-      metrics.tree_builds->Increment();
-    }
-    // Kernel refinement over the stable broadcast side (see the
-    // right-broadcast branch above); here the candidates fill the left
-    // operand slot.
-    std::shared_ptr<const ColumnarBatch> small_points;
-    if (use_index) {
-      small_points = columnar_refine::SelectKernels(pred, [&] {
-        return ColumnarBatch::BuildPoints(
-            small, [](const L& e) -> const STObject& { return e.first; });
-      });
-    }
-    std::vector<std::vector<Out>> out(nr);
-    ctx->RunTasks("spatial.join.broadcast", nr, [&](size_t j) {
-      std::vector<Out>& sink = out[j];
-      sink.clear();
-      size_t prefilter_skips = 0;
-      size_t probed = 0;
-      size_t packed_probes = 0;
-      size_t prep_hits = 0;
-      size_t prep_misses = 0;
-      PreparedGeometryCache cache;
-      columnar_refine::Stats cstats;
-      std::vector<uint32_t> cand;
-      std::vector<uint32_t> scratch;
-      auto refine = [&](const L& l, const R& r) {
-        return custom_fn ? pred.Eval(l.first, r.first)
-                         : EvalWithPreparedLeft(pred, l.first, r.first,
-                                                cache.Get(l.first.geo()));
-      };
-      for (const R& r : *right_parts[j]) {
-        if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        if (small_points != nullptr) {
-          cand.clear();
-          tree.Query(probe, [&](const Envelope&, const size_t& e) {
-            cand.push_back(static_cast<uint32_t>(e));
-          });
-          ++packed_probes;
-          if (!cand.empty()) {
-            const size_t in_count = cand.size();
-            PreparedGeometry prep(r.first.geo());
-            columnar_refine::RefineCandidates(*small_points, pred, r.first,
-                                              prep, /*cand_left=*/true, &cand,
-                                              &cstats, &scratch);
-            prep_misses += 1;
-            prep_hits += in_count - 1;
-            for (const uint32_t e : cand) sink.push_back(project(small[e], r));
-          }
-        } else if (use_index) {
-          tree.Query(probe, [&](const Envelope&, const size_t& e) {
-            ++cstats.fallback_rows;
-            if (refine(small[e], r)) sink.push_back(project(small[e], r));
-          });
-          ++packed_probes;
-        } else {
-          for (const L& l : small) {
-            if (pred.Prunable() && !probe.Intersects(l.first.envelope())) {
-              ++prefilter_skips;
-              continue;
-            }
-            if (refine(l, r)) sink.push_back(project(l, r));
-          }
-        }
-      }
-      cstats.Flush();
-      if (small_points != nullptr) {
-        // The broadcast slabs are shared by every task.
-        GlobalColumnarMetrics().slab_reuse->Increment();
-      }
-      ji::AnnotateSpan("L*xR" + std::to_string(j) + " (broadcast)" +
-                           ji::IndexDetail(packed_probes,
-                                           cache.hits() + prep_hits,
-                                           cache.misses() + prep_misses),
-                       right_parts[j]->size(), sink.size(), packed_probes,
-                       sink.size());
-      metrics.prefilter_skips->Add(prefilter_skips);
-      metrics.results->Add(sink.size());
-      ji::FlushIndexMetrics(packed_probes, cache.hits() + prep_hits,
-                            cache.misses() + prep_misses);
-    });
-    return MakeRDDFromPartitions(ctx, std::move(out));
+    return ji::RunBroadcast<Out>(ctx, left_parts, right_parts,
+                                 /*small_left=*/true, use_index, pred,
+                                 options, project);
   }
 
-  // ---- Partition-pair strategy (live index / nested loop) ----------------
-  // Enumerate candidate partition pairs, pruned by extents when available.
-  const auto& lp = left.partitioner();
-  const auto& rp = right.partitioner();
-  const bool can_prune = pred.Prunable() && lp != nullptr && rp != nullptr;
-  std::vector<std::pair<size_t, size_t>> pairs;
-  pairs.reserve(can_prune ? nl + nr : nl * nr);
-  size_t pruned = 0;
-  for (size_t i = 0; i < nl; ++i) {
-    for (size_t j = 0; j < nr; ++j) {
-      if (can_prune) {
-        const Envelope le = lp->PartitionExtent(i).Expanded(margin);
-        if (!le.Intersects(rp->PartitionExtent(j))) {
-          ++pruned;
-          continue;
-        }
-      }
-      pairs.emplace_back(i, j);
-    }
-  }
-  metrics.pairs_enumerated->Add(pairs.size());
-  metrics.pairs_pruned->Add(pruned);
+  const ji::PairPlan plan = ji::EnumeratePairs(
+      nl, right.NumPartitions(), left.Extents(), right.Extents(), pred);
 
   // Build a live index over each participating left partition (once, not
-  // once per pair) — but only when the predicate can actually use it.
-  std::vector<char> left_used(nl, 0);
-  for (const auto& [i, j] : pairs) {
-    (void)j;
-    left_used[i] = 1;
-  }
-  std::vector<std::unique_ptr<PackedRTree<size_t>>> left_trees(nl);
-  // The refine path is selected per left partition in the same stage that
-  // builds its live tree: columnar_refine::SelectKernels yields point slabs
-  // (or null for the scalar refine), reused by every probe task that
-  // targets the partition (skew-split sub-tasks of the same pair share one
-  // slab: engine.columnar.slab_reuse).
-  std::vector<std::shared_ptr<const ColumnarBatch>> left_points(nl);
+  // once per pair) in the same stage that picks its refine path. Every
+  // probe task that targets the partition shares the index (skew-split
+  // sub-tasks of the same pair share one slab: engine.columnar.slab_reuse).
+  std::vector<ji::RowIndex> left_index(use_index ? nl : 0);
   if (use_index) {
-    size_t builds = 0;
-    for (size_t i = 0; i < nl; ++i) builds += left_used[i] ? 1 : 0;
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
-      if (!left_used[i]) return;
-      std::vector<std::pair<Envelope, size_t>> entries;
-      const std::vector<L>& part = *left_parts[i];
-      entries.reserve(part.size());
-      for (size_t e = 0; e < part.size(); ++e) {
-        entries.emplace_back(part[e].first.envelope(), e);
-      }
-      left_trees[i] = std::make_unique<PackedRTree<size_t>>(
-          options.index_order, std::move(entries));
-      left_points[i] = columnar_refine::SelectKernels(pred, [&] {
-        return ColumnarBatch::BuildPoints(
-            part, [](const L& e) -> const STObject& { return e.first; });
-      });
+      if (!plan.left_used[i]) return;
+      left_index[i] =
+          ji::BuildRowIndex(*left_parts[i], pred, options.index_order);
     });
-    metrics.tree_builds->Add(builds);
+    GlobalJoinMetrics().tree_builds->Add(
+        std::count(plan.left_used.begin(), plan.left_used.end(), 1));
   }
-
-  // Plan the probe schedule: per-pair costs, skew splitting, longest-first.
-  size_t pairs_split = 0;
-  const std::vector<ji::ProbeTask> tasks = ji::PlanProbeTasks(
-      pairs, left_sizes, right_sizes, use_index, options, &pairs_split);
-  metrics.pairs_split->Add(pairs_split);
-  metrics.subtasks->Add(tasks.size());
-
-  std::vector<std::vector<Out>> out(tasks.size());
-  ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
-    const ji::ProbeTask& task = tasks[t];
-    const std::vector<L>& lv = *left_parts[task.left];
-    const std::vector<R>& rv = *right_parts[task.right];
-    std::vector<Out>& sink = out[t];
-    sink.clear();  // retry-idempotent: a re-run starts from scratch
-    size_t prefilter_skips = 0;
-    size_t packed_probes = 0;
-    size_t prep_hits = 0;
-    size_t prep_misses = 0;
-    columnar_refine::Stats cstats;
-    if (left_points[task.left] != nullptr) {
-      // Kernel probe: collect the tree's candidate rows, then refine them
-      // batch-at-a-time against the probe's prepared geometry. Survivors
-      // come back in candidate order, so emission matches the scalar path.
-      const PackedRTree<size_t>& tree = *left_trees[task.left];
-      const ColumnarBatch& batch = *left_points[task.left];
-      std::vector<uint32_t> cand;
-      std::vector<uint32_t> scratch;
-      if (task.begin != 0) {
-        // A skew-split sub-task reuses the slab its sibling built.
-        GlobalColumnarMetrics().slab_reuse->Increment();
-      }
-      for (size_t rix = task.begin; rix < task.end; ++rix) {
-        if (((rix - task.begin) & 1023u) == 0) ThrowIfTaskCancelled();
-        const R& r = rv[rix];
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        cand.clear();
-        tree.Query(probe, [&](const Envelope&, const size_t& e) {
-          cand.push_back(static_cast<uint32_t>(e));
-        });
-        ++packed_probes;
-        if (cand.empty()) continue;
-        const size_t in_count = cand.size();
-        PreparedGeometry prep(r.first.geo());
-        columnar_refine::RefineCandidates(batch, pred, r.first, prep,
-                                          /*cand_left=*/true, &cand, &cstats,
-                                          &scratch);
-        prep_misses += 1;
-        prep_hits += in_count - 1;
-        for (const uint32_t e : cand) sink.push_back(project(lv[e], r));
-      }
-    } else if (use_index) {
-      const PackedRTree<size_t>& tree = *left_trees[task.left];
-      for (size_t rix = task.begin; rix < task.end; ++rix) {
-        // Cooperative checkpoint for cancellation/deadline/speculation.
-        if (((rix - task.begin) & 1023u) == 0) ThrowIfTaskCancelled();
-        const R& r = rv[rix];
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        // The probe row is the fixed operand for every candidate this
-        // query returns — prepare it lazily via a bound predicate.
-        BoundPredicate bound(pred, r.first,
-                             BoundPredicate::Side::kCandidateLeft);
-        tree.Query(probe, [&](const Envelope&, const size_t& e) {
-          ++cstats.fallback_rows;
-          if (bound.Eval(lv[e].first)) sink.push_back(project(lv[e], r));
-        });
-        ++packed_probes;
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
-      }
-    } else {
-      const bool prefilter = pred.Prunable();
-      size_t probed = 0;
-      for (const L& l : lv) {
-        if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-        const Envelope le = l.first.envelope().Expanded(margin);
-        BoundPredicate bound(pred, l.first,
-                             BoundPredicate::Side::kCandidateRight);
-        for (size_t rix = task.begin; rix < task.end; ++rix) {
-          const R& r = rv[rix];
-          if (prefilter && !le.Intersects(r.first.envelope())) {
-            ++prefilter_skips;
-            continue;
-          }
-          if (bound.Eval(r.first)) sink.push_back(project(l, r));
-        }
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
-      }
-    }
-    cstats.Flush();
-    ji::AnnotateSpan(ji::TaskDetail(task, rv.size()) +
-                         ji::IndexDetail(packed_probes, prep_hits, prep_misses),
-                     task.end - task.begin, sink.size(), packed_probes,
-                     sink.size());
-    metrics.prefilter_skips->Add(prefilter_skips);
-    metrics.results->Add(sink.size());
-    ji::FlushIndexMetrics(packed_probes, prep_hits, prep_misses);
-  });
-
-  return MakeRDDFromPartitions(ctx, std::move(out));
+  return ji::RunProbeTasks<Out>(
+      ctx, plan, left_sizes, right_parts, use_index, pred, options,
+      [&](size_t i) {
+        return ji::RowSource<L>{left_parts[i],
+                                use_index ? &left_index[i] : nullptr,
+                                pred.Prunable()};
+      },
+      project);
 }
 
 /// \brief Cached-index join: probes the R-trees already held by \p left —
@@ -681,12 +626,8 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   using Out = std::invoke_result_t<Project, const L&, const R&>;
   using TreePtr = typename IndexedSpatialRDD<V>::TreePtr;
   namespace ji = join_internal;
-
   Context* ctx = right.ctx();
   const size_t nl = left.NumPartitions();
-  const size_t nr = right.NumPartitions();
-  const double margin = pred.EnvelopeMargin();
-  const JoinMetricSet& metrics = GlobalJoinMetrics();
 
   // A cached trees RDD is read in place: the shared tree pointers are
   // neither copied nor rebuilt. The right side is borrowed the same way.
@@ -697,147 +638,54 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   const std::vector<const std::vector<R>*> right_parts =
       right.rdd().PartitionViews(&right_storage);
   std::vector<size_t> left_sizes(nl, 0);
-  std::vector<size_t> right_sizes(nr, 0);
   for (size_t i = 0; i < nl; ++i) {
     for (const TreePtr& tree : *left_trees[i]) left_sizes[i] += tree->size();
   }
-  for (size_t j = 0; j < nr; ++j) right_sizes[j] = right_parts[j]->size();
 
-  // Enumerate pairs, pruned with the extents captured when the index was
-  // built (they grow with the indexed data, exactly like partitioner
-  // extents).
-  const auto& extents = left.extents();
-  const auto& rp = right.partitioner();
-  const bool can_prune = pred.Prunable() && extents != nullptr && rp != nullptr;
-  std::vector<std::pair<size_t, size_t>> pairs;
-  pairs.reserve(can_prune ? nl + nr : nl * nr);
-  size_t pruned = 0;
-  for (size_t i = 0; i < nl; ++i) {
-    for (size_t j = 0; j < nr; ++j) {
-      if (can_prune && i < extents->size()) {
-        const Envelope le = (*extents)[i].Expanded(margin);
-        if (!le.Intersects(rp->PartitionExtent(j))) {
-          ++pruned;
-          continue;
-        }
-      }
-      pairs.emplace_back(i, j);
-    }
-  }
-  metrics.pairs_enumerated->Add(pairs.size());
-  metrics.pairs_pruned->Add(pruned);
-
-  std::vector<char> left_used(nl, 0);
-  for (const auto& [i, j] : pairs) {
-    (void)j;
-    left_used[i] = 1;
-  }
+  const ji::PairPlan plan = ji::EnumeratePairs(
+      nl, right.NumPartitions(), left.extents(), right.Extents(), pred);
   size_t reuse_hits = 0;
   for (size_t i = 0; i < nl; ++i) {
-    if (left_used[i]) reuse_hits += left_trees[i]->size();
+    if (plan.left_used[i]) reuse_hits += left_trees[i]->size();
   }
-  metrics.tree_reuse_hits->Add(reuse_hits);
+  GlobalJoinMetrics().tree_reuse_hits->Add(reuse_hits);
 
+  if (pred.Prunable()) {
+    return ji::RunProbeTasks<Out>(
+        ctx, plan, left_sizes, right_parts, /*indexed=*/true, pred, options,
+        [&](size_t i) { return ji::TreeListSource<L>{left_trees[i]}; },
+        project);
+  }
   // A non-prunable predicate cannot probe the trees; scan their elements
   // out once per used partition and fall back to a nested loop. This is a
   // flat copy, not an R-tree build.
-  const bool probe_trees = pred.Prunable();
   std::vector<std::vector<L>> left_elems(nl);
-  if (!probe_trees) {
-    ctx->RunTasks("spatial.join.scan", nl, [&](size_t i) {
-      if (!left_used[i]) return;
-      std::vector<L>& elems = left_elems[i];
-      elems.clear();
-      elems.reserve(left_sizes[i]);
-      for (const TreePtr& tree : *left_trees[i]) {
-        tree->ForEach([&](const Envelope&, const L& e) { elems.push_back(e); });
-      }
-    });
-  }
-
-  size_t pairs_split = 0;
-  const std::vector<ji::ProbeTask> tasks = ji::PlanProbeTasks(
-      pairs, left_sizes, right_sizes, probe_trees, options, &pairs_split);
-  metrics.pairs_split->Add(pairs_split);
-  metrics.subtasks->Add(tasks.size());
-
-  std::vector<std::vector<Out>> out(tasks.size());
-  ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
-    const ji::ProbeTask& task = tasks[t];
-    const std::vector<R>& rv = *right_parts[task.right];
-    std::vector<Out>& sink = out[t];
-    sink.clear();  // retry-idempotent: a re-run starts from scratch
-    size_t packed_probes = 0;
-    size_t prep_hits = 0;
-    size_t prep_misses = 0;
-    if (probe_trees) {
-      for (size_t rix = task.begin; rix < task.end; ++rix) {
-        // Cooperative checkpoint for cancellation/deadline/speculation.
-        if (((rix - task.begin) & 1023u) == 0) ThrowIfTaskCancelled();
-        const R& r = rv[rix];
-        const Envelope probe = r.first.envelope().Expanded(margin);
-        BoundPredicate bound(pred, r.first,
-                             BoundPredicate::Side::kCandidateLeft);
-        for (const TreePtr& tree : *left_trees[task.left]) {
-          tree->Query(probe, [&](const Envelope&, const L& l) {
-            if (bound.Eval(l.first)) sink.push_back(project(l, r));
-          });
-          ++packed_probes;
-        }
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
-      }
-    } else {
-      const std::vector<L>& lv = left_elems[task.left];
-      size_t probed = 0;
-      for (const L& l : lv) {
-        if ((probed++ & 1023u) == 0) ThrowIfTaskCancelled();
-        BoundPredicate bound(pred, l.first,
-                             BoundPredicate::Side::kCandidateRight);
-        for (size_t rix = task.begin; rix < task.end; ++rix) {
-          const R& r = rv[rix];
-          if (bound.Eval(r.first)) sink.push_back(project(l, r));
-        }
-        prep_hits += bound.prepared_hits();
-        prep_misses += bound.prepared_misses();
-      }
+  ctx->RunTasks("spatial.join.scan", nl, [&](size_t i) {
+    if (!plan.left_used[i]) return;
+    std::vector<L>& elems = left_elems[i];
+    elems.clear();
+    elems.reserve(left_sizes[i]);
+    for (const TreePtr& tree : *left_trees[i]) {
+      tree->ForEach([&](const Envelope&, const L& e) { elems.push_back(e); });
     }
-    ji::AnnotateSpan(ji::TaskDetail(task, rv.size()) +
-                         ji::IndexDetail(packed_probes, prep_hits, prep_misses),
-                     task.end - task.begin, sink.size(), packed_probes,
-                     sink.size());
-    metrics.results->Add(sink.size());
-    ji::FlushIndexMetrics(packed_probes, prep_hits, prep_misses);
   });
-
-  return MakeRDDFromPartitions(ctx, std::move(out));
+  return ji::RunProbeTasks<Out>(
+      ctx, plan, left_sizes, right_parts, /*indexed=*/false, pred, options,
+      [&](size_t i) {
+        return ji::RowSource<L>{&left_elems[i], nullptr, /*prefilter=*/false};
+      },
+      project);
 }
 
-/// Joins two spatial RDDs on \p pred; emits every full pair (l, r) with
-/// pred.Eval(l.first, r.first) == true.
-template <typename V, typename W>
-RDD<std::pair<std::pair<STObject, V>, std::pair<STObject, W>>> SpatialJoin(
-    const SpatialRDD<V>& left, const SpatialRDD<W>& right,
-    const JoinPredicate& pred, const JoinOptions& options = {}) {
-  using L = std::pair<STObject, V>;
-  using R = std::pair<STObject, W>;
-  return SpatialJoinProject(left, right, pred, options,
-                            [](const L& l, const R& r) {
-                              return std::pair<L, R>(l, r);
-                            });
-}
-
-/// Cached-index variant of SpatialJoin: probes \p left's persistent trees.
-template <typename V, typename W>
-RDD<std::pair<std::pair<STObject, V>, std::pair<STObject, W>>> SpatialJoin(
-    const IndexedSpatialRDD<V>& left, const SpatialRDD<W>& right,
-    const JoinPredicate& pred, const JoinOptions& options = {}) {
-  using L = std::pair<STObject, V>;
-  using R = std::pair<STObject, W>;
-  return SpatialJoinProject(left, right, pred, options,
-                            [](const L& l, const R& r) {
-                              return std::pair<L, R>(l, r);
-                            });
+/// Joins \p left (a SpatialRDD, or an IndexedSpatialRDD whose cached trees
+/// are probed) with \p right on \p pred; emits every full pair (l, r) with
+/// pred.Eval(l.first, r.first) == true, as an RDD of std::pair<L, R>.
+template <typename Left, typename W>
+auto SpatialJoin(const Left& left, const SpatialRDD<W>& right,
+                 const JoinPredicate& pred, const JoinOptions& options = {}) {
+  return SpatialJoinProject(
+      left, right, pred, options,
+      [](const auto& l, const auto& r) { return std::pair(l, r); });
 }
 
 /// \brief Self join that excludes the trivial identity matches: each

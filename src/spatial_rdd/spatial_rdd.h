@@ -54,11 +54,17 @@ class IndexedSpatialRDD {
 
   /// \p order is clamped like the trees' own node capacity
   /// (PackedRTree::ClampOrder), so Save never writes an order Load rejects.
+  /// \p extents is kept only when it holds one extent per partition of
+  /// \p trees; otherwise the index is treated as unpartitioned (no pruning).
   IndexedSpatialRDD(RDD<TreePtr> trees,
                     std::shared_ptr<std::vector<Envelope>> extents,
                     size_t order)
-      : trees_(std::move(trees)), extents_(std::move(extents)),
-        order_(PackedRTree<Element>::ClampOrder(order)) {}
+      : trees_(std::move(trees)),
+        order_(PackedRTree<Element>::ClampOrder(order)) {
+    if (extents != nullptr && extents->size() == trees_.NumPartitions()) {
+      extents_ = std::move(extents);
+    }
+  }
 
   const RDD<TreePtr>& trees() const { return trees_; }
   size_t order() const { return order_; }
@@ -86,8 +92,7 @@ class IndexedSpatialRDD {
     RDD<TreePtr> source = trees_;
     if (prunable && extents) {
       source = source.PrunePartitions([extents, probe, stats](size_t idx) {
-        const bool keep =
-            idx >= extents->size() || (*extents)[idx].Intersects(probe);
+        const bool keep = (*extents)[idx].Intersects(probe);
         if (!keep) {
           if (stats) ++stats->partitions_pruned;
           GlobalFilterMetrics().partitions_pruned->Increment();
@@ -265,10 +270,7 @@ class IndexedSpatialRDD {
     meta.WriteU64(parts.size());
     meta.WriteU64(order_);
     for (size_t p = 0; p < parts.size(); ++p) {
-      const Envelope extent = extents_ && p < extents_->size()
-                                  ? (*extents_)[p]
-                                  : Envelope();
-      WriteEnvelope(&meta, extent);
+      WriteEnvelope(&meta, extents_ ? (*extents_)[p] : Envelope());
     }
     return WriteFileBytes(meta_path, meta.buffer());
   }
@@ -391,10 +393,18 @@ class SpatialRDD {
  public:
   using Element = std::pair<STObject, V>;
 
-  /// Wraps an existing engine RDD (no data movement).
+  /// Wraps an existing engine RDD (no data movement). \p partitioner is
+  /// kept only when it has the RDD's partition count: one that describes
+  /// other partitions would misdirect pruning, so the RDD is then treated
+  /// as unpartitioned (no pruning, exact answers).
   explicit SpatialRDD(RDD<Element> rdd,
                       std::shared_ptr<SpatialPartitioner> partitioner = nullptr)
-      : rdd_(std::move(rdd)), partitioner_(std::move(partitioner)) {}
+      : rdd_(std::move(rdd)) {
+    if (partitioner != nullptr &&
+        partitioner->NumPartitions() == rdd_.NumPartitions()) {
+      partitioner_ = std::move(partitioner);
+    }
+  }
 
   /// Parallelizes a vector of pairs (quickstart path).
   static SpatialRDD FromVector(Context* ctx, std::vector<Element> data,
@@ -407,6 +417,17 @@ class SpatialRDD {
   size_t NumPartitions() const { return rdd_.NumPartitions(); }
   const std::shared_ptr<SpatialPartitioner>& partitioner() const {
     return partitioner_;
+  }
+
+  /// A copy of the partitioner's extents, one per partition (null when the
+  /// RDD is unpartitioned).
+  std::shared_ptr<std::vector<Envelope>> Extents() const {
+    if (!partitioner_) return nullptr;
+    auto extents = std::make_shared<std::vector<Envelope>>();
+    for (size_t i = 0; i < partitioner_->NumPartitions(); ++i) {
+      extents->push_back(partitioner_->PartitionExtent(i));
+    }
+    return extents;
   }
 
   /// Spatially repartitions the data with \p partitioner: every element is
@@ -605,7 +626,7 @@ class SpatialRDD {
     const SpatialRDD source =
         partitioner ? PartitionBy(std::move(partitioner)) : *this;
     return IndexedSpatialRDD<V>(BuildTrees(source, order),
-                                ExtentsOf(source), order);
+                                source.Extents(), order);
   }
 
   /// Persistent-capable indexing: trees are built once (cached) and can be
@@ -616,7 +637,7 @@ class SpatialRDD {
     const SpatialRDD source =
         partitioner ? PartitionBy(std::move(partitioner)) : *this;
     return IndexedSpatialRDD<V>(BuildTrees(source, order).Cache(),
-                                ExtentsOf(source), order);
+                                source.Extents(), order);
   }
 
  private:
@@ -636,16 +657,6 @@ class SpatialRDD {
           return std::vector<TreePtr>{std::make_shared<PackedRTree<Element>>(
               order, std::move(entries))};
         });
-  }
-
-  static std::shared_ptr<std::vector<Envelope>> ExtentsOf(
-      const SpatialRDD& source) {
-    if (!source.partitioner_) return nullptr;
-    auto extents = std::make_shared<std::vector<Envelope>>();
-    for (size_t i = 0; i < source.partitioner_->NumPartitions(); ++i) {
-      extents->push_back(source.partitioner_->PartitionExtent(i));
-    }
-    return extents;
   }
 
   /// Point slabs per partition index, built on first use and shared by

@@ -5,6 +5,7 @@
 // the engine.columnar.* counters mean. The contract everywhere is
 // exactness: whichever path a batch takes, the site returns the same rows
 // in the same order.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -614,6 +615,43 @@ TEST(ColumnarDifferentialTest, PartitionPairJoinMatchesBruteForce) {
       ASSERT_EQ(IdsOf(SpatialJoin(left, right, pred, options).Collect()),
                 expect)
           << in.name << " " << PredicateName(pred.type);
+    }
+  }
+}
+
+TEST(ColumnarDifferentialTest, CachedIndexAndNestedLoopJoinsMatchBruteForce) {
+  // The cached-index overload and the index_order = 0 nested loop over the
+  // same inputs, compared as sorted pair lists against pred.Eval.
+  Context ctx(4);
+  JoinOptions nested;
+  nested.index_order = 0;
+  const std::vector<Element> probes = Probes();
+  const auto right = SpatialRDD<int64_t>::FromVector(&ctx, probes, 4);
+  auto sorted = [](IdPairs ids) {
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  for (const Input& in : Inputs(/*all_timed=*/false)) {
+    const auto left = SpatialRDD<int64_t>::FromVector(&ctx, in.data, 4);
+    const IndexedSpatialRDD<int64_t> indexed = left.Index(kOrder);
+    for (const JoinPredicate& pred : in.preds) {
+      IdPairs expect;
+      for (const Element& l : in.data) {
+        for (const Element& r : probes) {
+          if (pred.Eval(l.first, r.first)) {
+            expect.emplace_back(l.second, r.second);
+          }
+        }
+      }
+      std::sort(expect.begin(), expect.end());
+      const std::string what = in.name + " " + PredicateName(pred.type);
+      ASSERT_EQ(sorted(IdsOf(SpatialJoin(indexed, right, pred).Collect())),
+                expect)
+          << what << " (cached index)";
+      ASSERT_EQ(
+          sorted(IdsOf(SpatialJoin(left, right, pred, nested).Collect())),
+          expect)
+          << what << " (nested loop)";
     }
   }
 }

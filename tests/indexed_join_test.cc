@@ -2,15 +2,18 @@
 // trees built by Index() (differential against the live join), the
 // broadcast strategy, skew-aware sub-range splitting (visible as per-pair
 // trace spans), and the engine.join.* metrics.
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "io/generator.h"
 #include "obs/trace.h"
+#include "partition/explicit_partitioner.h"
 #include "partition/grid_partitioner.h"
 #include "spatial_rdd/join.h"
 
@@ -326,6 +329,175 @@ TEST_F(IndexedJoinTest, CachedIndexJoinEmptySides) {
   IndexedSpatialRDD<int64_t> indexed2 = l2.Index(8);
   EXPECT_EQ(SpatialJoin(indexed2, empty_r, JoinPredicate::Intersects()).Count(),
             0u);
+}
+
+TEST_F(IndexedJoinTest, PartitionerWithOtherPartitionCountIsIgnored) {
+  // A one-cell partitioner wrapped around multi-partition RDDs describes
+  // none of their partitions past the first. It must not be used for
+  // pruning (its extent list is shorter than the RDD); every operator
+  // treats the RDD as unpartitioned and stays exact.
+  auto one_cell = [&] {
+    return std::make_shared<ExplicitPartitioner>(
+        std::vector<Envelope>{universe_}, std::vector<Envelope>{});
+  };
+  const SpatialRDD<int64_t> l(MakeRDD(&ctx_, left_, 4), one_cell());
+  const SpatialRDD<int64_t> r(MakeRDD(&ctx_, right_, 3), one_cell());
+  EXPECT_EQ(l.partitioner(), nullptr);
+  EXPECT_EQ(r.partitioner(), nullptr);
+
+  const IndexedSpatialRDD<int64_t> indexed(
+      l.Index(8).trees(),
+      std::make_shared<std::vector<Envelope>>(1, universe_), 8);
+  EXPECT_EQ(indexed.extents(), nullptr);
+
+  for (const JoinPredicate& pred :
+       {JoinPredicate::Intersects(), JoinPredicate::WithinDistance(2.5)}) {
+    const std::set<Pair> expect = BruteForce(pred);
+    EXPECT_EQ(Ids(SpatialJoin(l, r, pred)), expect) << PredicateName(pred.type);
+    EXPECT_EQ(Ids(SpatialJoin(indexed, r, pred)), expect)
+        << PredicateName(pred.type);
+  }
+
+  const STObject query(Geometry::MakeBox(Envelope(60, 60, 90, 90)));
+  std::set<int64_t> expect;
+  for (const auto& [obj, id] : left_) {
+    if (JoinPredicate::Intersects().Eval(obj, query)) expect.insert(id);
+  }
+  ASSERT_FALSE(expect.empty());
+  for (const auto& filtered :
+       {l.Filter(query, JoinPredicate::Intersects()),
+        indexed.Filter(query, JoinPredicate::Intersects())}) {
+    std::set<int64_t> got;
+    for (const auto& [obj, id] : filtered.Collect()) got.insert(id);
+    EXPECT_EQ(got, expect);
+  }
+}
+
+/// Every counter a join strategy moves: engine.join.*, the columnar
+/// refine counters and the packed-probe counter.
+constexpr const char* kJoinCounters[] = {
+    "engine.join.pairs_enumerated", "engine.join.pairs_pruned",
+    "engine.join.pairs_split",      "engine.join.subtasks",
+    "engine.join.tree_builds",      "engine.join.tree_reuse_hits",
+    "engine.join.broadcast_joins",  "engine.join.prefilter_skips",
+    "engine.join.results",          "engine.columnar.batches",
+    "engine.columnar.rows",         "engine.columnar.fallbacks",
+    "engine.columnar.slab_reuse",   "engine.index.packed_probes",
+};
+
+using Deltas = std::map<std::string, uint64_t>;
+
+/// The non-zero deltas of kJoinCounters across \p join.
+template <typename JoinFn>
+Deltas DeltasOf(JoinFn&& join) {
+  std::vector<uint64_t> before;
+  for (const char* name : kJoinCounters) {
+    before.push_back(obs::DefaultMetrics().GetCounter(name)->Value());
+  }
+  join();
+  Deltas deltas;
+  for (size_t i = 0; i < before.size(); ++i) {
+    const uint64_t after =
+        obs::DefaultMetrics().GetCounter(kJoinCounters[i])->Value();
+    if (after != before[i]) deltas[kJoinCounters[i]] = after - before[i];
+  }
+  return deltas;
+}
+
+TEST_F(IndexedJoinTest, EveryStrategyKeepsItsExactCounterDeltas) {
+  // One fixed seeded input per strategy; the expected deltas pin what each
+  // strategy enumerates, builds, refines and emits, so a change to how the
+  // join is organised cannot silently change the work it does.
+  auto grid_l = std::make_shared<GridPartitioner>(universe_, 4);
+  auto grid_r = std::make_shared<GridPartitioner>(universe_, 3);
+  auto points =
+      SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3).PartitionBy(grid_l);
+  auto polygons =
+      SpatialRDD<int64_t>::FromVector(&ctx_, right_, 2).PartitionBy(grid_r);
+  std::vector<std::pair<STObject, int64_t>> few_points(left_.begin(),
+                                                       left_.begin() + 50);
+  auto few = SpatialRDD<int64_t>::FromVector(&ctx_, few_points, 2);
+  auto all_polygons = SpatialRDD<int64_t>::FromVector(&ctx_, right_, 3);
+  auto all_points = SpatialRDD<int64_t>::FromVector(&ctx_, left_, 4);
+  IndexedSpatialRDD<int64_t> indexed = points.Index(8);
+  indexed.trees().Count();
+
+  const auto intersects = JoinPredicate::Intersects();
+  const auto within = JoinPredicate::WithinDistance(2.5);
+  JoinOptions skewed;
+  skewed.skew_split_factor = 1.5;
+  JoinOptions nested;
+  nested.index_order = 0;
+  JoinOptions broadcast;
+  broadcast.broadcast_threshold = 60;
+
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(points, polygons, within, skewed).Count();
+            }),
+            (Deltas{{"engine.join.pairs_enumerated", 36},
+                    {"engine.join.pairs_pruned", 108},
+                    {"engine.join.pairs_split", 9},
+                    {"engine.join.subtasks", 48},
+                    {"engine.join.tree_builds", 16},
+                    {"engine.join.results", 266},
+                    {"engine.columnar.batches", 15},
+                    {"engine.columnar.rows", 319},
+                    {"engine.columnar.slab_reuse", 12},
+                    {"engine.index.packed_probes", 240}}))
+      << "live pair, skew split, point kernels";
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(polygons, points, intersects, skewed).Count();
+            }),
+            (Deltas{{"engine.join.pairs_enumerated", 36},
+                    {"engine.join.pairs_pruned", 108},
+                    {"engine.join.pairs_split", 13},
+                    {"engine.join.subtasks", 55},
+                    {"engine.join.tree_builds", 9},
+                    {"engine.join.results", 67},
+                    {"engine.columnar.fallbacks", 135},
+                    {"engine.index.packed_probes", 1004}}))
+      << "live pair, skew split, scalar refine";
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(points, polygons, intersects, nested).Count();
+            }),
+            (Deltas{{"engine.join.pairs_enumerated", 36},
+                    {"engine.join.pairs_pruned", 108},
+                    {"engine.join.subtasks", 36},
+                    {"engine.join.prefilter_skips", 7111},
+                    {"engine.join.results", 67}}))
+      << "nested loop";
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(indexed, polygons, within).Count();
+            }),
+            (Deltas{{"engine.join.pairs_enumerated", 36},
+                    {"engine.join.pairs_pruned", 108},
+                    {"engine.join.subtasks", 36},
+                    {"engine.join.tree_reuse_hits", 16},
+                    {"engine.join.results", 266},
+                    {"engine.index.packed_probes", 240}}))
+      << "cached index";
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(all_polygons, all_points, JoinPredicate::Contains(),
+                          broadcast)
+                  .Count();
+            }),
+            (Deltas{{"engine.join.tree_builds", 1},
+                    {"engine.join.broadcast_joins", 1},
+                    {"engine.join.results", 67},
+                    {"engine.columnar.fallbacks", 135},
+                    {"engine.index.packed_probes", 400}}))
+      << "left broadcast, scalar refine";
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(all_polygons, few, intersects, broadcast).Count();
+            }),
+            (Deltas{{"engine.join.tree_builds", 1},
+                    {"engine.join.broadcast_joins", 1},
+                    {"engine.join.results", 6},
+                    {"engine.columnar.batches", 1},
+                    {"engine.columnar.rows", 17},
+                    {"engine.columnar.slab_reuse", 3},
+                    {"engine.index.packed_probes", 60}}))
+      << "right broadcast, point kernels";
 }
 
 }  // namespace
