@@ -24,6 +24,28 @@
 
 namespace stark {
 
+/// \brief The consumer end of RDDImpl::ForEach: a borrowed callable that
+/// takes one element at a time. The element is the producer's to give
+/// away, so the sink may modify or move from it. Cheap to copy; it refers
+/// to the callable it was made from and must not outlive that call.
+template <typename T>
+class Sink {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Sink>>>
+  Sink(F&& fn)  // NOLINT(runtime/explicit)
+      : fn_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* f, T& x) {
+          (*static_cast<std::remove_reference_t<F>*>(f))(x);
+        }) {}
+
+  void operator()(T& x) const { call_(fn_, x); }
+
+ private:
+  void* fn_;
+  void (*call_)(void*, T&);
+};
+
 /// Lineage node: computes the contents of one partition on demand.
 template <typename T>
 class RDDImpl {
@@ -42,10 +64,33 @@ class RDDImpl {
     return nullptr;
   }
 
+  /// Pushes each element of one partition into \p sink, in partition
+  /// order, without building the partition when the node can produce its
+  /// elements one by one. By default a stored partition is read in place
+  /// (each element copied as it is pushed) and any other one is computed.
+  virtual void ForEach(size_t partition, Sink<T> sink) const {
+    if (const std::vector<T>* stored = Stored(partition)) {
+      for (const T& x : *stored) {
+        T copy = x;
+        sink(copy);
+      }
+      return;
+    }
+    std::vector<T> part = Compute(partition);
+    for (T& x : part) sink(x);
+  }
+
   /// Number of elements in one partition; O(1) on stored nodes.
   virtual size_t Count(size_t partition) const {
-    return Compute(partition).size();
+    size_t n = 0;
+    ForEach(partition, [&n](T&) { ++n; });
+    return n;
   }
+
+  /// The stage label of the jobs that read this node, when the node does
+  /// the work they should be attributed to (a lazy join labels its probe
+  /// tasks); null lets each action use its own label.
+  virtual const char* Stage() const { return nullptr; }
 
   Context* ctx() const { return ctx_; }
 
@@ -98,6 +143,13 @@ class MapRDD final : public RDDImpl<U> {
     for (auto& x : in) out.push_back(fn_(x));
     return out;
   }
+  void ForEach(size_t p, Sink<U> sink) const override {
+    parent_->ForEach(p, [&](T& x) {
+      U y = fn_(x);
+      sink(y);
+    });
+  }
+  const char* Stage() const override { return parent_->Stage(); }
 
  private:
   std::shared_ptr<const RDDImpl<T>> parent_;
@@ -114,38 +166,48 @@ class FilterRDD final : public RDDImpl<T> {
   size_t NumPartitions() const override { return parent_->NumPartitions(); }
   std::vector<T> Compute(size_t p) const override {
     std::vector<T> out;
-    if constexpr (kReadsConst) {
-      // A stored parent is read in place: only the survivors are copied.
-      if (const std::vector<T>* in = parent_->Stored(p)) {
-        for (const T& x : *in) {
-          if (fn_(x)) out.push_back(x);
-        }
-        return out;
-      }
-    }
-    std::vector<T> in = parent_->Compute(p);
-    for (auto& x : in) {
-      if (fn_(x)) out.push_back(std::move(x));
-    }
+    ForEach(p, [&out](T& x) { out.push_back(std::move(x)); });
     return out;
   }
-  size_t Count(size_t p) const override {
-    if constexpr (kReadsConst) {
-      std::vector<T> storage;
-      const std::vector<T>& in = Borrow(*parent_, p, &storage);
-      size_t hits = 0;
-      for (const T& x : in) {
-        if (fn_(x)) ++hits;
+  void ForEach(size_t p, Sink<T> sink) const override {
+    Scan(p, [&](auto& x) {
+      if constexpr (std::is_const_v<std::remove_reference_t<decltype(x)>>) {
+        T copy = x;
+        sink(copy);
+      } else {
+        sink(x);
       }
-      return hits;
-    } else {
-      return Compute(p).size();
-    }
+    });
   }
+  size_t Count(size_t p) const override {
+    size_t hits = 0;
+    Scan(p, [&hits](const T&) { ++hits; });
+    return hits;
+  }
+  const char* Stage() const override { return parent_->Stage(); }
 
  private:
   /// Whether the predicate can test an element it may not modify.
   static constexpr bool kReadsConst = std::is_invocable_v<const F&, const T&>;
+
+  /// Calls hit(x) for each element that passes. A stored parent is read in
+  /// place (x is const) when the predicate reads const elements, so only
+  /// the survivors are ever copied; otherwise x is each element the parent
+  /// pushes.
+  template <typename Hit>
+  void Scan(size_t p, Hit&& hit) const {
+    if constexpr (kReadsConst) {
+      if (const std::vector<T>* in = parent_->Stored(p)) {
+        for (const T& x : *in) {
+          if (fn_(x)) hit(x);
+        }
+        return;
+      }
+    }
+    parent_->ForEach(p, [&](T& x) {
+      if (fn_(x)) hit(x);
+    });
+  }
 
   std::shared_ptr<const RDDImpl<T>> parent_;
   F fn_;
@@ -313,10 +375,6 @@ class RDD {
   Context* ctx() const { return impl_->ctx(); }
   size_t NumPartitions() const { return impl_->NumPartitions(); }
 
-  /// Computes the contents of one partition (used by multi-RDD operators
-  /// such as the spatial join; combine with Cache() to avoid recomputation).
-  std::vector<T> ComputePartition(size_t p) const { return impl_->Compute(p); }
-
   // ---- Transformations (lazy) -------------------------------------------
 
   /// Element-wise transform, like Spark's `map`.
@@ -406,13 +464,13 @@ class RDD {
     // Add happens after routing succeeds, so a retried map task neither
     // duplicates data nor double-counts records.)
     std::vector<std::vector<std::vector<T>>> routed(in_parts);
-    ctx()->RunTasks("rdd.shuffle.map", in_parts, [&](size_t p) {
+    ctx()->RunTasks(StageFor("rdd.shuffle.map"), in_parts, [&](size_t p) {
       fault::MaybeThrow(shuffle_fp);
       std::vector<std::vector<T>> buckets(num_partitions);
       // A stored partition is read in place and each element copied once
       // into its bucket; a computed one is owned here, so it is moved.
       auto route = [&](auto& in) {
-        if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+        if (obs::TaskSpan* span = ActionSpan()) {
           span->records_in = in.size();
           span->records_out = in.size();
           span->bytes = in.size() * sizeof(T);
@@ -473,15 +531,17 @@ class RDD {
   // value-returning form. A task that keeps failing after the context's
   // RetryPolicy is exhausted surfaces as a non-OK Result from Try*; the
   // plain forms throw the same failure as a StatusError on the driver
-  // thread (never through the worker pool).
+  // thread (never through the worker pool). A job is labelled with the
+  // action's stage unless the lineage names its own (RDDImpl::Stage).
 
   /// Evaluates and returns all partitions, in partition order.
   Result<std::vector<std::vector<T>>> TryCollectPartitions() const {
     const size_t n = NumPartitions();
     std::vector<std::vector<T>> parts(n);
-    STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.collect", n, [&](size_t p) {
+    const char* stage = StageFor("rdd.collect");
+    STARK_RETURN_NOT_OK(ctx()->TryRunTasks(stage, n, [&](size_t p) {
       parts[p] = impl_->Compute(p);
-      if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+      if (obs::TaskSpan* span = ActionSpan()) {
         span->records_in = parts[p].size();
         span->records_out = parts[p].size();
       }
@@ -505,9 +565,10 @@ class RDD {
     const size_t n = NumPartitions();
     storage->assign(n, {});
     std::vector<const std::vector<T>*> views(n, nullptr);
-    STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.collect", n, [&](size_t p) {
+    const char* stage = StageFor("rdd.collect");
+    STARK_RETURN_NOT_OK(ctx()->TryRunTasks(stage, n, [&](size_t p) {
       views[p] = &engine_internal::Borrow(*impl_, p, &(*storage)[p]);
-      if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+      if (obs::TaskSpan* span = ActionSpan()) {
         span->records_in = views[p]->size();
         span->records_out = views[p]->size();
       }
@@ -547,9 +608,10 @@ class RDD {
   Result<size_t> TryCount() const {
     const size_t n = NumPartitions();
     std::vector<size_t> counts(n, 0);
-    STARK_RETURN_NOT_OK(ctx()->TryRunTasks("rdd.count", n, [&](size_t p) {
+    const char* stage = StageFor("rdd.count");
+    STARK_RETURN_NOT_OK(ctx()->TryRunTasks(stage, n, [&](size_t p) {
       counts[p] = impl_->Count(p);
-      if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+      if (obs::TaskSpan* span = ActionSpan()) {
         span->records_in = counts[p];
         span->records_out = 1;
       }
@@ -571,9 +633,9 @@ class RDD {
   T Fold(T init, F fn) const {
     const size_t n = NumPartitions();
     std::vector<T> partials(n, init);
-    ctx()->RunTasks("rdd.fold", n, [&](size_t p) {
+    ctx()->RunTasks(StageFor("rdd.fold"), n, [&](size_t p) {
       std::vector<T> items = impl_->Compute(p);
-      if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
+      if (obs::TaskSpan* span = ActionSpan()) {
         span->records_in = items.size();
         span->records_out = 1;
       }
@@ -602,6 +664,19 @@ class RDD {
   const std::shared_ptr<const RDDImpl<T>>& impl() const { return impl_; }
 
  private:
+  /// The stage label of an action's job: the lineage's own when it has one,
+  /// else \p action.
+  const char* StageFor(const char* action) const {
+    const char* stage = impl_->Stage();
+    return stage != nullptr ? stage : action;
+  }
+
+  /// The current task's span for the action to annotate; null when the
+  /// lineage labels the stage, because its tasks annotate their own spans.
+  obs::TaskSpan* ActionSpan() const {
+    return impl_->Stage() == nullptr ? obs::CurrentTaskSpan() : nullptr;
+  }
+
   std::shared_ptr<const RDDImpl<T>> impl_;
 };
 

@@ -964,16 +964,23 @@ Result<PigRelation> Interpreter::ExecJoin(const Statement& stmt) {
   for (const std::string& name : right->schema) {
     rel.schema.push_back("right_" + name);
   }
-  rel.rdd = joined.Map(
-      [](std::pair<std::pair<STObject, PigRow>,
-                   std::pair<STObject, PigRow>>& p) {
-        PigRow row = std::move(p.first.second);
-        row.st = std::move(p.first.first);
-        for (PigValue& v : p.second.second.fields) {
-          row.fields.push_back(std::move(v));
-        }
-        return row;
-      });
+  // The join's probes are lazy; run them once, in parallel, here. Later
+  // statements read the relation again, and LIMIT reads it through Take,
+  // which would probe serially on the driver.
+  STARK_ASSIGN_OR_RETURN(
+      std::vector<std::vector<PigRow>> rows,
+      joined
+          .Map([](std::pair<std::pair<STObject, PigRow>,
+                            std::pair<STObject, PigRow>>& p) {
+            PigRow row = std::move(p.first.second);
+            row.st = std::move(p.first.first);
+            for (PigValue& v : p.second.second.fields) {
+              row.fields.push_back(std::move(v));
+            }
+            return row;
+          })
+          .TryCollectPartitions());
+  rel.rdd = MakeRDDFromPartitions(ctx_, std::move(rows));
   return rel;
 }
 

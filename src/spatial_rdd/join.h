@@ -12,10 +12,15 @@
 /// trees Index()/LiveIndex()/Load() built and never builds one), and the
 /// broadcast join (a small side flattened into one R-tree, probed from
 /// every partition of the other side). The core: EnumeratePairs prunes
-/// partition pairs by extent, RunProbeTasks and RunBroadcast schedule the
-/// probe tasks, and ProbeRows is the one row loop every task runs, owning
-/// the kernel, scalar-tree and nested-loop refine paths for either operand
-/// orientation (`cand_left`).
+/// partition pairs by extent, RunProbeTasks and RunBroadcast plan the probe
+/// tasks and return them as a lazy ProbeRDD, and ProbeRows is the one row
+/// loop every task runs, owning the kernel, scalar-tree and nested-loop
+/// refine paths for either operand orientation (`cand_left`).
+///
+/// Planning (partition reads, pair pruning, index builds) runs when a join
+/// is called; the probe tasks run inside the job that reads its result and
+/// push each match straight into that job, so a Filter(...).Count() over a
+/// join never materializes the pairs. Cache() a result that is read twice.
 ///
 /// Probe work is scheduled skew-aware: per-pair cost is estimated as
 /// |probe| * log(|indexed|) (indexed) or |probe| * |build| (nested loop),
@@ -28,12 +33,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/context.h"
+#include "engine/rdd.h"
 #include "geometry/prepared.h"
 #include "index/packed_rtree.h"
 #include "obs/metrics.h"
@@ -430,97 +437,165 @@ void ProbeRows(const JoinPredicate& pred, const Source& source,
   }
 }
 
+/// The partitions of one join input, read in place: \c views[p] is the
+/// partition the lineage stores (kept alive by \c rdd) or the one computed
+/// into \c storage.
+template <typename T>
+struct InputParts {
+  RDD<T> rdd;
+  std::vector<std::vector<T>> storage;
+  std::vector<const std::vector<T>*> views;
+};
+
+template <typename T>
+std::shared_ptr<const InputParts<T>> ReadParts(const RDD<T>& rdd) {
+  auto parts = std::make_shared<InputParts<T>>();
+  parts->rdd = rdd;
+  parts->views = rdd.PartitionViews(&parts->storage);
+  return parts;
+}
+
+/// \brief A join's lazy probe stage: partition t is probe task t, which
+/// runs inside whichever job reads it and pushes each result straight into
+/// that job's sink, so a consumer such as Filter(...).Count() never holds
+/// the pairs. The task body owns, through its captures, everything the
+/// tasks read. The node labels the reading jobs with its stage and the
+/// body annotates their spans; a task's tallies are flushed only when it
+/// finishes, so a failed attempt counts nothing and its retry starts over.
+template <typename Out>
+class ProbeRDD final : public RDDImpl<Out> {
+ public:
+  using RunTask = std::function<void(size_t, Sink<Out>)>;
+
+  ProbeRDD(Context* ctx, const char* stage, size_t tasks, RunTask run_task)
+      : RDDImpl<Out>(ctx), stage_(stage), tasks_(tasks),
+        run_task_(std::move(run_task)) {}
+
+  size_t NumPartitions() const override { return tasks_; }
+  std::vector<Out> Compute(size_t t) const override {
+    std::vector<Out> out;
+    run_task_(t, [&out](Out& x) { out.push_back(std::move(x)); });
+    return out;
+  }
+  void ForEach(size_t t, Sink<Out> sink) const override { run_task_(t, sink); }
+  const char* Stage() const override { return stage_; }
+
+ private:
+  const char* stage_;
+  size_t tasks_;
+  RunTask run_task_;
+};
+
 /// \brief The partition-pair probe stage of the live and cached-index
-/// planners: PlanProbeTasks, then one `spatial.join.probe` task per
-/// ProbeTask, probing its right sub-range against source_of(task.left)
-/// (candidates in the left slot). make(l, r) projects a match.
+/// planners: PlanProbeTasks now, then one lazy `spatial.join.probe` task
+/// per ProbeTask, probing its right sub-range against source_of(task.left)
+/// (candidates in the left slot). make(l, r) projects a match. source_of
+/// and make are kept by the returned node, so they capture by value.
 template <typename Out, typename R, typename SourceOf, typename Make>
-RDD<Out> RunProbeTasks(
-    Context* ctx, const PairPlan& plan, const std::vector<size_t>& left_sizes,
-    const std::vector<const std::vector<R>*>& right_parts, bool indexed,
-    const JoinPredicate& pred, const JoinOptions& options,
-    const SourceOf& source_of, const Make& make) {
+RDD<Out> RunProbeTasks(Context* ctx, const PairPlan& plan,
+                       const std::vector<size_t>& left_sizes,
+                       std::shared_ptr<const InputParts<R>> right,
+                       bool indexed, const JoinPredicate& pred,
+                       const JoinOptions& options, SourceOf source_of,
+                       Make make) {
   const JoinMetricSet& metrics = GlobalJoinMetrics();
-  std::vector<size_t> right_sizes(right_parts.size());
-  for (size_t j = 0; j < right_parts.size(); ++j) {
-    right_sizes[j] = right_parts[j]->size();
+  std::vector<size_t> right_sizes(right->views.size());
+  for (size_t j = 0; j < right->views.size(); ++j) {
+    right_sizes[j] = right->views[j]->size();
   }
   size_t pairs_split = 0;
-  const std::vector<ProbeTask> tasks = PlanProbeTasks(
+  std::vector<ProbeTask> tasks = PlanProbeTasks(
       plan.pairs, left_sizes, right_sizes, indexed, options, &pairs_split);
   metrics.pairs_split->Add(pairs_split);
   metrics.subtasks->Add(tasks.size());
 
-  std::vector<std::vector<Out>> out(tasks.size());
-  ctx->RunTasks("spatial.join.probe", tasks.size(), [&](size_t t) {
-    const ProbeTask& task = tasks[t];
-    const std::vector<R>& rv = *right_parts[task.right];
-    const auto source = source_of(task.left);
-    std::vector<Out>& sink = out[t];
-    sink.clear();  // retry-idempotent: a re-run starts from scratch
-    if (source.points() != nullptr && task.begin != 0) {
-      // A skew-split sub-task reuses the slab its sibling built.
-      GlobalColumnarMetrics().slab_reuse->Increment();
-    }
-    ProbeStats stats;
-    ProbeRows(pred, source, /*cand_left=*/true, rv, task.begin, task.end,
-              /*stable=*/nullptr, &stats,
-              [&](const auto& l, const R& r) { sink.push_back(make(l, r)); });
-    FinishTask(TaskDetail(task, rv.size()), task.end - task.begin,
-               sink.size(), stats);
-  });
-  return MakeRDDFromPartitions(ctx, std::move(out));
+  const size_t num_tasks = tasks.size();
+  return RDD<Out>(std::make_shared<ProbeRDD<Out>>(
+      ctx, "spatial.join.probe", num_tasks,
+      [tasks = std::move(tasks), right = std::move(right), pred,
+       source_of = std::move(source_of),
+       make = std::move(make)](size_t t, Sink<Out> sink) {
+        const ProbeTask& task = tasks[t];
+        const std::vector<R>& rv = *right->views[task.right];
+        const auto source = source_of(task.left);
+        ProbeStats stats;
+        size_t results = 0;
+        ProbeRows(pred, source, /*cand_left=*/true, rv, task.begin, task.end,
+                  /*stable=*/nullptr, &stats, [&](const auto& l, const R& r) {
+                    Out out = make(l, r);
+                    ++results;
+                    sink(out);
+                  });
+        if (source.points() != nullptr && task.begin != 0) {
+          // A skew-split sub-task reuses the slab its sibling built.
+          GlobalColumnarMetrics().slab_reuse->Increment();
+        }
+        FinishTask(TaskDetail(task, rv.size()), task.end - task.begin,
+                   results, stats);
+      }));
 }
+
+/// The flattened small side of a broadcast join and its index.
+template <typename S>
+struct BroadcastSide {
+  std::vector<S> rows;
+  RowIndex index;
+};
 
 /// \brief The broadcast strategy for both directions: \p small_parts (the
 /// side under the threshold, the left one iff \p small_left) is flattened
-/// and indexed once (nested loop without \p use_index), then probed from
-/// every partition of \p big_parts, one `spatial.join.broadcast` task each.
-/// make(small_row, big_row) projects a match in (left, right) order. The
-/// small side is stable for the whole join, so its slabs are shared by
-/// every task and the scalar refine prepares its geometries through a
-/// per-task PreparedGeometryCache.
+/// and indexed now (nested loop without \p use_index), then probed lazily
+/// from every partition of \p big, one `spatial.join.broadcast` task each.
+/// make(small_row, big_row) projects a match in (left, right) order and is
+/// kept by the returned node. The small side is stable for the whole join,
+/// so its slabs are shared by every task and the scalar refine prepares its
+/// geometries through a per-task PreparedGeometryCache.
 template <typename Out, typename S, typename B, typename Make>
-RDD<Out> RunBroadcast(
-    Context* ctx, const std::vector<const std::vector<S>*>& small_parts,
-    const std::vector<const std::vector<B>*>& big_parts, bool small_left,
-    bool use_index, const JoinPredicate& pred, const JoinOptions& options,
-    const Make& make) {
+RDD<Out> RunBroadcast(Context* ctx,
+                      const std::vector<const std::vector<S>*>& small_parts,
+                      std::shared_ptr<const InputParts<B>> big,
+                      bool small_left, bool use_index,
+                      const JoinPredicate& pred, const JoinOptions& options,
+                      Make make) {
   GlobalJoinMetrics().broadcast_joins->Increment();
-  std::vector<S> small;
+  auto small = std::make_shared<BroadcastSide<S>>();
   for (const std::vector<S>* part : small_parts) {
-    small.insert(small.end(), part->begin(), part->end());
+    small->rows.insert(small->rows.end(), part->begin(), part->end());
   }
-  RowIndex index;
   if (use_index) {
-    index = BuildRowIndex(small, pred, options.index_order);
+    small->index = BuildRowIndex(small->rows, pred, options.index_order);
     GlobalJoinMetrics().tree_builds->Increment();
   }
-  const RowSource<S> source{&small, use_index ? &index : nullptr,
-                            pred.Prunable()};
 
-  std::vector<std::vector<Out>> out(big_parts.size());
-  ctx->RunTasks("spatial.join.broadcast", big_parts.size(), [&](size_t i) {
-    const std::vector<B>& probe = *big_parts[i];
-    std::vector<Out>& sink = out[i];
-    sink.clear();  // retry-idempotent: a re-run starts from scratch
-    ProbeStats stats;
-    PreparedGeometryCache cache;
-    ProbeRows(pred, source, small_left, probe, 0, probe.size(), &cache,
-              &stats,
-              [&](const S& s, const B& b) { sink.push_back(make(s, b)); });
-    stats.prepared_hits += cache.hits();
-    stats.prepared_misses += cache.misses();
-    if (source.points() != nullptr) {
-      // The broadcast slabs are shared by every task.
-      GlobalColumnarMetrics().slab_reuse->Increment();
-    }
-    const std::string part = std::to_string(i);
-    FinishTask((small_left ? "L*xR" + part : "L" + part + "xR*") +
-                   " (broadcast)",
-               probe.size(), sink.size(), stats);
-  });
-  return MakeRDDFromPartitions(ctx, std::move(out));
+  const size_t num_tasks = big->views.size();
+  return RDD<Out>(std::make_shared<ProbeRDD<Out>>(
+      ctx, "spatial.join.broadcast", num_tasks,
+      [small = std::move(small), big = std::move(big), small_left, use_index,
+       pred, make = std::move(make)](size_t i, Sink<Out> sink) {
+        const RowSource<S> source{&small->rows,
+                                  use_index ? &small->index : nullptr,
+                                  pred.Prunable()};
+        const std::vector<B>& probe = *big->views[i];
+        ProbeStats stats;
+        PreparedGeometryCache cache;
+        size_t results = 0;
+        ProbeRows(pred, source, small_left, probe, 0, probe.size(), &cache,
+                  &stats, [&](const S& s, const B& b) {
+                    Out out = make(s, b);
+                    ++results;
+                    sink(out);
+                  });
+        stats.prepared_hits += cache.hits();
+        stats.prepared_misses += cache.misses();
+        if (source.points() != nullptr) {
+          // The broadcast slabs are shared by every task.
+          GlobalColumnarMetrics().slab_reuse->Increment();
+        }
+        const std::string part = std::to_string(i);
+        FinishTask((small_left ? "L*xR" + part : "L" + part + "xR*") +
+                       " (broadcast)",
+                   probe.size(), results, stats);
+      }));
 }
 
 }  // namespace join_internal
@@ -528,7 +603,8 @@ RDD<Out> RunBroadcast(
 /// \brief Joins two spatial RDDs on \p pred and emits project(l, r) for
 /// every matching pair — the projection runs inside the join tasks, so
 /// callers that only need payloads (or ids) avoid materializing full
-/// geometry pairs.
+/// geometry pairs. The returned RDD probes in the job that reads it and
+/// keeps \p project and both inputs alive until then.
 ///
 /// With `options.broadcast_threshold` set and one side small enough, the
 /// broadcast strategy is taken. Otherwise partition pairs are enumerated —
@@ -551,18 +627,16 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   const size_t nl = left.NumPartitions();
 
   // Read both sides in place: cached or in-memory partitions are borrowed,
-  // the rest are computed once into the storage here.
-  std::vector<std::vector<L>> left_storage;
-  std::vector<std::vector<R>> right_storage;
-  const std::vector<const std::vector<L>*> left_parts =
-      left.rdd().PartitionViews(&left_storage);
-  const std::vector<const std::vector<R>*> right_parts =
-      right.rdd().PartitionViews(&right_storage);
+  // the rest are computed once into storage the join keeps.
+  const auto left_parts = ji::ReadParts(left.rdd());
+  const auto right_parts = ji::ReadParts(right.rdd());
   std::vector<size_t> left_sizes(nl, 0);
   size_t total_l = 0;
   size_t total_r = 0;
-  for (size_t i = 0; i < nl; ++i) total_l += left_sizes[i] = left_parts[i]->size();
-  for (const std::vector<R>* part : right_parts) total_r += part->size();
+  for (size_t i = 0; i < nl; ++i) {
+    total_l += left_sizes[i] = left_parts->views[i]->size();
+  }
+  for (const std::vector<R>* part : right_parts->views) total_r += part->size();
 
   // An index only helps predicates that admit envelope candidate pruning;
   // for the rest, building trees would be pure wasted work.
@@ -571,12 +645,13 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
       std::min(total_l, total_r) <= options.broadcast_threshold) {
     if (total_r <= total_l) {
       return ji::RunBroadcast<Out>(
-          ctx, right_parts, left_parts, /*small_left=*/false, use_index, pred,
-          options, [&](const R& r, const L& l) { return project(l, r); });
+          ctx, right_parts->views, left_parts, /*small_left=*/false,
+          use_index, pred, options,
+          [project](const R& r, const L& l) { return project(l, r); });
     }
-    return ji::RunBroadcast<Out>(ctx, left_parts, right_parts,
+    return ji::RunBroadcast<Out>(ctx, left_parts->views, right_parts,
                                  /*small_left=*/true, use_index, pred,
-                                 options, project);
+                                 options, std::move(project));
   }
 
   const ji::PairPlan plan = ji::EnumeratePairs(
@@ -586,24 +661,25 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   // once per pair) in the same stage that picks its refine path. Every
   // probe task that targets the partition shares the index (skew-split
   // sub-tasks of the same pair share one slab: engine.columnar.slab_reuse).
-  std::vector<ji::RowIndex> left_index(use_index ? nl : 0);
+  auto left_index = std::make_shared<std::vector<ji::RowIndex>>(
+      use_index ? nl : 0);
   if (use_index) {
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
       if (!plan.left_used[i]) return;
-      left_index[i] =
-          ji::BuildRowIndex(*left_parts[i], pred, options.index_order);
+      (*left_index)[i] = ji::BuildRowIndex(*left_parts->views[i], pred,
+                                           options.index_order);
     });
     GlobalJoinMetrics().tree_builds->Add(
         std::count(plan.left_used.begin(), plan.left_used.end(), 1));
   }
   return ji::RunProbeTasks<Out>(
       ctx, plan, left_sizes, right_parts, use_index, pred, options,
-      [&](size_t i) {
-        return ji::RowSource<L>{left_parts[i],
-                                use_index ? &left_index[i] : nullptr,
-                                pred.Prunable()};
+      [left_parts, left_index, prefilter = pred.Prunable()](size_t i) {
+        return ji::RowSource<L>{
+            left_parts->views[i],
+            left_index->empty() ? nullptr : &(*left_index)[i], prefilter};
       },
-      project);
+      std::move(project));
 }
 
 /// \brief Cached-index join: probes the R-trees already held by \p left —
@@ -631,50 +707,51 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
 
   // A cached trees RDD is read in place: the shared tree pointers are
   // neither copied nor rebuilt. The right side is borrowed the same way.
-  std::vector<std::vector<TreePtr>> tree_storage;
-  std::vector<std::vector<R>> right_storage;
-  const std::vector<const std::vector<TreePtr>*> left_trees =
-      left.trees().PartitionViews(&tree_storage);
-  const std::vector<const std::vector<R>*> right_parts =
-      right.rdd().PartitionViews(&right_storage);
+  const auto left_trees = ji::ReadParts(left.trees());
+  const auto right_parts = ji::ReadParts(right.rdd());
   std::vector<size_t> left_sizes(nl, 0);
   for (size_t i = 0; i < nl; ++i) {
-    for (const TreePtr& tree : *left_trees[i]) left_sizes[i] += tree->size();
+    for (const TreePtr& tree : *left_trees->views[i]) {
+      left_sizes[i] += tree->size();
+    }
   }
 
   const ji::PairPlan plan = ji::EnumeratePairs(
       nl, right.NumPartitions(), left.extents(), right.Extents(), pred);
   size_t reuse_hits = 0;
   for (size_t i = 0; i < nl; ++i) {
-    if (plan.left_used[i]) reuse_hits += left_trees[i]->size();
+    if (plan.left_used[i]) reuse_hits += left_trees->views[i]->size();
   }
   GlobalJoinMetrics().tree_reuse_hits->Add(reuse_hits);
 
   if (pred.Prunable()) {
     return ji::RunProbeTasks<Out>(
         ctx, plan, left_sizes, right_parts, /*indexed=*/true, pred, options,
-        [&](size_t i) { return ji::TreeListSource<L>{left_trees[i]}; },
-        project);
+        [left_trees](size_t i) {
+          return ji::TreeListSource<L>{left_trees->views[i]};
+        },
+        std::move(project));
   }
   // A non-prunable predicate cannot probe the trees; scan their elements
   // out once per used partition and fall back to a nested loop. This is a
   // flat copy, not an R-tree build.
-  std::vector<std::vector<L>> left_elems(nl);
+  auto left_elems = std::make_shared<std::vector<std::vector<L>>>(nl);
   ctx->RunTasks("spatial.join.scan", nl, [&](size_t i) {
     if (!plan.left_used[i]) return;
-    std::vector<L>& elems = left_elems[i];
+    std::vector<L>& elems = (*left_elems)[i];
     elems.clear();
     elems.reserve(left_sizes[i]);
-    for (const TreePtr& tree : *left_trees[i]) {
+    for (const TreePtr& tree : *left_trees->views[i]) {
       tree->ForEach([&](const Envelope&, const L& e) { elems.push_back(e); });
     }
   });
   return ji::RunProbeTasks<Out>(
       ctx, plan, left_sizes, right_parts, /*indexed=*/false, pred, options,
-      [&](size_t i) {
-        return ji::RowSource<L>{&left_elems[i], nullptr, /*prefilter=*/false};
+      [left_elems](size_t i) {
+        return ji::RowSource<L>{&(*left_elems)[i], nullptr,
+                                /*prefilter=*/false};
       },
-      project);
+      std::move(project));
 }
 
 /// Joins \p left (a SpatialRDD, or an IndexedSpatialRDD whose cached trees

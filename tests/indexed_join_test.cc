@@ -2,16 +2,21 @@
 // trees built by Index() (differential against the live join), the
 // broadcast strategy, skew-aware sub-range splitting (visible as per-pair
 // trace spans), and the engine.join.* metrics.
+#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/job_control.h"
+#include "fault/failpoint.h"
 #include "io/generator.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/explicit_partitioner.h"
 #include "partition/grid_partitioner.h"
@@ -498,6 +503,119 @@ TEST_F(IndexedJoinTest, EveryStrategyKeepsItsExactCounterDeltas) {
                     {"engine.columnar.slab_reuse", 3},
                     {"engine.index.packed_probes", 60}}))
       << "right broadcast, point kernels";
+}
+
+// ---- Lazy probe stage -------------------------------------------------------
+
+uint64_t CounterValue(const char* name) {
+  return obs::DefaultMetrics().GetCounter(name)->Value();
+}
+
+TEST_F(IndexedJoinTest, FusedFilterRetriesAThrowingAttemptFromScratch) {
+  auto grid_l = std::make_shared<GridPartitioner>(universe_, 4);
+  auto grid_r = std::make_shared<GridPartitioner>(universe_, 3);
+  auto l =
+      SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3).PartitionBy(grid_l);
+  auto r =
+      SpatialRDD<int64_t>::FromVector(&ctx_, right_, 2).PartitionBy(grid_r);
+  const auto pred = JoinPredicate::WithinDistance(2.5);
+  const auto ids = [](const auto& a, const auto& b) {
+    return Pair(a.second, b.second);
+  };
+  const size_t expected = BruteForce(pred).size();
+  const auto joined = SpatialJoinProject(l, r, pred, JoinOptions{}, ids);
+  const auto keep_all = [](const Pair&) { return true; };
+  ASSERT_EQ(joined.Filter(keep_all).Count(), expected);
+
+  // The predicate throws once, at the sixth pair one probe task pushes in
+  // its first attempt: five pairs were already counted by that attempt.
+  std::vector<std::atomic<size_t>> pushed(joined.NumPartitions());
+  std::atomic<bool> thrown{false};
+  const auto faulty = [&](const Pair&) {
+    const TaskContext* task = CurrentTaskContext();
+    if (task != nullptr && pushed[task->partition()].fetch_add(1) == 5 &&
+        !thrown.exchange(true)) {
+      throw std::runtime_error("injected predicate fault");
+    }
+    return true;
+  };
+  const uint64_t retries = CounterValue("engine.task.retries");
+  const uint64_t results = CounterValue("engine.join.results");
+  EXPECT_EQ(joined.Filter(faulty).Count(), expected);
+  EXPECT_TRUE(thrown.load());
+  EXPECT_GE(CounterValue("engine.task.retries") - retries, 1u);
+  // The failed attempt flushed nothing; its retry counted every result once.
+  EXPECT_EQ(CounterValue("engine.join.results") - results, expected);
+}
+
+TEST_F(IndexedJoinTest, FusedCountRetriesAnInjectedTaskFault) {
+  auto grid_l = std::make_shared<GridPartitioner>(universe_, 4);
+  auto grid_r = std::make_shared<GridPartitioner>(universe_, 3);
+  auto l =
+      SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3).PartitionBy(grid_l);
+  auto r =
+      SpatialRDD<int64_t>::FromVector(&ctx_, right_, 2).PartitionBy(grid_r);
+  const auto pred = JoinPredicate::Intersects();
+  const size_t expected = BruteForce(pred).size();
+  JoinOptions broadcast;
+  broadcast.broadcast_threshold = 100;
+  const auto non_negative = [](const auto& pair) {
+    return pair.first.second >= 0 && pair.second.second >= 0;
+  };
+  fault::FailPoint* const fp =
+      fault::DefaultFailPoints().Get("engine.task.run");
+  for (const auto& joined :
+       {SpatialJoin(l, r, pred), SpatialJoin(l, r, pred, broadcast),
+        SpatialJoin(l.Index(8), r, pred)}) {
+    // Armed over the consumer's job only: the join's eager planning jobs
+    // already ran when it was built.
+    ASSERT_TRUE(
+        fault::DefaultFailPoints().ArmFromSpec("engine.task.run=nth:1").ok());
+    const uint64_t results = CounterValue("engine.join.results");
+    EXPECT_EQ(joined.Filter(non_negative).Count(), expected);
+    EXPECT_EQ(fp->fires(), 1u);
+    EXPECT_EQ(CounterValue("engine.join.results") - results, expected);
+    fault::DefaultFailPoints().DisarmAll();
+  }
+}
+
+TEST_F(IndexedJoinTest, JoinOutlivesItsInputHandles) {
+  const auto pred = JoinPredicate::Intersects();
+  const std::set<Pair> expect = BruteForce(pred);
+  const auto copy = [](std::pair<STObject, int64_t>& e) { return e; };
+  // Every join is built from handles that are gone before it is read. The
+  // right side is computed (not stored) until it is partitioned, so both
+  // borrowed and join-owned partitions are read after the scope closes.
+  const auto build = [&](bool partitioned, size_t broadcast_threshold) {
+    SpatialRDD<int64_t> l = SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3);
+    SpatialRDD<int64_t> r(
+        SpatialRDD<int64_t>::FromVector(&ctx_, right_, 2).rdd().Map(copy));
+    if (partitioned) {
+      l = l.PartitionBy(std::make_shared<GridPartitioner>(universe_, 4));
+      r = r.PartitionBy(std::make_shared<GridPartitioner>(universe_, 3));
+    }
+    JoinOptions options;
+    options.broadcast_threshold = broadcast_threshold;
+    return SpatialJoin(l, r, pred, options);
+  };
+  const auto build_cached = [&](bool partitioned) {
+    SpatialRDD<int64_t> l = SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3);
+    if (partitioned) {
+      l = l.PartitionBy(std::make_shared<GridPartitioner>(universe_, 4));
+    }
+    IndexedSpatialRDD<int64_t> indexed = l.Index(8);
+    SpatialRDD<int64_t> r(
+        SpatialRDD<int64_t>::FromVector(&ctx_, right_, 2).rdd().Map(copy));
+    return SpatialJoin(indexed, r, pred);
+  };
+  for (const bool partitioned : {false, true}) {
+    const std::string label = partitioned ? "grid" : "no partitioner";
+    for (const auto& joined : {build(partitioned, 0), build(partitioned, 100),
+                               build_cached(partitioned)}) {
+      EXPECT_EQ(joined.Count(), expect.size()) << label;
+      EXPECT_EQ(Ids(joined), expect) << label;
+    }
+  }
 }
 
 }  // namespace

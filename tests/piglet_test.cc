@@ -15,6 +15,7 @@
 #include "fault/failpoint.h"
 #include "io/csv.h"
 #include "io/generator.h"
+#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "piglet/interpreter.h"
 #include "piglet/lexer.h"
@@ -248,6 +249,24 @@ TEST_F(PigletInterpreterTest, JoinProducesCombinedSchema) {
   // Pairs within distance 2: {1,2} and {3,4} both directions, plus the 5
   // identity self-matches (a plain join does not exclude them).
   EXPECT_EQ(rel->rdd.Count(), 9u);
+}
+
+TEST_F(PigletInterpreterTest, JoinProbesOnceForEveryLaterRead) {
+  // The join is evaluated when its statement runs; the AGGREGATE, the LIMIT
+  // (read through Take) and the DUMPs that follow read the stored result.
+  obs::Counter* const results =
+      obs::DefaultMetrics().GetCounter("engine.join.results");
+  const uint64_t before = results->Value();
+  ASSERT_TRUE(interp_
+                  .RunScript(Script(
+                      "s = SPATIALIZE events;\n"
+                      "j = JOIN s, s ON WITHINDISTANCE(2.0);\n"
+                      "c = AGGREGATE j BY category COUNT;\nDUMP c;\n"
+                      "top = LIMIT j 4;\nDUMP top;\nDUMP j;"))
+                  .ok());
+  EXPECT_EQ(interp_.relation("top").ValueOrDie()->rdd.Count(), 4u);
+  EXPECT_EQ(interp_.relation("j").ValueOrDie()->rdd.Count(), 9u);
+  EXPECT_EQ(results->Value() - before, 9u);
 }
 
 TEST_F(PigletInterpreterTest, ContainsJoinExecutes) {
