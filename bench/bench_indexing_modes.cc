@@ -3,11 +3,10 @@
 /// indexing (tree built on every evaluation), and persistent indexing
 /// (tree built once / loaded from disk) — plus an R-tree order sweep.
 ///
-/// `bench_indexing_modes --smoke` runs the packed-vs-classic microbench
-/// guard: STR bulk load + 10k window probes on the packed SoA tree must run
-/// within 1.25x of the classic pointer tree (min of 3 interleaved runs; in
-/// practice the packed tree wins) and both must return identical candidate
-/// sets on sampled queries. `--json=<path>` writes the timings.
+/// `bench_indexing_modes --smoke` runs the packed R-tree microbench: STR
+/// bulk load + 10k window probes (min of 3 runs), with the candidate sets of
+/// sampled queries checked against a brute-force scan. `--json=<path>`
+/// writes the timing.
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
@@ -22,7 +21,6 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "partition/grid_partitioner.h"
 #include "spatial_rdd/spatial_rdd.h"
 
@@ -127,7 +125,7 @@ void BM_IndexMode_Persistent_LoadAndQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexMode_Persistent_LoadAndQuery)->Unit(benchmark::kMillisecond);
 
-// ---- --smoke / --json mode: packed-vs-classic microbench guard ------------
+// ---- --smoke / --json mode: packed R-tree microbench ----------------------
 
 constexpr size_t kProbeCount = 10'000;
 constexpr size_t kMicrobenchOrder = 10;
@@ -174,67 +172,55 @@ int RunSmoke(const std::string& json_path) {
   }
   const std::vector<Envelope> windows = ProbeWindows(kProbeCount, 2026);
 
-  auto build_classic = [&entries]() {
-    RTree<size_t> tree(kMicrobenchOrder);
-    tree.BulkLoad(entries);
-    return tree;
-  };
-  auto build_packed = [&entries]() {
+  auto build = [&entries]() {
     return PackedRTree<size_t>(kMicrobenchOrder, entries);
   };
-  auto probe = [](const auto& tree, const Envelope& window) {
+  auto probe = [](const PackedRTree<size_t>& tree, const Envelope& window) {
     size_t hits = 0;
     tree.Query(window, [&hits](const Envelope&, const size_t&) { ++hits; });
     return hits;
   };
 
-  // Identical candidates on sampled queries (multisets, both trees).
+  // Candidates of sampled queries equal a brute-force scan (multisets).
   {
-    RTree<size_t> classic = build_classic();
-    PackedRTree<size_t> packed = build_packed();
+    const PackedRTree<size_t> packed = build();
     bool identical = true;
     for (size_t q = 0; q < windows.size(); q += 97) {
-      std::multiset<size_t> a, b;
-      classic.Query(windows[q],
-                    [&a](const Envelope&, const size_t& id) { a.insert(id); });
-      packed.Query(windows[q],
-                   [&b](const Envelope&, const size_t& id) { b.insert(id); });
-      if (a != b) {
+      std::multiset<size_t> expected, got;
+      for (const auto& [env, id] : entries) {
+        if (windows[q].Intersects(env)) expected.insert(id);
+      }
+      packed.Query(windows[q], [&got](const Envelope&, const size_t& id) {
+        got.insert(id);
+      });
+      if (got != expected) {
         identical = false;
         break;
       }
     }
-    check(identical, "packed and classic candidates identical");
+    check(identical, "packed and brute-force candidates identical");
   }
 
-  // Min of 3 interleaved rounds: build + 10k probes, each tree.
-  double classic_s = 1e30, packed_s = 1e30;
-  size_t classic_hits = 0, packed_hits = 0;
+  // Min of 3 rounds: build + 10k probes.
+  double packed_s = 1e30;
+  size_t packed_hits = 0;
   for (int round = 0; round < 3; ++round) {
-    const auto [cs, ch] = TimeRound(build_classic, probe, windows);
-    const auto [ps, ph] = TimeRound(build_packed, probe, windows);
-    classic_s = std::min(classic_s, cs);
-    packed_s = std::min(packed_s, ps);
-    classic_hits = ch;
-    packed_hits = ph;
+    const auto [seconds, hits] = TimeRound(build, probe, windows);
+    packed_s = std::min(packed_s, seconds);
+    packed_hits = hits;
   }
   std::fprintf(stderr,
                "[smoke] bulk-load + %zu probes (n=%zu, order=%zu): "
-               "classic=%.4fs packed=%.4fs (ratio %.3f)\n",
-               kProbeCount, entries.size(), kMicrobenchOrder, classic_s,
-               packed_s, packed_s / classic_s);
-  check(classic_hits == packed_hits, "identical total hit counts");
-  check(packed_s <= 1.25 * classic_s,
-        "packed within 1.25x of classic (build + probes)");
+               "packed=%.4fs, %zu hits\n",
+               kProbeCount, entries.size(), kMicrobenchOrder, packed_s,
+               packed_hits);
 
   if (!json_path.empty()) {
     bench::JsonReport report;
     report.Add("indexing.n", static_cast<double>(entries.size()));
     report.Add("indexing.probes", static_cast<double>(kProbeCount));
     report.Add("indexing.order", static_cast<double>(kMicrobenchOrder));
-    report.Add("indexing.classic_build_probe_s", classic_s);
     report.Add("indexing.packed_build_probe_s", packed_s);
-    report.Add("indexing.packed_over_classic_ratio", packed_s / classic_s);
     report.Add("indexing.total_hits", static_cast<double>(packed_hits));
     report.WriteTo(json_path);
   }

@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "geometry/predicates.h"
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 
 namespace stark {
 
@@ -92,18 +92,14 @@ BaselineStats GeoSparkLikeSelfJoin(Context* ctx,
   // Without partitioning the single global tree is built serially (the
   // broadcast-index bottleneck); with partitioning trees build in parallel.
   phase.Restart();
-  std::vector<RTree<size_t>> trees;
-  trees.reserve(num_cells);
-  for (size_t c = 0; c < num_cells; ++c) {
-    trees.emplace_back(options.index_order);
-  }
+  std::vector<PackedRTree<size_t>> trees(num_cells);
   auto build_cell = [&](size_t c) {
     std::vector<std::pair<Envelope, size_t>> entries;
     entries.reserve(cell_members[c].size());
     for (size_t id : cell_members[c]) {
       entries.emplace_back(data[id].envelope(), id);
     }
-    trees[c].BulkLoad(std::move(entries));
+    trees[c] = PackedRTree<size_t>(options.index_order, std::move(entries));
   };
   if (options.voronoi_seeds == 0) {
     build_cell(0);

@@ -6,6 +6,7 @@
 #ifndef STARK_ENGINE_CONTEXT_H_
 #define STARK_ENGINE_CONTEXT_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -166,13 +167,8 @@ class Context {
         obs::DefaultMetrics().GetCounter("engine.jobs");
     static obs::Counter* const tasks =
         obs::DefaultMetrics().GetCounter("engine.tasks");
-    static obs::Counter* const jobs_failed =
-        obs::DefaultMetrics().GetCounter("engine.jobs.failed");
-    static obs::Counter* const speculated =
-        obs::DefaultMetrics().GetCounter("engine.task.speculated");
     static obs::Counter* const jobs_rejected =
         obs::DefaultMetrics().GetCounter("engine.jobs.rejected");
-    static std::atomic<uint64_t> generation{0};
     if (admission_hook_) {
       // Admission veto: no task is enqueued, no JobControl is created — the
       // caller sees the hook's status (e.g. ResourceExhausted under
@@ -187,30 +183,25 @@ class Context {
     jobs->Increment();
     tasks->Add(n);
     if (n == 0) return Status::OK();
-    const fault::RetryPolicy policy = retry_policy_;  // stable for the job
-    const SpeculationPolicy spec = speculation_policy_;
-    obs::TaskTracer* const tracer = tracer_;
-    const bool traced = tracer->enabled();
+    obs::TaskTracer* const tracer = tracer_->enabled() ? tracer_ : nullptr;
     // Profiling piggybacks on the tracing span plumbing: when a
     // ProfileCollector is installed on this (driver) thread, tasks fill in
     // the same TaskSpan structs and fold them into the job's accounting.
-    const bool profiled = obs::CurrentProfileCollector() != nullptr;
-    const uint64_t job = traced ? tracer->BeginJob() : 0;
     // Every task is enqueued up front, so the job start is the enqueue
     // time of each task; queue wait = task start - job start.
-    const uint64_t queued = traced ? tracer->NowNanos() : 0;
+    const TaskJob job{
+        std::make_shared<JobControl>(n, job_deadline_ms_, cancel_token_,
+                                     NextJobGeneration(), job_priority_),
+        retry_policy_, stage, tracer,
+        obs::CurrentProfileCollector() != nullptr,
+        tracer != nullptr ? tracer->BeginJob() : 0,
+        tracer != nullptr ? tracer->NowNanos() : 0};
     const uint64_t job_started_ns = SteadyNowNs();
-
-    const auto control = std::make_shared<JobControl>(
-        n, job_deadline_ms_, cancel_token_,
-        generation.fetch_add(1, std::memory_order_relaxed) + 1,
-        job_priority_);
 
     if (n == 1) {
       // Single-task fast path: run inline on the driver, no pool dispatch.
-      RunTaskCopy<Fn>(control, fn, 0, 1, policy, stage, traced, profiled,
-                      job, queued, tracer);
-      return FinishJob(control, stage, profiled, job_started_ns, jobs_failed);
+      RunTaskCopy(job, fn, 0, 1);
+      return FinishJob(job, job_started_ns);
     }
 
     // fn is shared by all copies of all tasks, exactly as when the lambda
@@ -220,40 +211,26 @@ class Context {
     const auto shared_fn = std::make_shared<Fn>(fn);
     for (size_t p = 0; p < n; ++p) {
       pool_->SubmitDetached(
-          [control, shared_fn, p, policy, stage, traced, profiled, job,
-           queued, tracer] {
-            RunTaskCopy<Fn>(control, *shared_fn, p, 1, policy, stage, traced,
-                            profiled, job, queued, tracer);
-          });
+          [job, shared_fn, p] { RunTaskCopy(job, *shared_fn, p, 1); });
     }
 
     // Driver-side monitor: promote deadline/token to a latched cancel so
     // workers skip queued tasks, and launch speculative copies for
     // stragglers. A cancelled job settles as soon as no claimed copy is
     // still inside user code — it does not wait out unclaimed sleepers.
+    const SpeculationPolicy spec = speculation_policy_;
     constexpr auto kTick = std::chrono::milliseconds(2);
-    while (!control->WaitSettledFor(kTick)) {
-      control->ShouldStop();
+    while (!job.control->WaitSettledFor(kTick)) {
+      job.control->ShouldStop();
       if (spec.enabled) {
-        for (size_t p : control->SpeculationCandidates(spec)) {
-          speculated->Increment();
-          if (profiled) {
-            control->accounting().speculated.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          obs::DefaultFlightRecorder().RecordTask(
-              obs::FlightEventKind::kSpeculate, control->generation(), p, 2,
-              0, ThreadPool::CurrentWorkerIndex(), 0, stage);
+        for (size_t p : job.control->SpeculationCandidates(spec)) {
+          EmitTaskOutcome(job, {obs::FlightEventKind::kSpeculate, p, 2});
           pool_->SubmitDetached(
-              [control, shared_fn, p, policy, stage, traced, profiled, job,
-               queued, tracer] {
-                RunTaskCopy<Fn>(control, *shared_fn, p, 2, policy, stage,
-                                traced, profiled, job, queued, tracer);
-              });
+              [job, shared_fn, p] { RunTaskCopy(job, *shared_fn, p, 2); });
         }
       }
     }
-    return FinishJob(control, stage, profiled, job_started_ns, jobs_failed);
+    return FinishJob(job, job_started_ns);
   }
 
   /// Throwing wrapper over TryRunTasks for value-returning actions: a
@@ -283,6 +260,103 @@ class Context {
   }
 
  private:
+  /// One job as its task copies see it; every copy holds it by value.
+  struct TaskJob {
+    std::shared_ptr<JobControl> control;
+    fault::RetryPolicy policy;  ///< stable for the job
+    const char* stage;
+    obs::TaskTracer* tracer;  ///< null unless tracing is on
+    bool profiled;
+    uint64_t trace_job;  ///< tracer job id
+    uint64_t queued_ns;  ///< tracer time the tasks were enqueued
+  };
+
+  /// One task event, as every sink sees it. `span`/`status` belong to the
+  /// attempt the event ends, if any (span null unless traced or profiled).
+  struct TaskOutcome {
+    obs::FlightEventKind kind;
+    size_t partition = 0;
+    uint32_t copy = 0;     ///< 1 = original, 2 = speculative, 0 = the driver
+    uint32_t attempt = 0;  ///< 0 when no attempt ran
+    uint64_t value = 0;  ///< run duration (kFinish), task count (kJobFail)
+    obs::TaskSpan* span = nullptr;
+    const Status* status = nullptr;
+  };
+
+  /// The engine's one task-outcome site; nothing else touches the task
+  /// sinks (see docs/OBSERVABILITY.md "Task outcomes"). A final outcome
+  /// (finish, task_fail, cancel) commits the task last: CompleteTask, then
+  /// EndClaimedRun for a copy's claim. Those let the driver settle, so
+  /// every sink update lands before them and a returned job's counts are
+  /// final.
+  static void EmitTaskOutcome(const TaskJob& job, const TaskOutcome& o) {
+    using Kind = obs::FlightEventKind;
+    auto counter = [](const char* name) {
+      return obs::DefaultMetrics().GetCounter(name);
+    };
+    static obs::Counter* const failures = counter("engine.task.failures");
+    static obs::Counter* const wins = counter("engine.task.speculation_wins");
+    static obs::Counter* const slow = counter("engine.task.slow");
+    static const auto by_kind = [&counter] {
+      std::array<obs::Counter*, obs::kNumFlightEventKinds> c{};
+      c[static_cast<size_t>(Kind::kRetry)] = counter("engine.task.retries");
+      c[static_cast<size_t>(Kind::kSpeculate)] =
+          counter("engine.task.speculated");
+      c[static_cast<size_t>(Kind::kCancel)] = counter("engine.task.cancelled");
+      c[static_cast<size_t>(Kind::kJobFail)] = counter("engine.jobs.failed");
+      return c;
+    }();
+    JobControl& control = *job.control;
+    const size_t k = static_cast<size_t>(o.kind);
+    const bool finished = o.kind == Kind::kFinish;
+    if (by_kind[k] != nullptr) by_kind[k]->Increment();
+    if (o.status != nullptr && !o.status->ok()) failures->Increment();
+    if (finished && o.copy > 1) wins->Increment();
+
+    const bool failed_task =
+        o.kind == Kind::kRetry || o.kind == Kind::kTaskFail;
+    obs::DefaultFlightRecorder().RecordTask(
+        o.kind, control.generation(), o.partition, o.copy, o.attempt,
+        ThreadPool::CurrentWorkerIndex(), o.value,
+        failed_task ? o.status->message().c_str() : job.stage);
+
+    if (job.profiled) {
+      JobControl::Accounting& acc = control.accounting();
+      acc.outcomes[k].fetch_add(1, std::memory_order_relaxed);
+      if (finished && o.span != nullptr) {
+        acc.rows_in.fetch_add(o.span->records_in, std::memory_order_relaxed);
+        acc.rows_out.fetch_add(o.span->records_out,
+                               std::memory_order_relaxed);
+        acc.bytes.fetch_add(o.span->bytes, std::memory_order_relaxed);
+        acc.candidates.fetch_add(o.span->candidates,
+                                 std::memory_order_relaxed);
+        acc.refined.fetch_add(o.span->refined, std::memory_order_relaxed);
+      }
+    }
+
+    if (job.tracer != nullptr && o.span != nullptr) {
+      o.span->end_ns = job.tracer->NowNanos();
+      o.span->ok = o.status == nullptr || o.status->ok();
+      if (!o.span->ok) o.span->error = o.status->message();
+      job.tracer->Record(std::move(*o.span));
+    }
+
+    const double slow_ms = finished ? obs::GlobalSlowLog().slow_task_ms() : 0;
+    if (slow_ms > 0 && static_cast<double>(o.value) > slow_ms * 1e6) {
+      slow->Increment();
+      std::fprintf(stderr,
+                   "[stark] slow task: %s partition %zu took %.1f ms "
+                   "(threshold %.1f ms)\n",
+                   job.stage, o.partition, static_cast<double>(o.value) / 1e6,
+                   slow_ms);
+    }
+
+    if (finished || o.kind == Kind::kTaskFail || o.kind == Kind::kCancel) {
+      control.CompleteTask(o.partition, finished ? o.value : 0, finished);
+      if (o.copy != 0) control.EndClaimedRun();
+    }
+  }
+
   /// One execution of one copy of one task: the engine's task boundary.
   /// `copy` is 1 for the original and 2 for a speculative duplicate. The
   /// flow is: skip if the job is done/cancelled; pass the failpoint sites
@@ -290,66 +364,47 @@ class Context {
   /// copy); *claim* the task — only the claim winner ever runs \p fn, which
   /// is what makes speculative duplicates safe against task bodies that
   /// write shared per-partition output slots; run \p fn under a TaskContext
-  /// (cooperative checkpoints) and a TaskSpan; commit exactly once.
+  /// (cooperative checkpoints) and a TaskSpan; commit exactly once. Only
+  /// the claim holder reports a task's final outcome.
   template <typename Fn>
-  static void RunTaskCopy(const std::shared_ptr<JobControl>& control,
-                          const Fn& fn, size_t p, uint32_t copy,
-                          const fault::RetryPolicy& policy, const char* stage,
-                          bool traced, bool profiled, uint64_t job,
-                          uint64_t queued, obs::TaskTracer* tracer) {
-    static obs::Counter* const retries =
-        obs::DefaultMetrics().GetCounter("engine.task.retries");
-    static obs::Counter* const failures =
-        obs::DefaultMetrics().GetCounter("engine.task.failures");
-    static obs::Counter* const cancelled_tasks =
-        obs::DefaultMetrics().GetCounter("engine.task.cancelled");
-    static obs::Counter* const speculation_wins =
-        obs::DefaultMetrics().GetCounter("engine.task.speculation_wins");
-    static obs::Counter* const slow_tasks =
-        obs::DefaultMetrics().GetCounter("engine.task.slow");
+  static void RunTaskCopy(const TaskJob& job, const Fn& fn, size_t p,
+                          uint32_t copy) {
+    using Kind = obs::FlightEventKind;
     static fault::FailPoint* const task_fp =
         fault::DefaultFailPoints().Get("engine.task.run");
     static fault::FailPoint* const die_fp =
         fault::DefaultFailPoints().Get("engine.worker.die");
-    obs::FlightRecorder& flight = obs::DefaultFlightRecorder();
-    const uint64_t gen = control->generation();
-    const int worker = ThreadPool::CurrentWorkerIndex();
+    JobControl& control = *job.control;
     // Spans exist whenever someone consumes them: the tracer (per-attempt
     // export) or the profiler (accounting folded into the job on success).
-    const bool observe = traced || profiled;
+    const bool observe = job.tracer != nullptr || job.profiled;
 
-    if (control->TaskDone(p)) return;  // a copy arrived after completion
-    if (control->ShouldStop()) {
-      // Job is cancelled or past its deadline: skip without starting.
-      if (control->CompleteTask(p, 0, false)) {
-        cancelled_tasks->Increment();
-        if (profiled) {
-          control->accounting().cancelled.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        flight.RecordTask(obs::FlightEventKind::kCancel, gen, p, copy, 0,
-                          worker, 0, stage);
+    if (control.TaskDone(p)) return;  // a copy arrived after completion
+    if (control.ShouldStop()) {
+      // Job is cancelled or past its deadline: skip without starting. The
+      // claim decides who reports the skip; a copy killed mid-claim and
+      // requeued re-claims here, and its commit closes its claim bracket.
+      if (control.ClaimTask(p, copy)) {
+        EmitTaskOutcome(job, {Kind::kCancel, p, copy});
       }
-      // A copy that was killed mid-claim and requeued still holds the
-      // claim bracket; close it so the driver can settle.
-      if (control->OwnsTask(p, copy)) control->EndClaimedRun();
       return;
     }
-    control->RecordTaskStart(p);
+    control.RecordTaskStart(p);
 
-    const size_t max_attempts = policy.EffectiveAttempts();
+    const size_t max_attempts = job.policy.EffectiveAttempts();
     bool claimed = false;
     for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
+      const auto a = static_cast<uint32_t>(attempt);
       obs::TaskSpan span;
       if (observe) {
-        span.job_id = job;
-        span.stage = stage;
+        span.job_id = job.trace_job;
+        span.stage = job.stage;
         span.partition = p;
-        span.worker = worker;
-        span.queued_ns = queued;
+        span.worker = ThreadPool::CurrentWorkerIndex();
+        span.queued_ns = job.queued_ns;
         span.attempt = attempt;
         span.speculative = copy > 1;
-        span.start_ns = traced ? tracer->NowNanos() : 0;
+        span.start_ns = job.tracer != nullptr ? job.tracer->NowNanos() : 0;
       }
       Status task_status;
       uint64_t run_started_ns = 0;
@@ -359,18 +414,17 @@ class Context {
         // can win the task meanwhile.
         fault::MaybeThrow(task_fp);
         fault::MaybeKillWorker(die_fp);
-        if (!claimed && !control->ClaimTask(p, copy)) {
+        if (!claimed && !control.ClaimTask(p, copy)) {
           // Another copy owns this task: cooperative loser exit. The
           // owner commits; this copy must not touch fn's outputs.
           return;
         }
         claimed = true;
-        flight.RecordTask(obs::FlightEventKind::kClaim, gen, p, copy,
-                          static_cast<uint32_t>(attempt), worker, 0, stage);
-        TaskContext task_ctx(control.get(), p, copy > 1);
+        EmitTaskOutcome(job, {Kind::kClaim, p, copy, a});
+        TaskContext task_ctx(&control, p, copy > 1);
         CurrentTaskContextScope task_scope(&task_ctx);
-        // Post-claim stop check (ordered against Cancel by the seq_cst
-        // claim CAS): never start user code on a dead job.
+        // Post-claim stop check (ordered against Cancel by the claim, taken
+        // under the job's lock): never start user code on a dead job.
         task_ctx.ThrowIfCancelled();
         run_started_ns = SteadyNowNs();
         if (observe) {
@@ -384,156 +438,105 @@ class Context {
       } catch (const WorkerKilledError&) {
         // Executor loss: unwind into the pool's worker loop, which requeues
         // this exact copy on a surviving worker.
-        flight.RecordTask(obs::FlightEventKind::kWorkerDeath, gen, p, copy,
-                          static_cast<uint32_t>(attempt), worker, 0, stage);
+        EmitTaskOutcome(job, {Kind::kWorkerDeath, p, copy, a});
         throw;
       } catch (const std::exception& e) {
         task_status = Status::UnknownError(e.what());
       } catch (...) {
         task_status = Status::UnknownError("non-std exception");
       }
-      if (traced) {
-        span.end_ns = tracer->NowNanos();
-        span.ok = task_status.ok();
-        span.error = task_status.message();
-      }
+      TaskOutcome out{Kind::kFinish, p, copy, a};
+      out.span = observe ? &span : nullptr;
+      out.status = &task_status;
       if (task_status.ok()) {
-        const uint64_t duration_ns = SteadyNowNs() - run_started_ns;
-        // All observation (span, flight event, accounting fold, slow log)
-        // must land BEFORE CompleteTask: the moment the last task
-        // completes, the driver settles the job, reads the accounting into
-        // the ProfileNode, and may return to the caller — anything recorded
-        // after CompleteTask can be missed by that read.
-        flight.RecordTask(obs::FlightEventKind::kFinish, gen, p, copy,
-                          static_cast<uint32_t>(attempt), worker, duration_ns,
-                          stage);
-        if (profiled) {
-          JobControl::Accounting& acc = control->accounting();
-          acc.rows_in.fetch_add(span.records_in, std::memory_order_relaxed);
-          acc.rows_out.fetch_add(span.records_out, std::memory_order_relaxed);
-          acc.bytes.fetch_add(span.bytes, std::memory_order_relaxed);
-          acc.candidates.fetch_add(span.candidates,
-                                   std::memory_order_relaxed);
-          acc.refined.fetch_add(span.refined, std::memory_order_relaxed);
-        }
-        const double slow_ms = obs::GlobalSlowLog().slow_task_ms();
-        if (slow_ms > 0 &&
-            static_cast<double>(duration_ns) > slow_ms * 1e6) {
-          slow_tasks->Increment();
-          std::fprintf(stderr,
-                       "[stark] slow task: %s partition %zu took %.1f ms "
-                       "(threshold %.1f ms)\n",
-                       stage, p, static_cast<double>(duration_ns) / 1e6,
-                       slow_ms);
-        }
-        if (traced) tracer->Record(std::move(span));
-        if (control->CompleteTask(p, duration_ns, true) && copy > 1) {
-          speculation_wins->Increment();
-        }
-        control->EndClaimedRun();
+        out.value = SteadyNowNs() - run_started_ns;
+        EmitTaskOutcome(job, out);
         return;
       }
-      if (traced) tracer->Record(std::move(span));
-      failures->Increment();
-      if (control->Cancelled()) {
-        // The job is being torn down (deadline, cancel, or fail-fast
-        // abort): a failing or cooperatively-stopped attempt is not
-        // retried.
-        if (control->CompleteTask(p, 0, false)) {
-          cancelled_tasks->Increment();
-          if (profiled) {
-            control->accounting().cancelled.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          flight.RecordTask(obs::FlightEventKind::kCancel, gen, p, copy,
-                            static_cast<uint32_t>(attempt), worker, 0, stage);
+      // The job is being torn down (deadline, cancel, or fail-fast abort):
+      // a failing or cooperatively-stopped attempt is not retried.
+      const bool stopping = control.Cancelled();
+      if (stopping || attempt >= max_attempts) {
+        // A final outcome is the claim holder's to report: a copy whose
+        // injected fault fired before it claimed leaves the task to the
+        // copy that holds the claim.
+        if (!claimed && !control.ClaimTask(p, copy)) return;
+        out.kind = stopping ? Kind::kCancel : Kind::kTaskFail;
+        if (!stopping) {
+          // Permanent failure: cancel the rest of the job, like Spark
+          // cancelling a stage once a task exhausts spark.task.maxFailures.
+          control.FailJob(Status(
+              task_status.code(),
+              std::string(job.stage) + " partition " + std::to_string(p) +
+                  " failed after " + std::to_string(attempt) +
+                  " attempt(s): " + task_status.message()));
         }
-        if (claimed) control->EndClaimedRun();
+        EmitTaskOutcome(job, out);
         return;
       }
-      if (attempt >= max_attempts) {
-        // Permanent failure: record it and cancel the rest of the job,
-        // like Spark cancelling a stage once a task exhausts
-        // spark.task.maxFailures.
-        flight.RecordTask(obs::FlightEventKind::kTaskFail, gen, p, copy,
-                          static_cast<uint32_t>(attempt), worker, 0,
-                          task_status.message().c_str());
-        control->FailJob(Status(
-            task_status.code(),
-            std::string(stage) + " partition " + std::to_string(p) +
-                " failed after " + std::to_string(attempt) +
-                " attempt(s): " + task_status.message()));
-        control->CompleteTask(p, 0, false);
-        if (claimed) control->EndClaimedRun();
-        return;
-      }
-      retries->Increment();
-      if (profiled) {
-        control->accounting().retries.fetch_add(1,
-                                                std::memory_order_relaxed);
-      }
-      flight.RecordTask(obs::FlightEventKind::kRetry, gen, p, copy,
-                        static_cast<uint32_t>(attempt), worker, 0,
-                        task_status.message().c_str());
+      out.kind = Kind::kRetry;
+      EmitTaskOutcome(job, out);
       // No backoff after the final attempt (handled above), and none once
       // the job is already cancelled.
-      const uint64_t backoff_ms = policy.BackoffMs(attempt);
-      if (backoff_ms > 0 && !control->Cancelled()) {
+      const uint64_t backoff_ms = job.policy.BackoffMs(attempt);
+      if (backoff_ms > 0 && !control.Cancelled()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       }
     }
   }
 
-  static Status ResolveJobStatus(const JobControl& control,
-                                 obs::Counter* jobs_failed) {
-    Status result = control.first_failure();
-    if (result.ok() && control.Cancelled()) result = control.cancel_status();
-    if (!result.ok()) jobs_failed->Increment();
-    return result;
-  }
-
-  /// Shared job epilogue (single-task fast path and pooled path): resolves
-  /// the job status, dumps the flight recorder when the job died, and
-  /// appends the job's ProfileNode to the driver's collector.
-  static Status FinishJob(const std::shared_ptr<JobControl>& control,
-                          const char* stage, bool profiled,
-                          uint64_t job_started_ns, obs::Counter* jobs_failed) {
-    const Status status = ResolveJobStatus(*control, jobs_failed);
+  /// Shared job epilogue (single-task fast path and pooled path): reports
+  /// the tasks of a cancelled job that no copy reached, resolves the job
+  /// status, dumps the flight recorder when the job died, and appends the
+  /// job's ProfileNode to the driver's collector.
+  static Status FinishJob(const TaskJob& job, uint64_t job_started_ns) {
+    using Kind = obs::FlightEventKind;
+    JobControl& control = *job.control;
+    for (size_t p : control.ClaimUnclaimedTasks()) {
+      EmitTaskOutcome(job, {Kind::kCancel, p});
+    }
+    Status status = control.first_failure();
+    if (status.ok() && control.Cancelled()) status = control.cancel_status();
     const double wall_ms =
         static_cast<double>(SteadyNowNs() - job_started_ns) / 1e6;
     if (!status.ok()) {
-      obs::FlightRecorder& flight = obs::DefaultFlightRecorder();
-      flight.RecordTask(obs::FlightEventKind::kJobFail, control->generation(),
-                        0, 0, 0, ThreadPool::CurrentWorkerIndex(),
-                        control->num_tasks(), stage);
-      flight.AutoDump(std::string(stage) + ": " + status.ToString());
+      EmitTaskOutcome(job, {Kind::kJobFail, 0, 0, 0, control.num_tasks()});
+      obs::DefaultFlightRecorder().AutoDump(std::string(job.stage) + ": " +
+                                            status.ToString());
     }
-    if (profiled) {
+    if (job.profiled) {
       obs::ProfileCollector* collector = obs::CurrentProfileCollector();
       if (collector != nullptr) {
         obs::ProfileNode node;
-        node.label = stage;
+        node.label = job.stage;
         node.kind = obs::ProfileNodeKind::kJob;
         node.wall_ms = wall_ms;
-        node.partitions = control->num_tasks();
-        const JobControl::Accounting& acc = control->accounting();
+        node.partitions = control.num_tasks();
+        const JobControl::Accounting& acc = control.accounting();
         node.rows_in = acc.rows_in.load(std::memory_order_relaxed);
         node.rows_out = acc.rows_out.load(std::memory_order_relaxed);
         node.bytes = acc.bytes.load(std::memory_order_relaxed);
         node.candidates = acc.candidates.load(std::memory_order_relaxed);
         node.refined = acc.refined.load(std::memory_order_relaxed);
-        node.retries = acc.retries.load(std::memory_order_relaxed);
-        node.speculated = acc.speculated.load(std::memory_order_relaxed);
-        node.cancelled = acc.cancelled.load(std::memory_order_relaxed);
+        node.retries = acc.count(Kind::kRetry);
+        node.speculated = acc.count(Kind::kSpeculate);
+        node.cancelled = acc.count(Kind::kCancel);
         node.failed = !status.ok();
         if (node.failed) node.error = status.ToString();
         obs::Histogram durations;
-        for (uint64_t d : control->CompletedDurations()) durations.Record(d);
+        for (uint64_t d : control.CompletedDurations()) durations.Record(d);
         node.task_ns = durations.Snap();
         collector->RecordJob(std::move(node));
       }
     }
     return status;
+  }
+
+  /// Process-wide job ids (the flight recorder's `job`): one counter for
+  /// every TryRunTasks instantiation.
+  static uint64_t NextJobGeneration() {
+    static std::atomic<uint64_t> generation{0};
+    return generation.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
   static uint64_t SteadyNowNs() {

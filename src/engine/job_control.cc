@@ -110,10 +110,12 @@ void JobControl::FailJob(Status failure) {
 
 bool JobControl::ClaimTask(size_t p, uint32_t copy) {
   STARK_CHECK(p < num_tasks_ && copy != 0);
+  // Under mu_, so a claim and its open bracket appear together to the
+  // driver's settle checks.
+  std::lock_guard<std::mutex> lock(mu_);
   uint32_t expected = 0;
   if (tasks_[p].owner.compare_exchange_strong(expected, copy,
                                               std::memory_order_seq_cst)) {
-    std::lock_guard<std::mutex> lock(mu_);
     ++claimed_open_;
     return true;
   }
@@ -145,15 +147,10 @@ bool JobControl::TaskDone(size_t p) const {
   return tasks_[p].done.load(std::memory_order_acquire);
 }
 
-bool JobControl::OwnsTask(size_t p, uint32_t copy) const {
-  STARK_CHECK(p < num_tasks_);
-  return tasks_[p].owner.load(std::memory_order_seq_cst) == copy;
-}
-
-bool JobControl::CompleteTask(size_t p, uint64_t duration_ns,
+void JobControl::CompleteTask(size_t p, uint64_t duration_ns,
                               bool record_duration) {
   STARK_CHECK(p < num_tasks_);
-  if (tasks_[p].done.exchange(true, std::memory_order_acq_rel)) return false;
+  STARK_CHECK(!tasks_[p].done.exchange(true, std::memory_order_acq_rel));
   {
     std::lock_guard<std::mutex> lock(mu_);
     STARK_CHECK(remaining_ > 0);
@@ -161,17 +158,11 @@ bool JobControl::CompleteTask(size_t p, uint64_t duration_ns,
     if (record_duration) completed_ns_.push_back(duration_ns);
   }
   cv_.notify_all();
-  return true;
 }
 
 std::vector<uint64_t> JobControl::CompletedDurations() const {
   std::lock_guard<std::mutex> lock(mu_);
   return completed_ns_;
-}
-
-bool JobControl::AllDone() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remaining_ == 0;
 }
 
 bool JobControl::WaitSettledFor(std::chrono::nanoseconds d) {
@@ -180,6 +171,22 @@ bool JobControl::WaitSettledFor(std::chrono::nanoseconds d) {
     if (remaining_ == 0) return true;
     return cancelled_.load(std::memory_order_seq_cst) && claimed_open_ == 0;
   });
+}
+
+std::vector<size_t> JobControl::ClaimUnclaimedTasks() {
+  constexpr uint32_t kDriver = ~uint32_t{0};  // no task copy's id
+  std::vector<size_t> claimed;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (remaining_ == 0) return claimed;
+  for (size_t p = 0; p < num_tasks_; ++p) {
+    uint32_t expected = 0;
+    if (tasks_[p].owner.compare_exchange_strong(expected, kDriver,
+                                                std::memory_order_seq_cst)) {
+      claimed.push_back(p);
+    }
+  }
+  cv_.wait(lock, [this] { return claimed_open_ == 0; });
+  return claimed;
 }
 
 std::vector<size_t> JobControl::SpeculationCandidates(

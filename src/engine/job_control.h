@@ -20,6 +20,7 @@
 #ifndef STARK_ENGINE_JOB_CONTROL_H_
 #define STARK_ENGINE_JOB_CONTROL_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -31,6 +32,7 @@
 
 #include "common/macros.h"
 #include "common/status.h"
+#include "obs/flight_recorder.h"
 
 namespace stark {
 
@@ -133,15 +135,12 @@ class JobControl {
   /// True once the logical task \p p has completed (or been skipped).
   bool TaskDone(size_t p) const;
 
-  /// True when copy \p copy holds the claim on task \p p (used by a
-  /// requeued copy to detect that it still owns an open claim bracket).
-  bool OwnsTask(size_t p, uint32_t copy) const;
-
-  /// Marks logical task \p p complete. Returns true only for the call that
-  /// performed the transition — the commit point that fires exactly once
-  /// per task. \p duration_ns feeds the speculation median when
-  /// \p record_duration is set (successful runs only).
-  bool CompleteTask(size_t p, uint64_t duration_ns, bool record_duration);
+  /// Marks logical task \p p complete: the commit point, called exactly
+  /// once per task by the claim holder (a task copy, or the driver for the
+  /// tasks it claimed at settlement) after the task's outcome is reported.
+  /// \p duration_ns feeds the speculation median when \p record_duration
+  /// is set (successful runs only).
+  void CompleteTask(size_t p, uint64_t duration_ns, bool record_duration);
 
   /// Closes the claim bracket opened by a winning ClaimTask: the owning
   /// copy calls this exactly once when it leaves the task wrapper, so the
@@ -158,8 +157,11 @@ class JobControl {
   /// JobControl (heap, shared ownership) — never the driver's stack.
   bool WaitSettledFor(std::chrono::nanoseconds d);
 
-  /// True when every logical task completed (none skipped).
-  bool AllDone() const;
+  /// Once a cancelled job has settled: claims every task no copy claimed
+  /// (a late copy then loses the claim and reports nothing), waits out the
+  /// copies that claimed meanwhile, and returns the tasks claimed here for
+  /// the driver to report and complete. Empty when every task completed.
+  std::vector<size_t> ClaimUnclaimedTasks();
 
   /// Scans for stragglers eligible for a speculative copy: started, not
   /// done, not yet speculated, running longer than
@@ -170,19 +172,24 @@ class JobControl {
 
   // --- Profile accounting -------------------------------------------------
 
-  /// Relaxed per-job totals accumulated by task epilogues when a
-  /// ProfileCollector is installed and read once by the driver epilogue.
-  /// Kept here (not in the collector) because tasks outlive neither the
-  /// job nor this struct, and the driver-side collector is single-threaded.
+  /// Relaxed per-job totals accumulated by the engine's task-outcome site
+  /// when a ProfileCollector is installed and read once by the driver
+  /// epilogue. Kept here (not in the collector) because tasks outlive
+  /// neither the job nor this struct, and the driver-side collector is
+  /// single-threaded. The first five fold successful attempts' spans.
   struct Accounting {
     std::atomic<uint64_t> rows_in{0};
     std::atomic<uint64_t> rows_out{0};
     std::atomic<uint64_t> bytes{0};
     std::atomic<uint64_t> candidates{0};
     std::atomic<uint64_t> refined{0};
-    std::atomic<uint64_t> retries{0};
-    std::atomic<uint64_t> speculated{0};
-    std::atomic<uint64_t> cancelled{0};
+    /// Task events of the job, indexed by obs::FlightEventKind.
+    std::array<std::atomic<uint64_t>, obs::kNumFlightEventKinds> outcomes{};
+
+    uint64_t count(obs::FlightEventKind kind) const {
+      return outcomes[static_cast<size_t>(kind)].load(
+          std::memory_order_relaxed);
+    }
   };
   Accounting& accounting() { return accounting_; }
 

@@ -8,9 +8,8 @@
 /// unique_ptr nodes. Visitor and kNN APIs are templated: there is no
 /// std::function indirection anywhere on the traversal path.
 ///
-/// Build one directly from entries (STR bulk load, same tiling as
-/// RTree::BulkLoad) or freeze an incrementally built RTree via
-/// RTree::Freeze(). See docs/PERFORMANCE.md for the layout diagram.
+/// Built once from its entries by an STR (sort-tile-recursive) bulk load.
+/// See docs/PERFORMANCE.md for the layout diagram.
 #ifndef STARK_INDEX_PACKED_RTREE_H_
 #define STARK_INDEX_PACKED_RTREE_H_
 
@@ -36,8 +35,8 @@ namespace stark {
 /// [begin,end) range indexes the entry arrays; an interior node's range
 /// indexes the node arrays (children are contiguous by construction).
 ///
-/// Like the classic RTree, queries yield *candidates* whose bounding boxes
-/// match; callers refine with the exact predicate.
+/// Queries yield *candidates* whose bounding boxes match; callers refine
+/// with the exact predicate.
 template <typename T>
 class PackedRTree {
  public:
@@ -55,8 +54,6 @@ class PackedRTree {
   PackedRTree() = default;
 
   /// STR bulk load with node capacity \p order (clamped by ClampOrder).
-  /// Uses the same sort-tile-recursive tiling as RTree::BulkLoad, so the
-  /// leaf composition matches the classic tree built from the same entries.
   PackedRTree(size_t order, std::vector<std::pair<Envelope, T>> entries)
       : order_(ClampOrder(order)) {
     Build(std::move(entries));
@@ -75,8 +72,7 @@ class PackedRTree {
   /// Bounding box of everything in the tree (empty envelope when empty).
   const Envelope& bounds() const { return bounds_; }
 
-  /// Depth in levels (1 for a tree whose root is a leaf); matches
-  /// RTree::Depth for the same entry set.
+  /// Depth in levels (1 for a tree whose root is a leaf).
   size_t Depth() const { return levels_ == 0 ? 1 : levels_; }
 
   /// Invokes `visit(const Envelope&, const T&)` for every entry whose
@@ -156,9 +152,10 @@ class PackedRTree {
 
   /// \brief Exact k-nearest-neighbor search (branch and bound).
   ///
-  /// Same contract as RTree::Knn: \p exact_distance computes the true
-  /// distance from the query to an entry's value and must never be smaller
-  /// than the distance to the entry's envelope.
+  /// Returns up to \p k (distance, value) pairs in ascending distance.
+  /// \p exact_distance computes the true distance from the query to an
+  /// entry's value and must never be smaller than the distance to the
+  /// entry's envelope.
   template <typename DistFn>
   std::vector<std::pair<double, const T*>> Knn(
       const Coordinate& query, size_t k, DistFn&& exact_distance) const {
@@ -232,8 +229,8 @@ class PackedRTree {
   void Build(std::vector<std::pair<Envelope, T>> entries) {
     if (entries.empty()) return;
 
-    // STR tiling, mirroring RTree::BulkLoad: x-sort, sqrt(leaf_count)
-    // vertical slices, y-sort within each slice, chunk into leaves.
+    // STR tiling: x-sort, sqrt(leaf_count) vertical slices, y-sort within
+    // each slice, chunk into leaves.
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) {
                 return a.first.Center().x < b.first.Center().x;
@@ -268,9 +265,9 @@ class PackedRTree {
     }
     num_leaf_nodes_ = static_cast<uint32_t>(level.size());
 
-    // Pack upper levels: each level is sorted by envelope center x (as in
-    // RTree::BulkLoad), appended to the flat arrays, then chunked into
-    // parents whose child ranges are absolute node indices.
+    // Pack upper levels: each level is sorted by envelope center x,
+    // appended to the flat arrays, then chunked into parents whose child
+    // ranges are absolute node indices.
     while (level.size() > 1) {
       std::sort(level.begin(), level.end(),
                 [](const BuildRec& a, const BuildRec& b) {

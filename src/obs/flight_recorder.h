@@ -51,6 +51,10 @@ enum class FlightEventKind : uint8_t {
   kFault = 8,       ///< an armed fail point fired; detail = site name
 };
 
+/// Number of FlightEventKind values, for tables indexed by kind.
+inline constexpr size_t kNumFlightEventKinds =
+    static_cast<size_t>(FlightEventKind::kFault) + 1;
+
 /// Human-readable name of \p kind ("claim", "finish", ...).
 const char* FlightEventKindName(FlightEventKind kind);
 

@@ -157,16 +157,6 @@ size_t AdmissionQueue::Depth() const {
   return TotalDepthLocked();
 }
 
-size_t AdmissionQueue::DepthOf(QueryClass cls) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queues_[static_cast<size_t>(cls)].size();
-}
-
-bool AdmissionQueue::IntakeClosed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return intake_closed_;
-}
-
 DegradationLevel AdmissionQueue::Level() const {
   std::lock_guard<std::mutex> lock(mu_);
   return LevelForDepth(TotalDepthLocked());

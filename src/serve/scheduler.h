@@ -106,8 +106,6 @@ class AdmissionQueue {
   void OnCompleted(uint64_t exec_ns);
 
   size_t Depth() const;
-  size_t DepthOf(QueryClass cls) const;
-  bool IntakeClosed() const;
 
   /// Current rung of the degradation ladder, from instantaneous occupancy.
   DegradationLevel Level() const;

@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -69,16 +68,6 @@ void TruncateOutput(std::string* output, size_t max_rows) {
       return;
     }
   }
-}
-
-void RecordServeCancel(uint64_t query_id, const char* why) {
-  obs::FlightRecorder& flight = obs::DefaultFlightRecorder();
-  if (!flight.enabled()) return;
-  obs::FlightEvent e;
-  e.job = query_id;
-  e.kind = obs::FlightEventKind::kCancel;
-  std::snprintf(e.detail, sizeof(e.detail), "%s", why);
-  flight.Record(e);
 }
 
 struct ServeMetrics {
@@ -266,8 +255,7 @@ void Server::Execute(const std::shared_ptr<Request>& req) {
 
   if (hard_drain_.load(std::memory_order_acquire)) {
     result.status = Status::Cancelled("serve: server shutting down");
-    RecordServeCancel(req->session->id(), "serve.drain");
-    Finish(req, std::move(result));
+    Finish(req, std::move(result), Ending::kDrained);
     return;
   }
   if (req->deadline_ms > 0 &&
@@ -276,9 +264,7 @@ void Server::Execute(const std::shared_ptr<Request>& req) {
         "serve: deadline of " + std::to_string(req->deadline_ms) +
         "ms expired after " + std::to_string(result.queue_ns / 1'000'000) +
         "ms in the admission queue");
-    m.expired_in_queue->Increment();
-    RecordServeCancel(req->session->id(), "serve.deadline");
-    Finish(req, std::move(result));
+    Finish(req, std::move(result), Ending::kExpiredInQueue);
     return;
   }
 
@@ -362,27 +348,32 @@ QueryResult Server::RunScript(const std::shared_ptr<Request>& req,
   // the Context deadline from Session::deadline_ms_, which the SET hook
   // already updated if the script changed it.
   ctx->set_speculation_policy(saved_spec);
-
-  if (result.status.IsCancelled()) {
-    RecordServeCancel(s->id(), "serve.cancel");
-  } else if (result.status.IsDeadlineExceeded()) {
-    RecordServeCancel(s->id(), "serve.deadline");
-  }
   return result;
 }
 
-void Server::Finish(const std::shared_ptr<Request>& req, QueryResult result) {
+void Server::Finish(const std::shared_ptr<Request>& req, QueryResult result,
+                    Ending ending) {
   const ServeMetrics& m = Metrics();
+  const char* cancel_detail = nullptr;
   if (result.status.ok()) {
     m.completed->Increment();
   } else if (result.status.IsCancelled()) {
     m.cancelled->Increment();
+    cancel_detail =
+        ending == Ending::kDrained ? "serve.drain" : "serve.cancel";
   } else if (result.status.IsDeadlineExceeded()) {
     m.deadline_exceeded->Increment();
+    if (ending == Ending::kExpiredInQueue) m.expired_in_queue->Increment();
+    cancel_detail = "serve.deadline";
   } else if (!result.status.IsResourceExhausted()) {
     m.failed->Increment();
   }
   // Shed queries are counted by the admission queue itself.
+  if (cancel_detail != nullptr) {
+    obs::DefaultFlightRecorder().RecordTask(obs::FlightEventKind::kCancel,
+                                            req->session->id(), 0, 0, 0, -1,
+                                            0, cancel_detail);
+  }
   m.latency[static_cast<size_t>(req->cls)]->Record(NowNs() - req->submit_ns);
   req->promise->set_value(std::move(result));
 }

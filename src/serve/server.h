@@ -147,9 +147,6 @@ class Server {
   AdmissionQueue& queue() { return queue_; }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
-  /// Queries currently executing on workers.
-  size_t ActiveQueries() const { return active_.load(); }
-
  private:
   friend class Session;
 
@@ -172,7 +169,12 @@ class Server {
   /// Runs \p req's script on the caller thread against pinned snapshots.
   QueryResult RunScript(const std::shared_ptr<Request>& req,
                         DegradationLevel level);
-  void Finish(const std::shared_ptr<Request>& req, QueryResult result);
+  /// How a query ended, where its status alone cannot tell.
+  enum class Ending { kRan, kDrained, kExpiredInQueue };
+  /// The one site that records a query's outcome (counters, flight kCancel
+  /// of a cancelled or timed-out query, latency) and fulfils its promise.
+  void Finish(const std::shared_ptr<Request>& req, QueryResult result,
+              Ending ending = Ending::kRan);
 
   static uint64_t NowNs();
 

@@ -44,8 +44,7 @@ class SpatialRDD;
 ///
 /// The partition trees are *packed* R-trees (PackedRTree): STR bulk-loaded
 /// straight into the flat SoA layout, probed with the iterative templated
-/// traversal. Incrementally built RTree instances enter this layout via
-/// RTree::Freeze().
+/// traversal.
 template <typename V>
 class IndexedSpatialRDD {
  public:
@@ -171,8 +170,9 @@ class IndexedSpatialRDD {
   /// Exact k nearest neighbors of \p query; results are (distance, element)
   /// sorted ascending. Defaults to the Euclidean geometry distance (tree
   /// branch-and-bound); a custom \p fn falls back to a per-partition scan,
-  /// since RTree::Knn's envelope lower bound is only valid for Euclidean
-  /// distance. A distance of NaN is treated as +infinity (never a neighbor).
+  /// since PackedRTree::Knn's envelope lower bound is only valid for
+  /// Euclidean distance. A distance of NaN is treated as +infinity (never a
+  /// neighbor).
   std::vector<std::pair<double, Element>> Knn(const STObject& query, size_t k,
                                               DistanceFunction fn = nullptr)
       const {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,7 +23,9 @@
 #include "engine/rdd.h"
 #include "fault/failpoint.h"
 #include "io/generator.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "partition/grid_partitioner.h"
 #include "spatial_rdd/join.h"
@@ -156,6 +159,50 @@ TEST_F(JobControlTest, TokenIsReusableAfterReset) {
       ctx.TryRunTasks("test.reuse", 4, [&](size_t) { ++ran; });
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(ran.load(), 4);
+}
+
+// A cancelled job's counts are final when TryRunTasks returns: every task
+// that did not commit has exactly one cancel outcome in the profile node,
+// the counter and the flight recorder by then. None is left to a copy that
+// is still draining from the pool.
+TEST_F(JobControlTest, CancelledJobSettlesEveryTaskBeforeReturning) {
+  constexpr size_t kTasks = 64;
+  constexpr const char* kStage = "test.cancel.settle";
+  Context ctx(4);
+  auto token = std::make_shared<CancelToken>();
+  token->RequestCancel();
+  ctx.set_cancel_token(token);
+  for (int rep = 0; rep < 200; ++rep) {
+    obs::ProfileCollector collector;
+    obs::ProfileCollectorScope scope(&collector);
+    const uint64_t before = CounterValue("engine.task.cancelled");
+    const Status status = ctx.TryRunTasks(kStage, kTasks, [](size_t) {});
+    const uint64_t delta = CounterValue("engine.task.cancelled") - before;
+    const std::vector<obs::FlightEvent> events =
+        obs::DefaultFlightRecorder().Snapshot();
+    ASSERT_TRUE(status.IsCancelled()) << status.ToString();
+
+    // The job's generation is the newest job_fail event with its stage.
+    uint64_t generation = 0;
+    for (const obs::FlightEvent& e : events) {
+      if (e.kind == obs::FlightEventKind::kJobFail &&
+          std::string(e.detail) == kStage) {
+        generation = std::max(generation, e.job);
+      }
+    }
+    ASSERT_NE(generation, 0u) << "rep " << rep;
+    size_t flight_cancels = 0;
+    for (const obs::FlightEvent& e : events) {
+      if (e.kind == obs::FlightEventKind::kCancel && e.job == generation) {
+        ++flight_cancels;
+      }
+    }
+    ASSERT_EQ(collector.root().children.size(), 1u);
+    EXPECT_EQ(collector.root().children[0].cancelled, kTasks) << "rep " << rep;
+    EXPECT_EQ(delta, kTasks) << "rep " << rep;
+    EXPECT_EQ(flight_cancels, kTasks) << "rep " << rep;
+    if (HasFailure()) break;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-// Differential testing of the packed (flat SoA) R-tree against the classic
-// pointer-based RTree and a brute-force oracle: same candidates for window
-// queries, same kNN distances, same depth/bounds — across orders, random
-// mixed-geometry populations, duplicates, and degenerate sizes. Also unit
-// tests of the branchless FilterEnvelopesBatch kernel the leaf scans use.
+// Tests for the packed (flat SoA) R-tree, the engine's only R-tree: STR
+// bulk loading, window queries and branch-and-bound kNN checked against a
+// brute-force oracle across tree orders (the paper's liveIndex `order`),
+// random mixed-geometry populations, duplicates and degenerate sizes. Also
+// unit tests of the branchless FilterEnvelopesBatch kernel the leaf scans
+// use.
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,7 +20,6 @@
 #include "geometry/kernels.h"
 #include "geometry/predicates.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "test_util.h"
 
 namespace stark {
@@ -57,21 +58,37 @@ std::multiset<size_t> TreeCandidates(const Tree& tree, const Envelope& query) {
 }
 
 // ---------------------------------------------------------------------------
-// Window queries: packed vs classic vs brute force
+// Window queries: packed vs brute force
 // ---------------------------------------------------------------------------
 
-TEST(PackedRTreeTest, QueryMatchesClassicAndBruteForceAcrossOrders) {
+TEST(PackedRTreeTest, QueryMatchesBruteForceAcrossOrders) {
   const std::vector<Geometry> pop = RandomPopulation(/*seed=*/20260807, 400);
   const auto entries = EntriesFor(pop);
+  Envelope all;
+  for (const auto& [env, id] : entries) all.ExpandToInclude(env);
 
   for (size_t order : {2u, 3u, 5u, 10u, 32u}) {
-    RTree<size_t> classic(order);
-    classic.BulkLoad(entries);
     PackedRTree<size_t> packed(order, entries);
     ASSERT_EQ(packed.size(), pop.size());
-    ASSERT_EQ(packed.Depth(), classic.Depth()) << "order " << order;
-    ASSERT_EQ(packed.bounds().min_x(), classic.bounds().min_x());
-    ASSERT_EQ(packed.bounds().max_y(), classic.bounds().max_y());
+    // STR shape: ceil(sqrt(ceil(n / order))) vertical slices, each chunked
+    // into leaves of `order` entries, then ceil(nodes / order) parents per
+    // level up to a single root.
+    const size_t n = entries.size();
+    const size_t slices = static_cast<size_t>(
+        std::ceil(std::sqrt(static_cast<double>((n + order - 1) / order))));
+    const size_t slice_size = (n + slices - 1) / slices;
+    size_t leaves = 0;
+    for (size_t s = 0; s < n; s += slice_size) {
+      leaves += (std::min(slice_size, n - s) + order - 1) / order;
+    }
+    size_t depth = 1;
+    for (size_t nodes = leaves; nodes > 1;
+         nodes = (nodes + order - 1) / order) {
+      ++depth;
+    }
+    ASSERT_EQ(packed.num_leaf_nodes(), leaves) << "order " << order;
+    ASSERT_EQ(packed.Depth(), depth) << "order " << order;
+    ASSERT_TRUE(packed.bounds() == all) << "order " << order;
 
     Rng rng(1000 + order);
     size_t nonempty = 0;
@@ -80,8 +97,6 @@ TEST(PackedRTreeTest, QueryMatchesClassicAndBruteForceAcrossOrders) {
       const std::multiset<size_t> expected =
           BruteForceCandidates(entries, query);
       ASSERT_EQ(TreeCandidates(packed, query), expected)
-          << "order " << order << " query " << q;
-      ASSERT_EQ(TreeCandidates(classic, query), expected)
           << "order " << order << " query " << q;
       if (!expected.empty()) ++nonempty;
     }
@@ -138,14 +153,12 @@ TEST(PackedRTreeTest, DuplicateEnvelopesAllReported) {
 }
 
 // ---------------------------------------------------------------------------
-// kNN: packed vs classic vs brute force
+// kNN: packed vs brute force
 // ---------------------------------------------------------------------------
 
-TEST(PackedRTreeTest, KnnMatchesClassicAndBruteForce) {
+TEST(PackedRTreeTest, KnnMatchesBruteForce) {
   const std::vector<Geometry> pop = RandomPopulation(/*seed=*/909, 250);
   const auto entries = EntriesFor(pop);
-  RTree<size_t> classic(7);
-  classic.BulkLoad(entries);
   PackedRTree<size_t> packed(7, entries);
 
   Rng rng(606);
@@ -157,9 +170,6 @@ TEST(PackedRTreeTest, KnnMatchesClassicAndBruteForce) {
     auto packed_hits = packed.Knn(c, k, [&](const size_t& id) {
       return Distance(pop[id], probe);
     });
-    auto classic_hits = classic.Knn(c, k, [&](const size_t& id) {
-      return Distance(pop[id], probe);
-    });
 
     // Brute-force k smallest exact distances.
     std::vector<double> all;
@@ -169,35 +179,169 @@ TEST(PackedRTreeTest, KnnMatchesClassicAndBruteForce) {
     all.resize(std::min(k, all.size()));
 
     ASSERT_EQ(packed_hits.size(), all.size()) << "query " << q;
-    ASSERT_EQ(classic_hits.size(), all.size()) << "query " << q;
     for (size_t i = 0; i < all.size(); ++i) {
       // Ties may order arbitrarily, but the distance sequence is unique.
       EXPECT_DOUBLE_EQ(packed_hits[i].first, all[i]) << "query " << q;
-      EXPECT_DOUBLE_EQ(classic_hits[i].first, all[i]) << "query " << q;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Freeze(): classic incremental tree -> packed tree
+// R-tree contract: empty and tiny trees, bulk load, kNN, ForEach and bounds
+// on random boxes, parameterized over the tree order
 // ---------------------------------------------------------------------------
 
-TEST(PackedRTreeTest, FreezeOfIncrementalTreeAnswersIdentically) {
-  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/313, 300);
-  const auto entries = EntriesFor(pop);
-  RTree<size_t> incremental(5);
-  for (const auto& [env, id] : entries) incremental.Insert(env, id);
-  ASSERT_TRUE(incremental.CheckInvariants());
-  const PackedRTree<size_t> frozen = incremental.Freeze();
-  ASSERT_EQ(frozen.size(), incremental.size());
-
-  Rng rng(515);
-  for (int q = 0; q < 100; ++q) {
-    const Envelope query = RandomEnvelope(&rng, 30.0);
-    ASSERT_EQ(TreeCandidates(frozen, query),
-              BruteForceCandidates(entries, query))
-        << "query " << q;
+std::vector<std::pair<Envelope, size_t>> RandomBoxes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<Envelope, size_t>> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = rng.Uniform(-100, 100);
+    const double y = rng.Uniform(-100, 100);
+    const double w = rng.Uniform(0, 4);
+    const double h = rng.Uniform(0, 4);
+    out.emplace_back(Envelope(x, y, x + w, y + h), i);
   }
+  return out;
+}
+
+std::set<size_t> TreeQuery(const PackedRTree<size_t>& tree,
+                           const Envelope& probe) {
+  std::set<size_t> hits;
+  tree.Query(probe, [&](const Envelope&, const size_t& id) {
+    auto [it, inserted] = hits.insert(id);
+    EXPECT_TRUE(inserted) << "duplicate id " << id << " from tree query";
+  });
+  return hits;
+}
+
+std::set<size_t> BruteForceQuery(
+    const std::vector<std::pair<Envelope, size_t>>& data,
+    const Envelope& probe) {
+  std::set<size_t> hits;
+  for (const auto& [env, id] : data) {
+    if (env.Intersects(probe)) hits.insert(id);
+  }
+  return hits;
+}
+
+TEST(RTreeTest, EmptyTree) {
+  PackedRTree<int> tree(4, {});
+  EXPECT_TRUE(tree.empty());
+  EXPECT_EQ(tree.size(), 0u);
+  int hits = 0;
+  tree.Query(Envelope(-1e9, -1e9, 1e9, 1e9),
+             [&](const Envelope&, const int&) { ++hits; });
+  EXPECT_EQ(hits, 0);
+  EXPECT_TRUE(tree.Knn({0, 0}, 3, [](const int&) { return 0.0; }).empty());
+}
+
+TEST(RTreeTest, OrderIsClampedToAtLeastTwo) {
+  PackedRTree<int> tree(0, {});
+  EXPECT_GE(tree.order(), 2u);
+}
+
+TEST(RTreeTest, SingleEntry) {
+  PackedRTree<size_t> tree(4, {{Envelope(0, 0, 1, 1), 7}});
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_EQ(TreeQuery(tree, Envelope(0.5, 0.5, 2, 2)),
+            (std::set<size_t>{7}));
+  EXPECT_TRUE(TreeQuery(tree, Envelope(5, 5, 6, 6)).empty());
+}
+
+class RTreeOrderTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RTreeOrderTest, BulkLoadMatchesBruteForce) {
+  const auto data = RandomBoxes(500, 33);
+  PackedRTree<size_t> tree(GetParam(), data);
+  EXPECT_EQ(tree.size(), data.size());
+
+  Rng rng(34);
+  for (int q = 0; q < 100; ++q) {
+    const double x = rng.Uniform(-110, 110);
+    const double y = rng.Uniform(-110, 110);
+    const Envelope probe(x, y, x + rng.Uniform(0, 30), y + rng.Uniform(0, 30));
+    EXPECT_EQ(TreeQuery(tree, probe), BruteForceQuery(data, probe));
+  }
+}
+
+TEST_P(RTreeOrderTest, KnnMatchesBruteForce) {
+  Rng rng(35);
+  std::vector<std::pair<Envelope, size_t>> data;
+  std::vector<Coordinate> pts;
+  for (size_t i = 0; i < 400; ++i) {
+    const Coordinate c{rng.Uniform(-50, 50), rng.Uniform(-50, 50)};
+    pts.push_back(c);
+    data.emplace_back(Envelope(c), i);
+  }
+  PackedRTree<size_t> tree(GetParam(), data);
+
+  for (int q = 0; q < 50; ++q) {
+    const Coordinate query{rng.Uniform(-60, 60), rng.Uniform(-60, 60)};
+    for (size_t k : {1u, 5u, 17u}) {
+      auto result = tree.Knn(query, k, [&](const size_t& id) {
+        return query.DistanceTo(pts[id]);
+      });
+      ASSERT_EQ(result.size(), std::min<size_t>(k, pts.size()));
+      // Distances must be ascending.
+      for (size_t i = 1; i < result.size(); ++i) {
+        EXPECT_LE(result[i - 1].first, result[i].first);
+      }
+      // The k-th distance must match brute force.
+      std::vector<double> dists;
+      for (const auto& p : pts) dists.push_back(query.DistanceTo(p));
+      std::sort(dists.begin(), dists.end());
+      EXPECT_DOUBLE_EQ(result.back().first, dists[result.size() - 1]);
+    }
+  }
+}
+
+TEST_P(RTreeOrderTest, ForEachVisitsEverything) {
+  const auto data = RandomBoxes(200, 36);
+  PackedRTree<size_t> tree(GetParam(), data);
+  std::set<size_t> seen;
+  tree.ForEach([&](const Envelope&, const size_t& id) { seen.insert(id); });
+  EXPECT_EQ(seen.size(), data.size());
+}
+
+TEST_P(RTreeOrderTest, BoundsCoverAllEntries) {
+  const auto data = RandomBoxes(300, 37);
+  PackedRTree<size_t> tree(GetParam(), data);
+  for (const auto& [env, id] : data) {
+    EXPECT_TRUE(tree.bounds().Contains(env));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, RTreeOrderTest,
+                         ::testing::Values(2, 3, 5, 10, 32),
+                         [](const auto& info) {
+                           return "order" + std::to_string(info.param);
+                         });
+
+TEST(RTreeTest, DuplicateEnvelopesAllReturned) {
+  std::vector<std::pair<Envelope, size_t>> data;
+  for (size_t i = 0; i < 20; ++i) data.emplace_back(Envelope(1, 1, 2, 2), i);
+  PackedRTree<size_t> tree(4, data);
+  EXPECT_EQ(TreeQuery(tree, Envelope(0, 0, 3, 3)).size(), 20u);
+}
+
+TEST(RTreeTest, DepthGrowsWithSize) {
+  PackedRTree<size_t> small(4, {{Envelope(0, 0, 1, 1), 0}});
+  EXPECT_EQ(small.Depth(), 1u);
+
+  PackedRTree<size_t> big(4, RandomBoxes(200, 38));
+  EXPECT_GT(big.Depth(), 2u);
+}
+
+TEST(RTreeTest, BulkLoadReplacesContents) {
+  // A packed tree is rebuilt, not mutated: a freshly bulk-loaded tree
+  // assigned over an old one carries only the new entries.
+  PackedRTree<size_t> tree(4, {{Envelope(0, 0, 1, 1), 999}});
+  tree = PackedRTree<size_t>(4, RandomBoxes(50, 39));
+  EXPECT_EQ(tree.size(), 50u);
+  std::set<size_t> seen;
+  tree.ForEach([&](const Envelope&, const size_t& id) { seen.insert(id); });
+  EXPECT_EQ(seen.count(999), 0u);
 }
 
 // ---------------------------------------------------------------------------

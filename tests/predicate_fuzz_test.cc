@@ -17,7 +17,7 @@
 #include "geometry/envelope.h"
 #include "geometry/geometry.h"
 #include "geometry/predicates.h"
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 #include "test_util.h"
 
 namespace stark {
@@ -122,8 +122,8 @@ TEST(PredicateFuzzTest, BoxContainmentMatchesEnvelopeSemantics) {
 
 using IdSet = std::set<size_t>;
 
-IdSet RefineCandidates(const RTree<size_t>& tree, const Envelope& query_env,
-                       const Geometry& query_geom,
+IdSet RefineCandidates(const PackedRTree<size_t>& tree,
+                       const Envelope& query_env, const Geometry& query_geom,
                        const std::vector<Geometry>& pop) {
   IdSet out;
   for (const size_t* id : tree.QueryCandidates(query_env)) {
@@ -151,14 +151,12 @@ TEST(PredicateFuzzTest, RTreeFilterMatchesBruteForceOracle) {
   for (size_t id = 0; id < pop.size(); ++id) {
     entries.emplace_back(pop[id].envelope(), id);
   }
-  // Differential across construction paths too: the bulk-loaded (STR) tree
-  // and the incrementally grown tree must answer identically.
-  RTree<size_t> bulk(8);
-  bulk.BulkLoad(entries);
-  RTree<size_t> incremental(4);
-  for (const auto& [env, id] : entries) incremental.Insert(env, id);
-  ASSERT_EQ(bulk.size(), pop.size());
-  ASSERT_EQ(incremental.size(), pop.size());
+  // Differential across tree shapes too: a wide and a narrow node order
+  // must answer identically.
+  const PackedRTree<size_t> wide(8, entries);
+  const PackedRTree<size_t> narrow(4, entries);
+  ASSERT_EQ(wide.size(), pop.size());
+  ASSERT_EQ(narrow.size(), pop.size());
 
   Rng rng(31337);
   size_t nonempty = 0;
@@ -166,11 +164,10 @@ TEST(PredicateFuzzTest, RTreeFilterMatchesBruteForceOracle) {
     const Envelope query_env = RandomEnvelope(&rng, 20.0);
     const Geometry query_geom = Geometry::MakeBox(query_env);
     const IdSet expected = BruteForceOracle(query_env, query_geom, pop);
-    ASSERT_EQ(RefineCandidates(bulk, query_env, query_geom, pop), expected)
-        << "bulk-loaded tree, query " << query_geom.ToWkt();
-    ASSERT_EQ(RefineCandidates(incremental, query_env, query_geom, pop),
-              expected)
-        << "incremental tree, query " << query_geom.ToWkt();
+    ASSERT_EQ(RefineCandidates(wide, query_env, query_geom, pop), expected)
+        << "order-8 tree, query " << query_geom.ToWkt();
+    ASSERT_EQ(RefineCandidates(narrow, query_env, query_geom, pop), expected)
+        << "order-4 tree, query " << query_geom.ToWkt();
     if (!expected.empty()) ++nonempty;
   }
   // The workload must actually exercise matches, not vacuous empty sets.
@@ -183,8 +180,7 @@ TEST(PredicateFuzzTest, RTreeContainmentQueriesMatchOracle) {
   for (size_t id = 0; id < pop.size(); ++id) {
     entries.emplace_back(pop[id].envelope(), id);
   }
-  RTree<size_t> tree(10);
-  tree.BulkLoad(entries);
+  const PackedRTree<size_t> tree(10, entries);
 
   Rng rng(4242);
   size_t nonempty = 0;

@@ -3,8 +3,11 @@
 // run under an installed collector must append a ProfileNode with rows/
 // partitions/retry accounting, nested under the statement node Piglet (or
 // the test) pushed.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,7 +17,9 @@
 
 #include "engine/rdd.h"
 #include "fault/failpoint.h"
+#include "obs/flight_recorder.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace stark {
@@ -23,6 +28,10 @@ namespace {
 using test::JsonObject;
 using test::JsonValue;
 using test::ParseJsonOrFail;
+
+uint64_t CounterValue(const char* name) {
+  return obs::DefaultMetrics().GetCounter(name)->Value();
+}
 
 class ProfileTest : public ::testing::Test {
  protected:
@@ -247,6 +256,212 @@ TEST_F(ProfileTest, SlowTaskCounterAdvancesPastThreshold) {
   }
   obs::GlobalSlowLog().set_slow_task_ms(prev);
   EXPECT_GE(slow->Value(), before + 2);
+}
+
+// ---------------------------------------------------------------------------
+// Sink parity: every task outcome reaches the counters, the flight recorder,
+// the profile and the tracer alike
+// ---------------------------------------------------------------------------
+
+/// One job run on a profiled, traced Context, with what each sink saw.
+struct Observed {
+  Status status;
+  obs::ProfileNode node;
+  std::vector<obs::FlightEvent> events;  ///< the job's flight events
+  std::vector<obs::TaskSpan> spans;
+  std::map<std::string, uint64_t> deltas;  ///< counter name -> delta
+
+  size_t Count(obs::FlightEventKind kind) const {
+    size_t n = 0;
+    for (const obs::FlightEvent& e : events) n += e.kind == kind;
+    return n;
+  }
+  /// Flight events that end a failed attempt: every retry and permanent
+  /// failure, and the cancels of attempts that ran (attempt > 0).
+  size_t FailedAttemptEvents() const {
+    size_t n = Count(obs::FlightEventKind::kRetry) +
+               Count(obs::FlightEventKind::kTaskFail);
+    for (const obs::FlightEvent& e : events) {
+      n += e.kind == obs::FlightEventKind::kCancel && e.attempt > 0;
+    }
+    return n;
+  }
+  size_t FailedSpans() const {
+    size_t n = 0;
+    for (const obs::TaskSpan& span : spans) n += !span.ok;
+    return n;
+  }
+};
+
+template <typename Fn>
+Observed RunObserved(Context* ctx, obs::TaskTracer* tracer, const char* stage,
+                     size_t n, const Fn& fn) {
+  static const char* const kCounters[] = {
+      "engine.task.retries",   "engine.task.failures",
+      "engine.task.cancelled", "engine.task.speculated",
+      "engine.task.speculation_wins", "engine.task.slow",
+      "engine.jobs.failed"};
+  std::map<std::string, uint64_t> before;
+  for (const char* name : kCounters) {
+    before[name] = obs::DefaultMetrics().GetCounter(name)->Value();
+  }
+  const size_t spans_before = tracer->Spans().size();
+  Observed out;
+  obs::ProfileCollector collector;
+  {
+    obs::ProfileCollectorScope scope(&collector);
+    out.status = ctx->TryRunTasks(stage, n, fn);
+  }
+  for (const char* name : kCounters) {
+    out.deltas[name] =
+        obs::DefaultMetrics().GetCounter(name)->Value() - before[name];
+  }
+  std::vector<obs::TaskSpan> spans = tracer->Spans();
+  out.spans.assign(spans.begin() + static_cast<std::ptrdiff_t>(spans_before),
+                   spans.end());
+  EXPECT_EQ(collector.root().children.size(), 1u);
+  if (!collector.root().children.empty()) {
+    out.node = collector.root().children.back();
+  }
+  // The job's generation: the newest one with a claim, cancel or job_fail
+  // event labelled with this (unique) stage.
+  const std::vector<obs::FlightEvent> all =
+      obs::DefaultFlightRecorder().Snapshot();
+  uint64_t generation = 0;
+  for (const obs::FlightEvent& e : all) {
+    if (std::string(e.detail) == stage) {
+      generation = std::max(generation, e.job);
+    }
+  }
+  EXPECT_NE(generation, 0u) << stage;
+  for (const obs::FlightEvent& e : all) {
+    if (e.job == generation) out.events.push_back(e);
+  }
+  return out;
+}
+
+/// Checks that hold for every job: one final outcome per task and the
+/// failed-attempt, retry, cancel and job-failure counts agree across sinks.
+void ExpectSinksAgree(const Observed& o, size_t tasks) {
+  using Kind = obs::FlightEventKind;
+  EXPECT_EQ(o.Count(Kind::kFinish) + o.Count(Kind::kTaskFail) +
+                o.Count(Kind::kCancel),
+            tasks);
+  EXPECT_EQ(o.deltas.at("engine.task.failures"), o.FailedAttemptEvents());
+  EXPECT_EQ(o.deltas.at("engine.task.failures"), o.FailedSpans());
+  EXPECT_EQ(o.deltas.at("engine.task.retries"), o.Count(Kind::kRetry));
+  EXPECT_EQ(o.node.retries, o.Count(Kind::kRetry));
+  EXPECT_EQ(o.deltas.at("engine.task.cancelled"), o.Count(Kind::kCancel));
+  EXPECT_EQ(o.node.cancelled, o.Count(Kind::kCancel));
+  EXPECT_EQ(o.deltas.at("engine.task.speculated"), o.Count(Kind::kSpeculate));
+  EXPECT_EQ(o.node.speculated, o.Count(Kind::kSpeculate));
+  EXPECT_EQ(o.deltas.at("engine.jobs.failed"), o.Count(Kind::kJobFail));
+  EXPECT_EQ(o.node.failed ? 1u : 0u, o.Count(Kind::kJobFail));
+  EXPECT_EQ(o.node.task_ns.count, o.Count(Kind::kFinish));
+  EXPECT_EQ(o.spans.size() - o.FailedSpans(), o.Count(Kind::kFinish));
+}
+
+class SinkParityTest : public ProfileTest {
+ protected:
+  SinkParityTest() : ctx_(4, &tracer_) { tracer_.Enable(); }
+
+  obs::TaskTracer tracer_;
+  Context ctx_;
+};
+
+TEST_F(SinkParityTest, RetriedAttempt) {
+  std::atomic<int> attempts{0};
+  const Observed o = RunObserved(&ctx_, &tracer_, "test.parity.retry", 4,
+                                 [&](size_t p) {
+    if (p == 0 && attempts.fetch_add(1) == 0) {
+      throw StatusError(Status::IOError("transient"));
+    }
+  });
+  EXPECT_TRUE(o.status.ok()) << o.status.ToString();
+  EXPECT_EQ(o.node.retries, 1u);
+  ExpectSinksAgree(o, 4);
+}
+
+TEST_F(SinkParityTest, PermanentFailure) {
+  fault::RetryPolicy policy;
+  policy.max_attempts = 2;
+  ctx_.set_retry_policy(policy);
+  const Observed o = RunObserved(&ctx_, &tracer_, "test.parity.fail", 4,
+                                 [](size_t p) {
+    if (p == 0) throw StatusError(Status::IOError("permanent"));
+  });
+  EXPECT_FALSE(o.status.ok());
+  EXPECT_EQ(o.Count(obs::FlightEventKind::kTaskFail), 1u);
+  EXPECT_EQ(o.node.retries, 1u);
+  EXPECT_TRUE(o.node.failed);
+  ExpectSinksAgree(o, 4);
+}
+
+TEST_F(SinkParityTest, FailFastCancel) {
+  fault::RetryPolicy policy;
+  policy.fail_fast = true;
+  ctx_.set_retry_policy(policy);
+  const Observed o = RunObserved(&ctx_, &tracer_, "test.parity.failfast", 16,
+                                 [](size_t p) {
+    if (p == 0) throw StatusError(Status::IOError("disk gone"));
+    for (int i = 0; i < 4; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ThrowIfTaskCancelled();
+    }
+  });
+  EXPECT_FALSE(o.status.ok());
+  EXPECT_GE(o.node.cancelled, 1u);
+  ExpectSinksAgree(o, 16);
+}
+
+TEST_F(SinkParityTest, SlowTask) {
+  const double prev = obs::GlobalSlowLog().slow_task_ms();
+  obs::GlobalSlowLog().set_slow_task_ms(5);
+  const Observed o = RunObserved(&ctx_, &tracer_, "test.parity.slow", 4,
+                                 [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  obs::GlobalSlowLog().set_slow_task_ms(prev);
+  EXPECT_TRUE(o.status.ok()) << o.status.ToString();
+  size_t slow_finishes = 0;
+  for (const obs::FlightEvent& e : o.events) {
+    slow_finishes +=
+        e.kind == obs::FlightEventKind::kFinish && e.value > 5'000'000u;
+  }
+  EXPECT_EQ(o.deltas.at("engine.task.slow"), slow_finishes);
+  EXPECT_EQ(o.node.task_ns.count, slow_finishes);  // every task slept 20ms
+  ExpectSinksAgree(o, 4);
+}
+
+TEST_F(SinkParityTest, SpeculationWin) {
+  SpeculationPolicy spec;
+  spec.enabled = true;
+  spec.quantile = 0.5;
+  spec.multiplier = 1.0;
+  spec.min_task_ms = 1;
+  ctx_.set_speculation_policy(spec);
+  ASSERT_TRUE(fault::DefaultFailPoints()
+                  .ArmFromSpec("engine.task.run=delay:300@nth:1")
+                  .ok());
+  const Observed o =
+      RunObserved(&ctx_, &tracer_, "test.parity.spec", 4, [](size_t) {});
+  fault::DefaultFailPoints().DisarmAll();
+  EXPECT_TRUE(o.status.ok()) << o.status.ToString();
+  size_t copy2_finishes = 0;
+  for (const obs::FlightEvent& e : o.events) {
+    copy2_finishes += e.kind == obs::FlightEventKind::kFinish && e.copy == 2;
+  }
+  EXPECT_GE(copy2_finishes, 1u);
+  EXPECT_EQ(o.deltas.at("engine.task.speculation_wins"), copy2_finishes);
+  EXPECT_GE(o.node.speculated, copy2_finishes);
+  ExpectSinksAgree(o, 4);
+  // The delayed original wakes after the job returned, loses the claim and
+  // reports nothing.
+  const uint64_t wins = CounterValue("engine.task.speculation_wins");
+  const uint64_t failures = CounterValue("engine.task.failures");
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_EQ(CounterValue("engine.task.speculation_wins"), wins);
+  EXPECT_EQ(CounterValue("engine.task.failures"), failures);
 }
 
 }  // namespace
