@@ -8,10 +8,6 @@
 
 namespace stark {
 
-namespace {
-constexpr double kEps = 1e-12;
-}  // namespace
-
 int Orientation(const Coordinate& a, const Coordinate& b,
                 const Coordinate& c) {
   const double cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
@@ -20,25 +16,32 @@ int Orientation(const Coordinate& a, const Coordinate& b,
   const double scale = std::max({std::abs(b.x - a.x), std::abs(b.y - a.y),
                                  std::abs(c.x - a.x), std::abs(c.y - a.y),
                                  1.0});
-  if (std::abs(cross) <= kEps * scale * scale) return 0;
+  if (std::abs(cross) <= kSegmentEps * scale * scale) return 0;
   return cross > 0 ? 1 : -1;
 }
 
 bool PointOnSegment(const Coordinate& p, const Coordinate& a,
                     const Coordinate& b) {
-  if (Orientation(a, b, p) != 0) return false;
-  return p.x >= std::min(a.x, b.x) - kEps && p.x <= std::max(a.x, b.x) + kEps &&
-         p.y >= std::min(a.y, b.y) - kEps && p.y <= std::max(a.y, b.y) + kEps;
+  // Both tests are pure, so checking the cheap box first only saves the
+  // Orientation call for points away from the segment.
+  return GrownSegmentBox(a, b).Contains(p) && Orientation(a, b, p) == 0;
 }
 
 bool SegmentsIntersect(const Coordinate& p1, const Coordinate& p2,
                        const Coordinate& q1, const Coordinate& q2) {
+  // Segments that share a point have overlapping grown boxes. Without this
+  // test, tolerance zeros such as (-1, 0, -1, 0) below would pass the
+  // crossing test for nearly collinear segments far apart on their line.
+  if (!GrownSegmentBox(p1, p2).Overlaps(GrownSegmentBox(q1, q2))) {
+    return false;
+  }
+
   const int o1 = Orientation(p1, p2, q1);
   const int o2 = Orientation(p1, p2, q2);
   const int o3 = Orientation(q1, q2, p1);
   const int o4 = Orientation(q1, q2, p2);
 
-  if (o1 != o2 && o3 != o4) return true;  // proper crossing
+  if (o1 != o2 && o3 != o4) return true;  // crossing, or a touch in tolerance
 
   // Collinear / endpoint-touch cases.
   if (o1 == 0 && PointOnSegment(q1, p1, p2)) return true;

@@ -4,6 +4,7 @@
 #ifndef STARK_GEOMETRY_KERNELS_H_
 #define STARK_GEOMETRY_KERNELS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -17,16 +18,62 @@ namespace stark {
 /// equal; used as polygon shells and holes.
 using Ring = std::vector<Coordinate>;
 
+/// Tolerance of the segment tests: Orientation calls a turn collinear when
+/// |cross| <= kSegmentEps * scale^2, and PointOnSegment grows the segment's
+/// box by kSegmentEps on every side.
+inline constexpr double kSegmentEps = 1e-12;
+
+/// \brief A segment's bounding box grown by kSegmentEps on every side.
+///
+/// PointOnSegment accepts a point only inside this box, SegmentsIntersect
+/// rejects segments whose boxes do not overlap, and the boundary loops in
+/// predicates_impl.h skip those pairs early. All build it with
+/// GrownSegmentBox, so the skip sees exactly the doubles the segment tests
+/// compare against.
+struct SegmentBox {
+  double min_x, min_y, max_x, max_y;
+
+  /// PointOnSegment's box condition. False for a NaN coordinate.
+  bool Contains(const Coordinate& p) const {
+    return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
+  }
+
+  /// False only when a comparison proves the boxes apart: written in the
+  /// negated !(a > b) form, so a NaN bound never separates two boxes.
+  bool Overlaps(const SegmentBox& o) const {
+    return !(min_x > o.max_x) & !(o.min_x > max_x) & !(min_y > o.max_y) &
+           !(o.min_y > max_y);
+  }
+};
+
+/// The box of segment [a, b] grown by kSegmentEps.
+inline SegmentBox GrownSegmentBox(const Coordinate& a, const Coordinate& b) {
+  return {std::min(a.x, b.x) - kSegmentEps, std::min(a.y, b.y) - kSegmentEps,
+          std::max(a.x, b.x) + kSegmentEps, std::max(a.y, b.y) + kSegmentEps};
+}
+
 /// Sign of the cross product (b-a) x (c-a): >0 counter-clockwise turn,
-/// <0 clockwise, 0 collinear (within a small tolerance).
+/// <0 clockwise, 0 collinear (within kSegmentEps, scaled).
 int Orientation(const Coordinate& a, const Coordinate& b, const Coordinate& c);
 
-/// True iff \p p lies on the closed segment [a, b].
+/// True iff \p p lies on the closed segment [a, b]: inside the grown box
+/// and collinear with the segment.
 bool PointOnSegment(const Coordinate& p, const Coordinate& a,
                     const Coordinate& b);
 
 /// True iff segments [p1,p2] and [q1,q2] share at least one point
 /// (including endpoint touches and collinear overlap).
+///
+/// Tolerance rule: the segments' grown boxes (GrownSegmentBox) must
+/// overlap. Then, with o1..o4 the orientations of q1, q2 against p and of
+/// p1, p2 against q, they intersect if o1 != o2 and o3 != o4 — a crossing,
+/// or a touch within Orientation's tolerance — or if an endpoint with a
+/// zero orientation passes PointOnSegment. An orientation of 0 means
+/// "within tolerance of the other segment's line", which for nearly
+/// collinear segments holds far along it; the box test keeps such
+/// segments apart when they are apart along the line. Every true result
+/// therefore has overlapping grown boxes, which is what lets the boundary
+/// loops in predicates_impl.h skip pairs whose boxes miss.
 bool SegmentsIntersect(const Coordinate& p1, const Coordinate& p2,
                        const Coordinate& q1, const Coordinate& q2);
 

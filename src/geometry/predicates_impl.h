@@ -89,6 +89,60 @@ inline bool PointOnLine(const Coordinate& p,
 }
 
 // ---------------------------------------------------------------------------
+// Boundary loop
+// ---------------------------------------------------------------------------
+//
+// A line or polygon meets a polygon only if it has a vertex inside it or
+// some segment of it crosses or touches a polygon edge. SegmentHitsEdges
+// asks the second question and skips two kinds of work that cannot change
+// the answer:
+//
+//  - a segment whose grown box (GrownSegmentBox) misses the polygon's
+//    grown envelope, and
+//  - a segment pair whose grown boxes do not overlap.
+//
+// The pair skip is SegmentsIntersect's own first test, hoisted. The
+// envelope skip is sound because the envelope holds every edge's grown box
+// (see GrownEnvelope): a segment box that misses it misses each of them.
+// A NaN vertex does not break this: SegmentBox::Overlaps never separates
+// boxes over a NaN bound, and a segment with a NaN end can only touch
+// through its finite end, which the envelope covers.
+
+/// The box of every coordinate of \p poly's rings, grown by kSegmentEps.
+/// It contains the grown box of each of their segments, since rounding is
+/// monotone. Built from the coordinates, not from edge boxes: a NaN
+/// coordinate leaves the bounds unchanged, whereas the box of an edge with
+/// one NaN end can drop the finite end.
+inline SegmentBox GrownEnvelope(const PolygonData& poly) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SegmentBox box{kInf, kInf, -kInf, -kInf};
+  const auto cover = [&box](const std::vector<Coordinate>& coords) {
+    for (const Coordinate& c : coords) {
+      box.min_x = std::min(box.min_x, c.x);
+      box.min_y = std::min(box.min_y, c.y);
+      box.max_x = std::max(box.max_x, c.x);
+      box.max_y = std::max(box.max_y, c.y);
+    }
+  };
+  cover(poly.shell);
+  for (const auto& hole : poly.holes) cover(hole);
+  return {box.min_x - kSegmentEps, box.min_y - kSegmentEps,
+          box.max_x + kSegmentEps, box.max_y + kSegmentEps};
+}
+
+/// True iff segment [a, b] crosses or touches an edge of \p poly, whose
+/// GrownEnvelope is \p env.
+inline bool SegmentHitsEdges(const Coordinate& a, const Coordinate& b,
+                             const PolygonData& poly, const SegmentBox& env) {
+  const SegmentBox box = GrownSegmentBox(a, b);
+  if (!box.Overlaps(env)) return false;
+  return AnyPolygonSegment(poly, [&](const Coordinate& c,
+                                     const Coordinate& d) {
+    return GrownSegmentBox(c, d).Overlaps(box) && SegmentsIntersect(a, b, c, d);
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Intersects on simple parts
 // ---------------------------------------------------------------------------
 
@@ -109,32 +163,29 @@ inline bool IntersectsLineLine(const std::vector<Coordinate>& l1,
 
 inline bool IntersectsLinePoly(const std::vector<Coordinate>& line,
                                const PolygonData& poly) {
-  // Either the line crosses/touches the boundary, or it lies entirely in the
-  // interior — in the latter case every vertex is inside, so testing one
-  // suffices once boundary intersection has been ruled out.
-  const bool boundary_hit =
-      AnySegment(line, [&](const Coordinate& a, const Coordinate& b) {
-        return AnyPolygonSegment(
-            poly, [&](const Coordinate& c, const Coordinate& d) {
-              return SegmentsIntersect(a, b, c, d);
-            });
-      });
-  if (boundary_hit) return true;
-  return IntersectsPointPoly(line.front(), poly);
+  // Either the line crosses/touches the boundary, or it lies entirely in
+  // the interior, where every vertex is inside. Testing one vertex first
+  // is cheap and settles the interior case without the boundary loop.
+  if (IntersectsPointPoly(line.front(), poly)) return true;
+  const SegmentBox env = GrownEnvelope(poly);
+  return AnySegment(line, [&](const Coordinate& a, const Coordinate& b) {
+    return SegmentHitsEdges(a, b, poly, env);
+  });
 }
 
 inline bool IntersectsPolyPoly(const PolygonData& pa, const PolygonData& pb) {
-  const bool boundary_hit =
-      AnyPolygonSegment(pa, [&](const Coordinate& a, const Coordinate& b) {
-        return AnyPolygonSegment(
-            pb, [&](const Coordinate& c, const Coordinate& d) {
-              return SegmentsIntersect(a, b, c, d);
-            });
-      });
-  if (boundary_hit) return true;
-  // Disjoint boundaries: one polygon may still be nested inside the other.
-  return IntersectsPointPoly(pa.shell.front(), pb) ||
-         IntersectsPointPoly(pb.shell.front(), pa);
+  // A polygon nested in the other has its vertices inside it, so each is
+  // first tested for a vertex inside the other: cheap, and it settles
+  // nesting before the boundary loop. Otherwise, if the polygons meet,
+  // their boundaries cross or touch.
+  if (IntersectsPointPoly(pa.shell.front(), pb) ||
+      IntersectsPointPoly(pb.shell.front(), pa)) {
+    return true;
+  }
+  const SegmentBox env = GrownEnvelope(pb);
+  return AnyPolygonSegment(pa, [&](const Coordinate& a, const Coordinate& b) {
+    return SegmentHitsEdges(a, b, pb, env);
+  });
 }
 
 inline bool IntersectsSimple(const SimplePart& a, const SimplePart& b) {

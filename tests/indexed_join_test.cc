@@ -21,6 +21,7 @@
 #include "partition/explicit_partitioner.h"
 #include "partition/grid_partitioner.h"
 #include "spatial_rdd/join.h"
+#include "test_util.h"
 
 namespace stark {
 namespace {
@@ -503,6 +504,85 @@ TEST_F(IndexedJoinTest, EveryStrategyKeepsItsExactCounterDeltas) {
                     {"engine.columnar.slab_reuse", 3},
                     {"engine.index.packed_probes", 60}}))
       << "right broadcast, point kernels";
+}
+
+TEST_F(IndexedJoinTest, FootprintRegionJoinMatchesNestedLoopInEveryStrategy) {
+  // The e3_regionjoin shape: point events with every 4th one a 4-8 vertex
+  // footprint polygon, joined by Intersects against 4-12 vertex star
+  // regions. Footprint rows refine through the polygon-vs-polygon boundary
+  // loop, so every strategy must still equal a nested loop over Eval, and
+  // the refine and result counters pin that only the predicate's cost,
+  // never its routing, can change.
+  Rng rng(1919);
+  std::vector<std::pair<STObject, int64_t>> events;
+  for (int64_t i = 0; i < 1200; ++i) {
+    const Coordinate c{rng.Uniform(2.0, 98.0), rng.Uniform(2.0, 98.0)};
+    if (i % 4 == 3) {
+      const double radius = rng.Uniform(0.3, 2.5);
+      const int vertices = static_cast<int>(rng.UniformInt(4, 8));
+      events.emplace_back(test::StarPolygonAround(&rng, c, radius, vertices),
+                          i);
+    } else {
+      events.emplace_back(Geometry::MakePoint(c), i);
+    }
+  }
+  std::vector<std::pair<STObject, int64_t>> regions;
+  for (int64_t r = 0; r < 80; ++r) {
+    const Coordinate c{rng.Uniform(5.0, 95.0), rng.Uniform(5.0, 95.0)};
+    const double radius = rng.Uniform(3.0, 10.0);
+    const int vertices = static_cast<int>(rng.UniformInt(4, 12));
+    regions.emplace_back(test::StarPolygonAround(&rng, c, radius, vertices),
+                         r);
+  }
+  const JoinPredicate intersects = JoinPredicate::Intersects();
+  std::set<Pair> expect;
+  for (const auto& [ev, eid] : events) {
+    for (const auto& [reg, rid] : regions) {
+      if (intersects.Eval(ev, reg)) expect.emplace(eid, rid);
+    }
+  }
+
+  auto grid_l = std::make_shared<GridPartitioner>(universe_, 4);
+  auto grid_r = std::make_shared<GridPartitioner>(universe_, 3);
+  auto ev_parts =
+      SpatialRDD<int64_t>::FromVector(&ctx_, events, 3).PartitionBy(grid_l);
+  auto reg_parts =
+      SpatialRDD<int64_t>::FromVector(&ctx_, regions, 2).PartitionBy(grid_r);
+  IndexedSpatialRDD<int64_t> indexed = ev_parts.Index(10);
+  indexed.trees().Count();
+  auto ev_flat = SpatialRDD<int64_t>::FromVector(&ctx_, events, 4);
+  auto reg_flat = SpatialRDD<int64_t>::FromVector(&ctx_, regions, 2);
+  JoinOptions broadcast;
+  broadcast.broadcast_threshold = regions.size();
+
+  /// The refine and result deltas of one strategy, plus its pair set.
+  const auto run = [](auto&& join) {
+    std::set<Pair> got;
+    Deltas all = DeltasOf([&] { got = Ids(join()); });
+    const Deltas kept = {
+        {"engine.columnar.fallbacks", all["engine.columnar.fallbacks"]},
+        {"engine.join.results", all["engine.join.results"]}};
+    return std::make_pair(got, kept);
+  };
+  const auto live =
+      run([&] { return SpatialJoin(ev_parts, reg_parts, intersects); });
+  EXPECT_EQ(live.first, expect) << "live partition pairs";
+  EXPECT_EQ(live.second, (Deltas{{"engine.columnar.fallbacks", 919},
+                                 {"engine.join.results", 538}}))
+      << "live partition pairs";
+  const auto cached =
+      run([&] { return SpatialJoin(indexed, reg_parts, intersects); });
+  EXPECT_EQ(cached.first, expect) << "cached index";
+  EXPECT_EQ(cached.second, (Deltas{{"engine.columnar.fallbacks", 0},
+                                   {"engine.join.results", 538}}))
+      << "cached index";
+  const auto bcast = run(
+      [&] { return SpatialJoin(ev_flat, reg_flat, intersects, broadcast); });
+  EXPECT_EQ(bcast.first, expect) << "broadcast";
+  EXPECT_EQ(bcast.second, (Deltas{{"engine.columnar.fallbacks", 919},
+                                  {"engine.join.results", 538}}))
+      << "broadcast";
+  EXPECT_EQ(expect.size(), 538u);
 }
 
 // ---- Lazy probe stage -------------------------------------------------------

@@ -1,4 +1,6 @@
 // Tests for the low-level computational geometry kernels.
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -44,6 +46,57 @@ TEST(SegmentsIntersectTest, ParallelDisjoint) {
 
 TEST(SegmentsIntersectTest, TShapeTouch) {
   EXPECT_TRUE(SegmentsIntersect({0, 0}, {2, 0}, {1, 0}, {1, 1}));
+}
+
+TEST(SegmentsIntersectTest, NearlyCollinearFarApartIsDisjoint) {
+  // Two segments on almost the same line, far apart. Each has an endpoint
+  // within the collinearity tolerance of the other's line, so the
+  // orientations come out (-1, 0, -1, 0). That says "near the other line",
+  // not "on the other segment": the segments' boxes are far apart.
+  const Coordinate p1{0.70901728576658507, 0.046179861149300949};
+  const Coordinate p2{1.7085991374900691, 0.075095630290913373};
+  const Coordinate q1{-0.92758806196986865, -0.0011636378691382613};
+  const Coordinate q2{-1.9271699136933713, -0.030079407010107806};
+  ASSERT_EQ(Orientation(p1, p2, q1), -1);
+  ASSERT_EQ(Orientation(p1, p2, q2), 0);
+  ASSERT_EQ(Orientation(q1, q2, p1), -1);
+  ASSERT_EQ(Orientation(q1, q2, p2), 0);
+  EXPECT_FALSE(SegmentsIntersect(p1, p2, q1, q2));
+  EXPECT_FALSE(SegmentsIntersect(q1, q2, p1, p2));
+  EXPECT_GT(DistanceSegmentSegment(p1, p2, q1, q2), 1.0);
+}
+
+TEST(SegmentsIntersectTest, CrossingFromInsideTheToleranceBand) {
+  // q really crosses p at (5, 0), but q1 lies 5e-12 below p: within the
+  // collinearity tolerance of p's line, outside p's grown box. The
+  // crossing must not depend on q1 passing PointOnSegment.
+  const Coordinate p1{0, 0};
+  const Coordinate p2{10, 0};
+  const Coordinate q1{5, -5e-12};
+  const Coordinate q2{5, 1};
+  ASSERT_EQ(Orientation(p1, p2, q1), 0);
+  ASSERT_FALSE(PointOnSegment(q1, p1, p2));
+  EXPECT_TRUE(SegmentsIntersect(p1, p2, q1, q2));
+  EXPECT_TRUE(SegmentsIntersect(q1, q2, p1, p2));
+  EXPECT_TRUE(SegmentsIntersect(p2, p1, q2, q1));
+}
+
+TEST(SegmentsIntersectTest, CrossingNearBothStartPoints) {
+  // q crosses p at (5e-12, 0). Both q1 and p1 are within tolerance of the
+  // other line, so the orientations are (0, 1, 0, -1), and neither start
+  // point lies in the other segment's grown box.
+  const Coordinate p1{0, 0};
+  const Coordinate p2{10, 0};
+  const Coordinate q1{5e-12, -5e-12};
+  const Coordinate q2{5e-12, 10};
+  ASSERT_EQ(Orientation(p1, p2, q1), 0);
+  ASSERT_EQ(Orientation(p1, p2, q2), 1);
+  ASSERT_EQ(Orientation(q1, q2, p1), 0);
+  ASSERT_EQ(Orientation(q1, q2, p2), -1);
+  ASSERT_FALSE(PointOnSegment(q1, p1, p2));
+  ASSERT_FALSE(PointOnSegment(p1, q1, q2));
+  EXPECT_TRUE(SegmentsIntersect(p1, p2, q1, q2));
+  EXPECT_TRUE(SegmentsIntersect(q1, q2, p1, p2));
 }
 
 Ring UnitSquare() {
@@ -141,6 +194,85 @@ TEST(KernelPropertyTest, DistanceZeroIffIntersect) {
     const double dist = DistanceSegmentSegment(a, b, c, d);
     EXPECT_EQ(dist == 0.0, SegmentsIntersect(a, b, c, d));
   }
+}
+
+/// SegmentsIntersect without its grown-box test: the orientation rule
+/// alone.
+bool OrientationRuleIntersects(const Coordinate& p1, const Coordinate& p2,
+                               const Coordinate& q1, const Coordinate& q2) {
+  const int o1 = Orientation(p1, p2, q1);
+  const int o2 = Orientation(p1, p2, q2);
+  const int o3 = Orientation(q1, q2, p1);
+  const int o4 = Orientation(q1, q2, p2);
+  if (o1 != o2 && o3 != o4) return true;
+  return (o1 == 0 && PointOnSegment(q1, p1, p2)) ||
+         (o2 == 0 && PointOnSegment(q2, p1, p2)) ||
+         (o3 == 0 && PointOnSegment(p1, q1, q2)) ||
+         (o4 == 0 && PointOnSegment(p2, q1, q2));
+}
+
+// Property: SegmentsIntersect differs from the orientation rule alone only
+// for segments whose grown boxes are apart, which share no point. Checked
+// on segment pairs built to sit in Orientation's tolerance band: a
+// segment's endpoint, or a point of it, nudged off it by less than the
+// band's width, as the end of a second segment; at magnitudes 1 to 1e6.
+TEST(KernelPropertyTest, SegmentsIntersectIsOrientationRuleOnNearbyBoxes) {
+  Rng rng(19);
+  size_t band_hits = 0;
+  size_t box_rejects = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const double magnitude = std::pow(10.0, rng.UniformInt(0, 6));
+    const double length = rng.Uniform(0.5, 20.0);
+    const double angle = rng.Uniform(0.0, 6.283185307179586);
+    const Coordinate u{std::cos(angle), std::sin(angle)};
+    const Coordinate n{-u.y, u.x};
+    const Coordinate o{magnitude * rng.Uniform(-1, 1),
+                       magnitude * rng.Uniform(-1, 1)};
+    const auto at = [&](double t, double off) {
+      return Coordinate{o.x + t * u.x + off * n.x, o.y + t * u.y + off * n.y};
+    };
+    const auto nudge = [&] {
+      return length * std::pow(10.0, rng.Uniform(-14.0, -10.0)) *
+             (rng.Uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0);
+    };
+    const Coordinate p1 = at(0, 0);
+    const Coordinate p2 = at(length, 0);
+    // Where q starts: near p's line, before, on or beyond p; and where it
+    // heads: across p, along p's line, or off at a random angle.
+    const double t = rng.Uniform(-0.5, 1.5) * length;
+    const Coordinate q1 = at(t, nudge());
+    Coordinate q2;
+    switch (trial % 3) {
+      case 0:
+        q2 = at(t + rng.Uniform(-1, 1), rng.Uniform(-5, 5));
+        break;
+      case 1:
+        q2 = at(t + rng.Uniform(-2, 2) * length, nudge());
+        break;
+      default:
+        q2 = {q1.x + rng.Uniform(-5, 5), q1.y + rng.Uniform(-5, 5)};
+        break;
+    }
+    const bool boxes_meet =
+        GrownSegmentBox(p1, p2).Overlaps(GrownSegmentBox(q1, q2));
+    const bool rule = OrientationRuleIntersects(p1, p2, q1, q2);
+    ASSERT_EQ(SegmentsIntersect(p1, p2, q1, q2), boxes_meet && rule)
+        << trial;
+    // In the tolerance band the rule depends on the argument order.
+    ASSERT_EQ(SegmentsIntersect(q2, q1, p2, p1),
+              boxes_meet && OrientationRuleIntersects(q2, q1, p2, p1))
+        << trial;
+    if (boxes_meet && rule && Orientation(p1, p2, q1) == 0 &&
+        !PointOnSegment(q1, p1, p2)) {
+      ++band_hits;
+    }
+    if (!boxes_meet && rule) ++box_rejects;
+  }
+  // Both sides of the rule must be exercised: intersections that rely on
+  // an endpoint in the band but off the segment, and band "touches" that
+  // the boxes reject.
+  EXPECT_GT(band_hits, 100u);
+  EXPECT_GT(box_rejects, 40u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/predicates.h"
+#include "geometry/prepared.h"
 #include "geometry/wkt.h"
 
 namespace stark {
@@ -131,6 +132,50 @@ TEST(PredicateEdgeTest, CrossingPolygonsNeitherContains) {
   EXPECT_TRUE(Intersects(horizontal, vertical));
   EXPECT_FALSE(Contains(horizontal, vertical));
   EXPECT_FALSE(Contains(vertical, horizontal));
+}
+
+TEST(PredicateEdgeTest, NearlyCollinearEdgesOfDisjointTriangles) {
+  // Each triangle has one edge on almost the same line as an edge of the
+  // other, but the two edges are far apart. Their orientations are
+  // (-1, 0, -1, 0), which must not count as a crossing.
+  const Coordinate p1{0.70901728576658507, 0.046179861149300949};
+  const Coordinate p2{1.7085991374900691, 0.075095630290913373};
+  const Coordinate q1{-0.92758806196986865, -0.0011636378691382613};
+  const Coordinate q2{-1.9271699136933713, -0.030079407010107806};
+  const Geometry a = Geometry::MakePolygon({p1, p2, {1.2, -3.0}}).ValueOrDie();
+  const Geometry b = Geometry::MakePolygon({q1, q2, {1.0, -5.0}}).ValueOrDie();
+  EXPECT_FALSE(Intersects(a, b));
+  EXPECT_FALSE(Intersects(b, a));
+  EXPECT_FALSE(PreparedGeometry(a).IntersectedBy(b));
+  EXPECT_FALSE(PreparedGeometry(b).IntersectedBy(a));
+  EXPECT_NEAR(Distance(a, b), 0.906, 1e-3);
+  EXPECT_EQ(PreparedGeometry(a).DistanceFrom(b), Distance(b, a));
+  EXPECT_EQ(PreparedGeometry(b).DistanceFrom(a), Distance(a, b));
+}
+
+TEST(PredicateEdgeTest, LineReachingIntoBoxFromToleranceBand) {
+  // The line's first vertex is 5e-12 below the box: outside it, but
+  // within the collinearity tolerance of its bottom edge. The line still
+  // crosses that edge and runs 1 unit into the box.
+  const Geometry box = G("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))");
+  const Geometry line = G("LINESTRING (5 -5e-12, 5 1)");
+  EXPECT_TRUE(Intersects(box, line));
+  EXPECT_TRUE(Intersects(line, box));
+  EXPECT_TRUE(PreparedGeometry(box).IntersectedBy(line));
+  EXPECT_TRUE(PreparedGeometry(line).IntersectedBy(box));
+  EXPECT_EQ(Distance(box, line), 0.0);
+}
+
+TEST(PredicateEdgeTest, TriangleApexInToleranceBandOfBoxEdge) {
+  // The same crossing from a triangle whose apex, its first vertex, lies
+  // 5e-12 below the box and whose body is inside it.
+  const Geometry box = G("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))");
+  const Geometry tri = G("POLYGON ((5 -5e-12, 6 2, 4 2, 5 -5e-12))");
+  EXPECT_TRUE(Intersects(box, tri));
+  EXPECT_TRUE(Intersects(tri, box));
+  EXPECT_TRUE(PreparedGeometry(box).IntersectedBy(tri));
+  EXPECT_TRUE(PreparedGeometry(tri).IntersectedBy(box));
+  EXPECT_EQ(Distance(tri, box), 0.0);
 }
 
 }  // namespace

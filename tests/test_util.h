@@ -253,12 +253,10 @@ inline Envelope RandomEnvelope(Rng* rng, double max_extent) {
   return Envelope(c.x, c.y, c.x + w, c.y + h);
 }
 
-/// A simple (non-self-intersecting) polygon: vertices on a star around a
-/// center, angles sorted, radius varying per vertex.
-inline Geometry RandomStarPolygon(Rng* rng) {
-  const Coordinate center = RandomCoord(rng);
-  const double base_radius = rng->Uniform(0.5, 8.0);
-  const int n = static_cast<int>(rng->UniformInt(3, 9));
+/// A simple (non-self-intersecting) polygon: \p n vertices on a star around
+/// \p center, angles sorted, radius in [0.4, 1] x \p base_radius per vertex.
+inline Geometry StarPolygonAround(Rng* rng, const Coordinate& center,
+                                  double base_radius, int n) {
   std::vector<double> angles;
   for (int i = 0; i < n; ++i) angles.push_back(rng->Uniform(0.0, 6.2831853));
   std::sort(angles.begin(), angles.end());
@@ -276,6 +274,14 @@ inline Geometry RandomStarPolygon(Rng* rng) {
                                       center.x + 1, center.y + 1));
   }
   return polygon.ValueOrDie();
+}
+
+/// A star polygon of 3-9 vertices somewhere in the fuzz universe.
+inline Geometry RandomStarPolygon(Rng* rng) {
+  const Coordinate center = RandomCoord(rng);
+  const double base_radius = rng->Uniform(0.5, 8.0);
+  const int n = static_cast<int>(rng->UniformInt(3, 9));
+  return StarPolygonAround(rng, center, base_radius, n);
 }
 
 /// One random geometry of a mixed type: point, box, star polygon,
