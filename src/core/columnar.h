@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/stobject.h"
@@ -124,6 +125,40 @@ class ColumnarBatch {
   std::vector<uint8_t> has_time_;
   std::vector<int64_t> t_start_, t_end_;
   EnvelopeSoA envs_;
+};
+
+/// \brief The lazily built point slabs of one stable batch of rows: a
+/// SpatialRDD partition or a serve epoch.
+///
+/// Built on the first request and shared by every later one
+/// (engine.columnar.slab_reuse). A batch with a non-point row has no slabs,
+/// and that outcome is kept too, so it is not rescanned. The slot is
+/// revalidated against the batch's row count (partition contents are
+/// stable because lineage recomputation is deterministic, and epochs are
+/// immutable). An empty batch, e.g. a pruned partition, has no slabs and
+/// leaves the slot as it is.
+class PointSlabSlot {
+ public:
+  /// The point slabs of \p items (STObject per item via \p obj_of, as in
+  /// ColumnarBatch::BuildPoints), or null when one of them is not a point.
+  template <typename Container, typename Fn>
+  std::shared_ptr<const ColumnarBatch> Points(const Container& items,
+                                              Fn&& obj_of) {
+    if (items.empty()) return nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (rows_ == items.size()) {
+      if (points_ != nullptr) GlobalColumnarMetrics().slab_reuse->Increment();
+      return points_;
+    }
+    points_ = ColumnarBatch::BuildPoints(items, obj_of);
+    rows_ = items.size();
+    return points_;
+  }
+
+ private:
+  std::mutex mu_;
+  size_t rows_ = 0;  // rows of the batch points_ describes; 0 = unbuilt
+  std::shared_ptr<const ColumnarBatch> points_;
 };
 
 }  // namespace stark

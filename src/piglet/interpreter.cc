@@ -19,7 +19,6 @@
 #include "partition/st_grid_partitioner.h"
 #include "piglet/parser.h"
 #include "serve/catalog.h"
-#include "spatial_rdd/columnar_refine.h"
 #include "spatial_rdd/join.h"
 #include "spatial_rdd/spatial_rdd.h"
 
@@ -764,10 +763,10 @@ Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
                                                     const PigRelation& in) {
   static obs::Counter* const probes =
       obs::DefaultMetrics().GetCounter("serve.snapshot.probes");
-  static obs::Counter* const global_candidates =
-      obs::DefaultMetrics().GetCounter("serve.snapshot.candidates");
-  static obs::Counter* const global_results =
-      obs::DefaultMetrics().GetCounter("serve.snapshot.results");
+  static const FilterMetricSet counters{
+      nullptr, nullptr,
+      obs::DefaultMetrics().GetCounter("serve.snapshot.candidates"),
+      obs::DefaultMetrics().GetCounter("serve.snapshot.results")};
 
   const Expr& e = *stmt.filter;
   JoinPredicate pred;
@@ -779,79 +778,20 @@ Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
   const std::shared_ptr<const serve::DatasetSnapshot> snap = in.snapshot;
   QueryStats* const stats = analyze_mode_ ? &analyze_stats_ : nullptr;
 
+  // The epoch is immutable, so its point slabs are built once (on the first
+  // spatial FILTER) and shared by every later query against it.
   std::vector<PigRow> kept;
   STARK_RETURN_NOT_OK(ctx_->TryRunTasks(
       "serve.snapshot.filter", 1, [&](size_t) {
-        const std::vector<stream::StreamEvent>& events = *snap->events;
-        uint64_t candidates = 0;
-        // Refinement: the batch kernels when columnar_refine::SelectKernels
-        // picks them for the epoch, else the scalar BoundPredicate loop. The
-        // epoch is immutable, so its point slabs are built once (on the
-        // first spatial FILTER) and shared by every later query against the
-        // same snapshot version.
-        const std::shared_ptr<const ColumnarBatch> points =
-            columnar_refine::SelectKernels(pred, [&] {
-              return snap->columnar->Points(events);
+        FilterTreeRows(
+            *snap->events, *snap->tree, snap->columnar.get(),
+            [](const stream::StreamEvent& ev) -> const STObject& {
+              return ev.obj;
+            },
+            query, pred, counters, stats,
+            [&](const stream::StreamEvent& ev) {
+              kept.push_back(RowFromStreamEvent(ev));
             });
-        columnar_refine::Stats cstats;
-        if (points != nullptr) {
-          std::vector<uint32_t> cand;
-          auto collect = [&](const Envelope&, const uint32_t& idx) {
-            if ((++candidates & 1023u) == 0) ThrowIfTaskCancelled();
-            cand.push_back(idx);
-          };
-          if (pred.Prunable()) {
-            const Envelope probe =
-                query.envelope().Expanded(pred.EnvelopeMargin());
-            snap->tree->Query(probe, collect);
-          } else {
-            snap->tree->ForEach(collect);
-          }
-          if (!cand.empty()) {
-            PreparedGeometry prep(query.geo());
-            std::vector<uint32_t> scratch;
-            columnar_refine::RefineCandidates(*points, pred, query, prep,
-                                              /*cand_left=*/true, &cand,
-                                              &cstats, &scratch);
-            kept.reserve(cand.size());
-            for (const uint32_t j : cand) {
-              kept.push_back(RowFromStreamEvent(events[j]));
-            }
-          }
-        } else {
-          // Same candidate/refine protocol as IndexedSpatialRDD::Filter:
-          // envelope probe expanded by the predicate margin, exact predicate
-          // bound once so the query geometry is prepared and reused.
-          BoundPredicate bound(pred, query,
-                               BoundPredicate::Side::kCandidateLeft);
-          auto refine = [&](const Envelope&, const uint32_t& idx) {
-            if ((++candidates & 1023u) == 0) ThrowIfTaskCancelled();
-            const stream::StreamEvent& ev = events[idx];
-            if (bound.Eval(ev.obj)) kept.push_back(RowFromStreamEvent(ev));
-          };
-          if (pred.Prunable()) {
-            const Envelope probe =
-                query.envelope().Expanded(pred.EnvelopeMargin());
-            snap->tree->Query(probe, refine);
-          } else {
-            snap->tree->ForEach(refine);
-          }
-          cstats.fallback_rows = candidates;
-        }
-        cstats.Flush();
-        global_candidates->Add(candidates);
-        global_results->Add(kept.size());
-        if (stats != nullptr) {
-          ++stats->partitions_scanned;
-          stats->candidates += candidates;
-          stats->results += kept.size();
-        }
-        if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-          span->records_in = candidates;
-          span->records_out = kept.size();
-          span->candidates = candidates;
-          span->refined = kept.size();
-        }
       }));
   probes->Increment();
 

@@ -29,37 +29,6 @@
 namespace stark {
 namespace serve {
 
-/// \brief Lazily-built point slabs of one dataset epoch.
-///
-/// Built on the first spatial FILTER against the snapshot and shared by
-/// every later reader of the same epoch (engine.columnar.slab_reuse);
-/// epochs are immutable, so the slabs never invalidate. An epoch with a
-/// non-point event has no slabs, and that outcome is kept too. The mutex
-/// only guards the build-once handoff.
-class SnapshotColumnar {
- public:
-  /// The point slabs of \p events (this epoch's events), or null when one
-  /// of them is not a point.
-  std::shared_ptr<const ColumnarBatch> Points(
-      const std::vector<stream::StreamEvent>& events) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (built_) {
-      if (points_ != nullptr) GlobalColumnarMetrics().slab_reuse->Increment();
-      return points_;
-    }
-    points_ = ColumnarBatch::BuildPoints(
-        events,
-        [](const stream::StreamEvent& ev) -> const STObject& { return ev.obj; });
-    built_ = true;
-    return points_;
-  }
-
- private:
-  std::mutex mu_;
-  bool built_ = false;
-  std::shared_ptr<const ColumnarBatch> points_;
-};
-
 /// \brief One immutable published version of a dataset.
 ///
 /// `tree` indexes every event by its envelope; payloads are indices into
@@ -69,10 +38,10 @@ struct DatasetSnapshot {
   uint64_t version = 0;
   std::shared_ptr<const std::vector<stream::StreamEvent>> events;
   std::shared_ptr<const PackedRTree<uint32_t>> tree;
-  /// Point-slab cache for this epoch (never null; the slabs inside are
-  /// built on first use). Not part of the torn-swap consistency contract.
-  std::shared_ptr<SnapshotColumnar> columnar =
-      std::make_shared<SnapshotColumnar>();
+  /// Point slabs of this epoch's events (never null; built on the first
+  /// spatial FILTER and shared by every later reader of the epoch). Not
+  /// part of the torn-swap consistency contract.
+  std::shared_ptr<PointSlabSlot> columnar = std::make_shared<PointSlabSlot>();
 
   /// Internal-consistency check used by the snapshot hammer test: a torn
   /// publication (events from one version, tree from another) trips this.

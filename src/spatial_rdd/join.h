@@ -13,9 +13,11 @@
 /// broadcast join (a small side flattened into one R-tree, probed from
 /// every partition of the other side). The core: EnumeratePairs prunes
 /// partition pairs by extent, RunProbeTasks and RunBroadcast plan the probe
-/// tasks and return them as a lazy ProbeRDD, and ProbeRows is the one row
-/// loop every task runs, owning the kernel, scalar-tree and nested-loop
-/// refine paths for either operand orientation (`cand_left`).
+/// tasks and return them as a lazy ProbeRDD, and ProbeRows is the row loop
+/// every task runs. Per probe row it calls columnar_refine::RefineFixed,
+/// the refine core the filters share, which owns the kernel, scalar-tree
+/// and nested-loop refine paths for either operand orientation
+/// (`cand_left`).
 ///
 /// Planning (partition reads, pair pruning, index builds) runs when a join
 /// is called; the probe tasks run inside the job that reads its result and
@@ -42,11 +44,9 @@
 #include "engine/context.h"
 #include "engine/rdd.h"
 #include "geometry/prepared.h"
-#include "index/packed_rtree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spatial_rdd/columnar_refine.h"
-#include "spatial_rdd/query_stats.h"
 #include "spatial_rdd/spatial_rdd.h"
 
 namespace stark {
@@ -250,190 +250,41 @@ inline PairPlan EnumeratePairs(
   return plan;
 }
 
-/// Per-task probe tallies, flushed once per task (the granularity rule).
-struct ProbeStats {
-  size_t packed_probes = 0;
-  size_t prefilter_skips = 0;
-  size_t prepared_hits = 0;
-  size_t prepared_misses = 0;
-  columnar_refine::Stats columnar;
-};
-
 /// Closes a probe task: annotates its span, e.g. "L3xR1 packed_probes=128
 /// prepared=500/3", and flushes its tallies into the global metrics.
 inline void FinishTask(const std::string& detail, size_t records_in,
-                       size_t results, const ProbeStats& stats) {
-  stats.columnar.Flush();
+                       size_t results, const columnar_refine::TaskState& task) {
+  task.Flush();
   if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
     span->detail = detail + " packed_probes=" +
-                   std::to_string(stats.packed_probes) + " prepared=" +
-                   std::to_string(stats.prepared_hits) + "/" +
-                   std::to_string(stats.prepared_misses);
+                   std::to_string(task.packed_probes) + " prepared=" +
+                   std::to_string(task.prepared_hits) + "/" +
+                   std::to_string(task.prepared_misses);
     span->records_in = records_in;
     span->records_out = results;
-    span->candidates = stats.packed_probes;
+    span->candidates = task.packed_probes;
     span->refined = results;
   }
-  GlobalJoinMetrics().prefilter_skips->Add(stats.prefilter_skips);
+  GlobalJoinMetrics().prefilter_skips->Add(task.prefilter_skips);
   GlobalJoinMetrics().results->Add(results);
-  const IndexMetricSet& m = GlobalIndexMetrics();
-  m.packed_probes->Add(stats.packed_probes);
-  m.prepared_hits->Add(stats.prepared_hits);
-  m.prepared_misses->Add(stats.prepared_misses);
 }
 
-/// A live index over a row vector: a packed R-tree of row indices, plus
-/// the point slabs columnar_refine::SelectKernels chose for the rows (null
-/// selects the scalar refine).
-struct RowIndex {
-  PackedRTree<size_t> tree;
-  std::shared_ptr<const ColumnarBatch> points;
-};
-
-template <typename T>
-RowIndex BuildRowIndex(const std::vector<T>& rows, const JoinPredicate& pred,
-                       size_t order) {
-  std::vector<std::pair<Envelope, size_t>> entries;
-  entries.reserve(rows.size());
-  for (size_t e = 0; e < rows.size(); ++e) {
-    entries.emplace_back(rows[e].first.envelope(), e);
-  }
-  RowIndex index;
-  index.tree = PackedRTree<size_t>(order, std::move(entries));
-  index.points = columnar_refine::SelectKernels(pred, [&] {
-    return ColumnarBatch::BuildPoints(
-        rows, [](const T& e) -> const STObject& { return e.first; });
-  });
-  return index;
-}
-
-/// Candidate source over a row vector: the rows its RowIndex tree returns
-/// (counted as engine.columnar.fallbacks on the scalar refine), or with no
-/// index every row behind the optional envelope prefilter: the nested loop.
-template <typename T>
-struct RowSource {
-  static constexpr bool kSlabRows = true;
-
-  const std::vector<T>* rows = nullptr;
-  const RowIndex* index = nullptr;
-  bool prefilter = false;
-
-  const ColumnarBatch* points() const {
-    return index != nullptr ? index->points.get() : nullptr;
-  }
-
-  template <typename Fn>
-  void ForEach(const Envelope& probe, ProbeStats* stats, Fn&& fn) const {
-    if (index != nullptr) {
-      index->tree.Query(probe, [&](const Envelope&, const size_t& e) {
-        ++stats->columnar.fallback_rows;
-        fn((*rows)[e]);
-      });
-      ++stats->packed_probes;
-      return;
-    }
-    for (const T& row : *rows) {
-      if (prefilter && !probe.Intersects(row.first.envelope())) {
-        ++stats->prefilter_skips;
-        continue;
-      }
-      fn(row);
-    }
-  }
-};
-
-/// Candidate source over the cached trees of one IndexedSpatialRDD
-/// partition, probed in place. They hold elements, not slab rows: always
-/// the scalar refine, outside the engine.columnar.* counts.
-template <typename T>
-struct TreeListSource {
-  static constexpr bool kSlabRows = false;
-
-  const std::vector<std::shared_ptr<const PackedRTree<T>>>* trees = nullptr;
-
-  static const ColumnarBatch* points() { return nullptr; }
-
-  template <typename Fn>
-  void ForEach(const Envelope& probe, ProbeStats* stats, Fn&& fn) const {
-    for (const auto& tree : *trees) {
-      tree->Query(probe, [&](const Envelope&, const T& row) { fn(row); });
-      ++stats->packed_probes;
-    }
-  }
-};
-
-/// Exact predicate with the candidate prepared through \p cache; custom
-/// withinDistance functions bypass preparation.
-inline bool EvalPreparedCandidate(const JoinPredicate& pred,
-                                  const STObject& cand, const STObject& fixed,
-                                  bool cand_left,
-                                  PreparedGeometryCache* cache) {
-  if (pred.type == PredicateType::kWithinDistance && pred.distance) {
-    return cand_left ? pred.Eval(cand, fixed) : pred.Eval(fixed, cand);
-  }
-  const PreparedGeometry& prep = cache->Get(cand.geo());
-  return cand_left ? EvalWithPreparedLeft(pred, cand, fixed, prep)
-                   : EvalWithPreparedRight(pred, fixed, cand, prep);
-}
-
-/// \brief The one probe loop every join task runs: probes rows
-/// [begin, end) of \p probe against \p source, whose candidates fill the
-/// \p cand_left operand slot, and calls emit(candidate, probe_row) for each
-/// match, per probe row in candidate order. When the source carries point
-/// slabs, the candidates are refined by the kernels against the probe's
-/// prepared geometry (same survivors, same order as the scalar refine).
-/// Otherwise the scalar refine prepares the probe row once through a
-/// BoundPredicate, or, with \p stable set, each candidate through that
-/// cache. A cooperative checkpoint runs every 1024 probe rows.
+/// \brief The one probe loop every join task runs: refines each row of
+/// [begin, end) of \p probe against \p source with RefineFixed (the
+/// candidates fill the \p cand_left operand slot; see there for \p stable)
+/// and calls emit(candidate, probe_row) for each match, per probe row in
+/// candidate order. A cooperative checkpoint also runs every 1024 probe
+/// rows, for probes that find no candidates.
 template <typename P, typename Source, typename Emit>
 void ProbeRows(const JoinPredicate& pred, const Source& source,
                bool cand_left, const std::vector<P>& probe, size_t begin,
-               size_t end, PreparedGeometryCache* stable, ProbeStats* stats,
-               Emit&& emit) {
-  const double margin = pred.EnvelopeMargin();
-  const BoundPredicate::Side side = cand_left
-                                        ? BoundPredicate::Side::kCandidateLeft
-                                        : BoundPredicate::Side::kCandidateRight;
-  const ColumnarBatch* points = source.points();
-  std::vector<uint32_t> cand;
-  std::vector<uint32_t> scratch;
+               size_t end, PreparedGeometryCache* stable,
+               columnar_refine::TaskState* task, Emit&& emit) {
   for (size_t i = begin; i < end; ++i) {
     if (((i - begin) & 1023u) == 0) ThrowIfTaskCancelled();
     const P& p = probe[i];
-    const Envelope env = p.first.envelope().Expanded(margin);
-    if constexpr (Source::kSlabRows) {
-      if (points != nullptr) {
-        cand.clear();
-        source.index->tree.Query(env, [&](const Envelope&, const size_t& e) {
-          cand.push_back(static_cast<uint32_t>(e));
-        });
-        ++stats->packed_probes;
-        if (cand.empty()) continue;
-        const size_t in_count = cand.size();
-        PreparedGeometry prep(p.first.geo());
-        columnar_refine::RefineCandidates(*points, pred, p.first, prep,
-                                          cand_left, &cand, &stats->columnar,
-                                          &scratch);
-        stats->prepared_misses += 1;
-        stats->prepared_hits += in_count - 1;
-        for (const uint32_t e : cand) emit((*source.rows)[e], p);
-        continue;
-      }
-    }
-    if (stable != nullptr) {
-      source.ForEach(env, stats, [&](const auto& c) {
-        if (EvalPreparedCandidate(pred, c.first, p.first, cand_left, stable)) {
-          emit(c, p);
-        }
-      });
-      continue;
-    }
-    BoundPredicate bound(pred, p.first, side);
-    source.ForEach(env, stats, [&](const auto& c) {
-      if (bound.Eval(c.first)) emit(c, p);
-    });
-    stats->prepared_hits += bound.prepared_hits();
-    stats->prepared_misses += bound.prepared_misses();
+    columnar_refine::RefineFixed(pred, source, p.first, cand_left, stable,
+                                 task, [&](const auto& c) { emit(c, p); });
   }
 }
 
@@ -518,20 +369,20 @@ RDD<Out> RunProbeTasks(Context* ctx, const PairPlan& plan,
         const ProbeTask& task = tasks[t];
         const std::vector<R>& rv = *right->views[task.right];
         const auto source = source_of(task.left);
-        ProbeStats stats;
+        columnar_refine::TaskState state;
         size_t results = 0;
         ProbeRows(pred, source, /*cand_left=*/true, rv, task.begin, task.end,
-                  /*stable=*/nullptr, &stats, [&](const auto& l, const R& r) {
+                  /*stable=*/nullptr, &state, [&](const auto& l, const R& r) {
                     Out out = make(l, r);
                     ++results;
                     sink(out);
                   });
-        if (source.points() != nullptr && task.begin != 0) {
+        if (source.points != nullptr && task.begin != 0) {
           // A skew-split sub-task reuses the slab its sibling built.
           GlobalColumnarMetrics().slab_reuse->Increment();
         }
         FinishTask(TaskDetail(task, rv.size()), task.end - task.begin,
-                   results, stats);
+                   results, state);
       }));
 }
 
@@ -539,7 +390,7 @@ RDD<Out> RunProbeTasks(Context* ctx, const PairPlan& plan,
 template <typename S>
 struct BroadcastSide {
   std::vector<S> rows;
-  RowIndex index;
+  columnar_refine::RowIndex index;
 };
 
 /// \brief The broadcast strategy for both directions: \p small_parts (the
@@ -563,7 +414,8 @@ RDD<Out> RunBroadcast(Context* ctx,
     small->rows.insert(small->rows.end(), part->begin(), part->end());
   }
   if (use_index) {
-    small->index = BuildRowIndex(small->rows, pred, options.index_order);
+    small->index =
+        columnar_refine::BuildRowIndex(small->rows, pred, options.index_order);
     GlobalJoinMetrics().tree_builds->Increment();
   }
 
@@ -572,29 +424,28 @@ RDD<Out> RunBroadcast(Context* ctx,
       ctx, "spatial.join.broadcast", num_tasks,
       [small = std::move(small), big = std::move(big), small_left, use_index,
        pred, make = std::move(make)](size_t i, Sink<Out> sink) {
-        const RowSource<S> source{&small->rows,
-                                  use_index ? &small->index : nullptr,
-                                  pred.Prunable()};
+        const auto source = columnar_refine::IndexedRows(
+            &small->rows, use_index ? &small->index : nullptr, pred);
         const std::vector<B>& probe = *big->views[i];
-        ProbeStats stats;
+        columnar_refine::TaskState state;
         PreparedGeometryCache cache;
         size_t results = 0;
         ProbeRows(pred, source, small_left, probe, 0, probe.size(), &cache,
-                  &stats, [&](const S& s, const B& b) {
+                  &state, [&](const S& s, const B& b) {
                     Out out = make(s, b);
                     ++results;
                     sink(out);
                   });
-        stats.prepared_hits += cache.hits();
-        stats.prepared_misses += cache.misses();
-        if (source.points() != nullptr) {
+        state.prepared_hits += cache.hits();
+        state.prepared_misses += cache.misses();
+        if (source.points != nullptr) {
           // The broadcast slabs are shared by every task.
           GlobalColumnarMetrics().slab_reuse->Increment();
         }
         const std::string part = std::to_string(i);
         FinishTask((small_left ? "L*xR" + part : "L" + part + "xR*") +
                        " (broadcast)",
-                   probe.size(), results, stats);
+                   probe.size(), results, state);
       }));
 }
 
@@ -661,23 +512,23 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   // once per pair) in the same stage that picks its refine path. Every
   // probe task that targets the partition shares the index (skew-split
   // sub-tasks of the same pair share one slab: engine.columnar.slab_reuse).
-  auto left_index = std::make_shared<std::vector<ji::RowIndex>>(
+  auto left_index = std::make_shared<std::vector<columnar_refine::RowIndex>>(
       use_index ? nl : 0);
   if (use_index) {
     ctx->RunTasks("spatial.join.build", nl, [&](size_t i) {
       if (!plan.left_used[i]) return;
-      (*left_index)[i] = ji::BuildRowIndex(*left_parts->views[i], pred,
-                                           options.index_order);
+      (*left_index)[i] = columnar_refine::BuildRowIndex(
+          *left_parts->views[i], pred, options.index_order);
     });
     GlobalJoinMetrics().tree_builds->Add(
         std::count(plan.left_used.begin(), plan.left_used.end(), 1));
   }
   return ji::RunProbeTasks<Out>(
       ctx, plan, left_sizes, right_parts, use_index, pred, options,
-      [left_parts, left_index, prefilter = pred.Prunable()](size_t i) {
-        return ji::RowSource<L>{
+      [left_parts, left_index, pred](size_t i) {
+        return columnar_refine::IndexedRows(
             left_parts->views[i],
-            left_index->empty() ? nullptr : &(*left_index)[i], prefilter};
+            left_index->empty() ? nullptr : &(*left_index)[i], pred);
       },
       std::move(project));
 }
@@ -688,9 +539,10 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
 /// path; every probed tree counts as an `engine.join.tree_reuse_hits`.
 ///
 /// Partition pairs are pruned with the extents captured at indexing time.
-/// A non-prunable predicate cannot use the trees; the elements are then
-/// scanned out of them into a nested loop (still no tree build). The
-/// broadcast strategy never applies here — the index is already paid for.
+/// A non-prunable predicate cannot use the trees; each task then walks the
+/// elements of its partition's trees in place (a nested loop, still no tree
+/// build). The broadcast strategy never applies here — the index is already
+/// paid for.
 template <typename V, typename W, typename Project>
 auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
                         const SpatialRDD<W>& right, const JoinPredicate& pred,
@@ -724,32 +576,11 @@ auto SpatialJoinProject(const IndexedSpatialRDD<V>& left,
   }
   GlobalJoinMetrics().tree_reuse_hits->Add(reuse_hits);
 
-  if (pred.Prunable()) {
-    return ji::RunProbeTasks<Out>(
-        ctx, plan, left_sizes, right_parts, /*indexed=*/true, pred, options,
-        [left_trees](size_t i) {
-          return ji::TreeListSource<L>{left_trees->views[i]};
-        },
-        std::move(project));
-  }
-  // A non-prunable predicate cannot probe the trees; scan their elements
-  // out once per used partition and fall back to a nested loop. This is a
-  // flat copy, not an R-tree build.
-  auto left_elems = std::make_shared<std::vector<std::vector<L>>>(nl);
-  ctx->RunTasks("spatial.join.scan", nl, [&](size_t i) {
-    if (!plan.left_used[i]) return;
-    std::vector<L>& elems = (*left_elems)[i];
-    elems.clear();
-    elems.reserve(left_sizes[i]);
-    for (const TreePtr& tree : *left_trees->views[i]) {
-      tree->ForEach([&](const Envelope&, const L& e) { elems.push_back(e); });
-    }
-  });
   return ji::RunProbeTasks<Out>(
-      ctx, plan, left_sizes, right_parts, /*indexed=*/false, pred, options,
-      [left_elems](size_t i) {
-        return ji::RowSource<L>{&(*left_elems)[i], nullptr,
-                                /*prefilter=*/false};
+      ctx, plan, left_sizes, right_parts, /*indexed=*/pred.Prunable(), pred,
+      options,
+      [left_trees, prune = pred.Prunable()](size_t i) {
+        return columnar_refine::TreeListSource<L>{left_trees->views[i], prune};
       },
       std::move(project));
 }

@@ -10,9 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -84,12 +82,11 @@ class IndexedSpatialRDD {
                       QueryStats* stats = nullptr) const {
     const Envelope probe = query.envelope().Expanded(pred.EnvelopeMargin());
     auto extents = extents_;
-    const bool prunable = pred.Prunable();
     // Partition extents that cannot contribute are pruned before the trees
     // are even computed (§2.1) — with live indexing this skips building the
     // R-tree for pruned partitions entirely.
     RDD<TreePtr> source = trees_;
-    if (prunable && extents) {
+    if (pred.Prunable() && extents) {
       source = source.PrunePartitions([extents, probe, stats](size_t idx) {
         const bool keep = (*extents)[idx].Intersects(probe);
         if (!keep) {
@@ -100,54 +97,17 @@ class IndexedSpatialRDD {
       });
     }
     return source.MapPartitionsWithIndex(
-        [query, pred, probe, prunable, stats](size_t,
-                                              std::vector<TreePtr> trees) {
+        [query, pred, stats](size_t, std::vector<TreePtr> trees) {
           std::vector<Element> out;
-          size_t candidates = 0;
-          size_t packed_probes = 0;
-          // The query geometry is refined against every candidate: bind it
-          // once so it is prepared on the first candidate and reused after.
-          BoundPredicate bound(pred, query,
-                               BoundPredicate::Side::kCandidateLeft);
-          auto refine = [&](const Element& e) {
-            ++candidates;
-            if (bound.Eval(e.first)) out.push_back(e);
-          };
-          for (const TreePtr& tree : trees) {
-            if (prunable) {
-              ++packed_probes;
-              tree->Query(probe, [&](const Envelope&, const Element& e) {
-                refine(e);
-              });
-            } else {
-              tree->ForEach([&](const Envelope&, const Element& e) {
-                refine(e);
-              });
-            }
-          }
-          if (stats) {
-            if (!trees.empty()) ++stats->partitions_scanned;
-            stats->candidates += candidates;
-            stats->results += out.size();
-          }
-          const FilterMetricSet& global = GlobalFilterMetrics();
-          if (!trees.empty()) global.partitions_scanned->Increment();
-          global.candidates->Add(candidates);
-          global.results->Add(out.size());
-          const IndexMetricSet& index_metrics = GlobalIndexMetrics();
-          index_metrics.packed_probes->Add(packed_probes);
-          index_metrics.prepared_hits->Add(bound.prepared_hits());
-          index_metrics.prepared_misses->Add(bound.prepared_misses());
-          if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
-            span->detail = "packed_probes=" + std::to_string(packed_probes) +
-                           " prepared=" +
-                           std::to_string(bound.prepared_hits()) + "/" +
-                           std::to_string(bound.prepared_misses());
-            span->records_in = candidates;
-            span->records_out = out.size();
-            span->candidates = candidates;
-            span->refined = out.size();
-          }
+          columnar_refine::TaskState task;
+          const columnar_refine::TreeListSource<Element> candidates{
+              &trees, pred.Prunable()};
+          columnar_refine::RefineFixed(
+              pred, candidates, query, /*cand_left=*/true, nullptr, &task,
+              [&](const Element& e) { out.push_back(e); });
+          columnar_refine::FinishFilterTask(
+              GlobalFilterMetrics(), stats, !trees.empty(), task.candidates,
+              out.size(), task, /*annotate=*/true);
           return out;
         });
   }
@@ -506,59 +466,22 @@ class SpatialRDD {
     }
     // Refinement: the batch kernels when columnar_refine::SelectKernels
     // picks them for the partition (envelope prefilter over its point slabs,
-    // then batched refinement), else the scalar BoundPredicate loop — the
-    // same rows in the same order either way. Slabs are cached on this
-    // SpatialRDD, so repeated filters reuse them.
-    auto cache = columnar_cache_;
+    // then batched refinement), else the scalar BoundPredicate loop over
+    // every row — the same rows in the same order either way. Slabs are
+    // kept on this SpatialRDD, so repeated filters reuse them.
+    auto slabs = slabs_;
     return source.MapPartitionsWithIndex(
-        [query, pred, stats, cache, probe](size_t idx,
-                                           std::vector<Element> items) {
+        [query, pred, stats, slabs](size_t idx, std::vector<Element> items) {
           std::vector<Element> out;
-          size_t prepared_hits = 0;
-          size_t prepared_misses = 0;
-          columnar_refine::Stats cstats;
-          const std::shared_ptr<const ColumnarBatch> points =
-              columnar_refine::SelectKernels(
-                  pred, [&] { return cache->Points(idx, items); });
-          if (points != nullptr) {
-            std::vector<uint32_t> cand;
-            FilterEnvelopesBatch(points->envelopes(), probe, &cand);
-            if (!cand.empty()) {
-              PreparedGeometry prep(query.geo());
-              std::vector<uint32_t> scratch;
-              columnar_refine::RefineCandidates(*points, pred, query, prep,
-                                                /*cand_left=*/true, &cand,
-                                                &cstats, &scratch);
-              prepared_misses = 1;
-              prepared_hits = cstats.kernel_rows - 1;
-            }
-            out.reserve(cand.size());
-            for (const uint32_t j : cand) out.push_back(std::move(items[j]));
-          } else {
-            // Prepared refinement: the query geometry is prepared on the
-            // first element and reused for the rest of the partition.
-            BoundPredicate bound(pred, query,
-                                 BoundPredicate::Side::kCandidateLeft);
-            for (auto& e : items) {
-              if (bound.Eval(e.first)) out.push_back(std::move(e));
-            }
-            prepared_hits = bound.prepared_hits();
-            prepared_misses = bound.prepared_misses();
-            cstats.fallback_rows = items.size();
-          }
-          cstats.Flush();
-          if (stats) {
-            if (!items.empty()) ++stats->partitions_scanned;
-            stats->candidates += items.size();
-            stats->results += out.size();
-          }
-          const FilterMetricSet& global = GlobalFilterMetrics();
-          if (!items.empty()) global.partitions_scanned->Increment();
-          global.candidates->Add(items.size());
-          global.results->Add(out.size());
-          const IndexMetricSet& index_metrics = GlobalIndexMetrics();
-          index_metrics.prepared_hits->Add(prepared_hits);
-          index_metrics.prepared_misses->Add(prepared_misses);
+          columnar_refine::TaskState task;
+          const auto candidates =
+              columnar_refine::SelectSource(pred, &items, &(*slabs)[idx]);
+          columnar_refine::RefineFixed(
+              pred, candidates, query, /*cand_left=*/true, nullptr, &task,
+              [&](Element& e) { out.push_back(std::move(e)); });
+          columnar_refine::FinishFilterTask(
+              GlobalFilterMetrics(), stats, !items.empty(), items.size(),
+              out.size(), task, /*annotate=*/false);
           return out;
         });
   }
@@ -659,47 +582,40 @@ class SpatialRDD {
         });
   }
 
-  /// Point slabs per partition index, built on first use and shared by
-  /// copies of this wrapper so repeated filters reuse them
-  /// (engine.columnar.slab_reuse). A null entry records a partition with a
-  /// non-point row, so it is not rebuilt either. Entries are revalidated
-  /// against the partition's row count; partition contents are stable
-  /// because RDD lineage recomputation is deterministic.
-  struct ColumnarCache {
-    struct Entry {
-      size_t rows = 0;
-      std::shared_ptr<const ColumnarBatch> points;
-    };
-    std::mutex mu;
-    std::unordered_map<size_t, Entry> entries;
-
-    std::shared_ptr<const ColumnarBatch> Points(
-        size_t idx, const std::vector<Element>& items) {
-      // A pruned partition arrives empty; it must not evict its entry.
-      if (items.empty()) return nullptr;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = entries.find(idx);
-        if (it != entries.end() && it->second.rows == items.size()) {
-          if (it->second.points != nullptr) {
-            GlobalColumnarMetrics().slab_reuse->Increment();
-          }
-          return it->second.points;
-        }
-      }
-      auto built = ColumnarBatch::BuildPoints(
-          items, [](const Element& e) -> const STObject& { return e.first; });
-      std::lock_guard<std::mutex> lock(mu);
-      entries[idx] = Entry{items.size(), built};
-      return built;
-    }
-  };
-
   RDD<Element> rdd_;
   std::shared_ptr<SpatialPartitioner> partitioner_;
-  std::shared_ptr<ColumnarCache> columnar_cache_ =
-      std::make_shared<ColumnarCache>();
+  /// Point slabs per partition, shared by copies of this wrapper so
+  /// repeated filters reuse them.
+  std::shared_ptr<std::vector<PointSlabSlot>> slabs_ =
+      std::make_shared<std::vector<PointSlabSlot>>(rdd_.NumPartitions());
 };
+
+/// \brief The served snapshot filter's task: refines the rows of \p rows
+/// that \p tree, a packed R-tree of their indices (a serve epoch's index
+/// over its events), returns for \p query, and calls emit(row) for each
+/// row r with pred.Eval(key(r), query), in tree order. The refine path is
+/// picked through \p slot, which keeps the rows' slabs. The task's tallies
+/// go to \p counters' candidates and results, to \p stats (when non-null)
+/// and to the task span.
+template <typename T, typename Key, typename Emit>
+void FilterTreeRows(const std::vector<T>& rows,
+                    const PackedRTree<uint32_t>& tree, PointSlabSlot* slot,
+                    Key key, const STObject& query, const JoinPredicate& pred,
+                    const FilterMetricSet& counters, QueryStats* stats,
+                    Emit&& emit) {
+  columnar_refine::TaskState task;
+  const auto candidates =
+      columnar_refine::SelectSource(pred, &rows, slot, &tree, key);
+  size_t results = 0;
+  columnar_refine::RefineFixed(pred, candidates, query, /*cand_left=*/true,
+                               nullptr, &task, [&](const T& row) {
+                                 ++results;
+                                 emit(row);
+                               });
+  columnar_refine::FinishFilterTask(counters, stats, /*scanned=*/true,
+                                    task.candidates, results, task,
+                                    /*annotate=*/true);
+}
 
 /// Mirrors STARK's implicit Scala conversion: lifts a plain engine RDD of
 /// (STObject, V) pairs into the spatial API.
