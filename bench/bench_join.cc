@@ -6,8 +6,9 @@
 ///
 /// `bench_join --smoke` runs a fast self-checking mode instead of the
 /// benchmark suite: it asserts the join strategies agree on result counts
-/// and that the broadcast plan beats pair enumeration on a 1-large ×
-/// 1-small workload (exit code 1 on violation). CI runs this on every push.
+/// (the symmetric self-join included) and that the broadcast plan beats
+/// pair enumeration on a 1-large × 1-small workload (exit code 1 on
+/// violation). CI runs this on every push.
 #include <algorithm>
 #include <cstring>
 #include <memory>
@@ -236,6 +237,34 @@ int RunSmoke(const std::string& json_path) {
   check(obs::DefaultMetrics().GetCounter("engine.join.broadcast_joins")
                 ->Value() > 0,
         "broadcast plan actually taken");
+
+  // The symmetric self-join (one node on both sides, a symmetric
+  // predicate) refines each unordered pair once and emits both orders: it
+  // counts what the join over two distinct nodes with equal partitions
+  // counts, over fewer partition pairs.
+  const JoinPredicate near = JoinPredicate::WithinDistance(0.25);
+  const Rdd other = Points()
+                        .PartitionBy(std::make_shared<GridPartitioner>(
+                            bench::BenchUniverse(), 4))
+                        .Cache();
+  obs::Counter* pairs =
+      obs::DefaultMetrics().GetCounter("engine.join.pairs_enumerated");
+  uint64_t pairs_before = pairs->Value();
+  const size_t self = CountJoin(PointsPartitioned(), PointsPartitioned(),
+                                near, 10);
+  const uint64_t self_pairs = pairs->Value() - pairs_before;
+  pairs_before = pairs->Value();
+  const size_t two_nodes = CountJoin(PointsPartitioned(), other, near, 10);
+  const uint64_t two_node_pairs = pairs->Value() - pairs_before;
+  std::fprintf(stderr,
+               "[smoke] self-join results: symmetric=%zu two-node=%zu "
+               "(partition pairs %llu vs %llu)\n",
+               self, two_nodes, static_cast<unsigned long long>(self_pairs),
+               static_cast<unsigned long long>(two_node_pairs));
+  check(self == two_nodes && self > 0,
+        "symmetric self-join matches the two-node join");
+  check(self_pairs < two_node_pairs,
+        "symmetric self-join walks fewer partition pairs");
 
   // The broadcast claim: on 1 large side x 1 small side, skipping pair
   // enumeration beats the pair-enumerating plan. Median of 5 runs each,

@@ -889,14 +889,18 @@ Result<PigRelation> Interpreter::ExecJoin(const Statement& stmt) {
   pred.type = stmt.join_pred;
   pred.max_distance = stmt.join_distance;
 
-  // An INDEXed left relation routes through the cached-index join path:
-  // its partitions are indexed once (honoring the INDEX statement's order)
-  // and the join probes those trees rather than building its own.
+  // A self-join lifts its relation once, so both sides are one node and a
+  // symmetric predicate refines each pair of rows once. An INDEXed left
+  // relation routes through the cached-index join path: its partitions are
+  // indexed once (honoring the INDEX statement's order) and the join probes
+  // those trees rather than building its own.
+  const SpatialRDD<PigRow> lifted = lift(*left);
+  const SpatialRDD<PigRow> lifted_right = right == left ? lifted : lift(*right);
   JoinOptions options;
   auto joined = left->index_order > 0
-                    ? SpatialJoin(lift(*left).Index(left->index_order),
-                                  lift(*right), pred, options)
-                    : SpatialJoin(lift(*left), lift(*right), pred, options);
+                    ? SpatialJoin(lifted.Index(left->index_order),
+                                  lifted_right, pred, options)
+                    : SpatialJoin(lifted, lifted_right, pred, options);
 
   PigRelation rel;
   rel.spatialized = true;

@@ -197,7 +197,11 @@ struct ElementKey {
 /// SelectKernels chose for the rows: the kernels refine them, taking their
 /// candidates from the tree or, with none, from FilterEnvelopesBatch.
 /// `selected` records that the choice was made, so the rows the scalar
-/// refine takes count as engine.columnar.fallbacks.
+/// refine takes count as engine.columnar.fallbacks. The tree and
+/// nested-loop candidates skip the rows before `min_row`: a symmetric
+/// self-join's diagonal pair sets it to the probe row, so each unordered
+/// pair of rows is a candidate once. (Only joins set it, and a join
+/// source with slabs always has a tree.)
 template <typename Rows, typename Tree = PackedRTree<size_t>,
           typename Key = ElementKey>
 struct RowSource {
@@ -209,6 +213,7 @@ struct RowSource {
   bool selected = false;
   bool prune = false;
   Key key{};
+  size_t min_row = 0;
 
   /// The kernel path's candidates, as row indices in candidate order.
   void Candidates(const Envelope& probe, TaskState* task,
@@ -218,7 +223,7 @@ struct RowSource {
       return;
     }
     VisitTree(probe, task, [&](const Envelope&, const auto& e) {
-      cand->push_back(static_cast<uint32_t>(e));
+      if (e >= min_row) cand->push_back(static_cast<uint32_t>(e));
     });
   }
 
@@ -227,12 +232,14 @@ struct RowSource {
   void ForEach(const Envelope& probe, TaskState* task, Fn&& fn) const {
     if (tree != nullptr) {
       VisitTree(probe, task, [&](const Envelope&, const auto& e) {
+        if (e < min_row) return;
         if (selected) ++task->columnar.fallback_rows;
         fn((*rows)[e]);
       });
       return;
     }
-    for (auto& row : *rows) {
+    for (size_t e = min_row; e < rows->size(); ++e) {
+      auto& row = (*rows)[e];
       if (prune && !probe.Intersects(key(row).envelope())) {
         ++task->prefilter_skips;
         continue;

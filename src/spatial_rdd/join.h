@@ -17,7 +17,9 @@
 /// every task runs. Per probe row it calls columnar_refine::RefineFixed,
 /// the refine core the filters share, which owns the kernel, scalar-tree
 /// and nested-loop refine paths for either operand orientation
-/// (`cand_left`).
+/// (`cand_left`). A live self-join on a symmetric predicate runs the same
+/// core over a symmetric PairPlan: pairs (i, j) with i <= j only, each
+/// match refined once and emitted in both orders.
 ///
 /// Planning (partition reads, pair pruning, index builds) runs when a join
 /// is called; the probe tasks run inside the job that reads its result and
@@ -38,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -211,30 +214,35 @@ inline std::string TaskDetail(const ProbeTask& t, size_t full_range) {
 }
 
 /// Partition pairs that survive extent pruning, and which left partitions
-/// take part in at least one of them.
+/// take part in at least one of them. A symmetric plan joins one input with
+/// itself on a symmetric predicate and holds only the pairs with i <= j;
+/// each of its probe tasks emits every match in both orders.
 struct PairPlan {
   std::vector<std::pair<size_t, size_t>> pairs;
   std::vector<char> left_used;
+  bool symmetric = false;
 };
 
 /// \brief Enumerates the partition pairs (i, j) of an nl x nr join whose
 /// extents can satisfy \p pred, pruning only for a prunable predicate with
-/// both extent lists present (one extent per partition). Counts
-/// engine.join.pairs_{enumerated,pruned}.
+/// both extent lists present (one extent per partition). With \p symmetric
+/// (a self-join, nl == nr) only the pairs with j >= i are walked. Counts
+/// engine.join.pairs_{enumerated,pruned} over the walked pairs.
 inline PairPlan EnumeratePairs(
     size_t nl, size_t nr,
     const std::shared_ptr<std::vector<Envelope>>& left_extents,
     const std::shared_ptr<std::vector<Envelope>>& right_extents,
-    const JoinPredicate& pred) {
+    const JoinPredicate& pred, bool symmetric = false) {
   const bool can_prune =
       pred.Prunable() && left_extents != nullptr && right_extents != nullptr;
   const double margin = pred.EnvelopeMargin();
   PairPlan plan;
   plan.pairs.reserve(can_prune ? nl + nr : nl * nr);
   plan.left_used.assign(nl, 0);
+  plan.symmetric = symmetric;
   size_t pruned = 0;
   for (size_t i = 0; i < nl; ++i) {
-    for (size_t j = 0; j < nr; ++j) {
+    for (size_t j = symmetric ? i : 0; j < nr; ++j) {
       if (can_prune && !(*left_extents)[i].Expanded(margin).Intersects(
                            (*right_extents)[j])) {
         ++pruned;
@@ -273,15 +281,20 @@ inline void FinishTask(const std::string& detail, size_t records_in,
 /// [begin, end) of \p probe against \p source with RefineFixed (the
 /// candidates fill the \p cand_left operand slot; see there for \p stable)
 /// and calls emit(candidate, probe_row) for each match, per probe row in
-/// candidate order. A cooperative checkpoint also runs every 1024 probe
-/// rows, for probes that find no candidates.
+/// candidate order. On a \p diagonal pair of a symmetric plan the probe
+/// rows are the source's own rows, and each probe row only meets the rows
+/// at or after it (RowSource::min_row). A cooperative checkpoint also runs
+/// every 1024 probe rows, for probes that find no candidates.
 template <typename P, typename Source, typename Emit>
-void ProbeRows(const JoinPredicate& pred, const Source& source,
-               bool cand_left, const std::vector<P>& probe, size_t begin,
-               size_t end, PreparedGeometryCache* stable,
+void ProbeRows(const JoinPredicate& pred, Source source, bool cand_left,
+               const std::vector<P>& probe, size_t begin, size_t end,
+               bool diagonal, PreparedGeometryCache* stable,
                columnar_refine::TaskState* task, Emit&& emit) {
   for (size_t i = begin; i < end; ++i) {
     if (((i - begin) & 1023u) == 0) ThrowIfTaskCancelled();
+    if constexpr (Source::kSlabRows) {
+      if (diagonal) source.min_row = i;
+    }
     const P& p = probe[i];
     columnar_refine::RefineFixed(pred, source, p.first, cand_left, stable,
                                  task, [&](const auto& c) { emit(c, p); });
@@ -340,8 +353,10 @@ class ProbeRDD final : public RDDImpl<Out> {
 /// \brief The partition-pair probe stage of the live and cached-index
 /// planners: PlanProbeTasks now, then one lazy `spatial.join.probe` task
 /// per ProbeTask, probing its right sub-range against source_of(task.left)
-/// (candidates in the left slot). make(l, r) projects a match. source_of
-/// and make are kept by the returned node, so they capture by value.
+/// (candidates in the left slot). make(l, r) projects a match; a symmetric
+/// plan also emits make(r, l) for each match but a row with itself.
+/// source_of and make are kept by the returned node, so they capture by
+/// value.
 template <typename Out, typename R, typename SourceOf, typename Make>
 RDD<Out> RunProbeTasks(Context* ctx, const PairPlan& plan,
                        const std::vector<size_t>& left_sizes,
@@ -364,18 +379,26 @@ RDD<Out> RunProbeTasks(Context* ctx, const PairPlan& plan,
   return RDD<Out>(std::make_shared<ProbeRDD<Out>>(
       ctx, "spatial.join.probe", num_tasks,
       [tasks = std::move(tasks), right = std::move(right), pred,
-       source_of = std::move(source_of),
+       symmetric = plan.symmetric, source_of = std::move(source_of),
        make = std::move(make)](size_t t, Sink<Out> sink) {
         const ProbeTask& task = tasks[t];
         const std::vector<R>& rv = *right->views[task.right];
         const auto source = source_of(task.left);
         columnar_refine::TaskState state;
         size_t results = 0;
+        const auto push = [&](Out out) {
+          ++results;
+          sink(out);
+        };
         ProbeRows(pred, source, /*cand_left=*/true, rv, task.begin, task.end,
+                  /*diagonal=*/symmetric && task.left == task.right,
                   /*stable=*/nullptr, &state, [&](const auto& l, const R& r) {
-                    Out out = make(l, r);
-                    ++results;
-                    sink(out);
+                    push(make(l, r));
+                    if constexpr (std::is_same_v<
+                                      std::decay_t<decltype(l)>, R>) {
+                      // On a diagonal pair a row meets itself once.
+                      if (symmetric && &l != &r) push(make(r, l));
+                    }
                   });
         if (source.points != nullptr && task.begin != 0) {
           // A skew-split sub-task reuses the slab its sibling built.
@@ -430,8 +453,9 @@ RDD<Out> RunBroadcast(Context* ctx,
         columnar_refine::TaskState state;
         PreparedGeometryCache cache;
         size_t results = 0;
-        ProbeRows(pred, source, small_left, probe, 0, probe.size(), &cache,
-                  &state, [&](const S& s, const B& b) {
+        ProbeRows(pred, source, small_left, probe, 0, probe.size(),
+                  /*diagonal=*/false, &cache, &state,
+                  [&](const S& s, const B& b) {
                     Out out = make(s, b);
                     ++results;
                     sink(out);
@@ -464,6 +488,12 @@ RDD<Out> RunBroadcast(Context* ctx,
 /// left partition gets a live R-tree built at join time, skipped entirely
 /// when the predicate cannot use it (`index_order = 0` or a non-prunable
 /// predicate: nested loop).
+///
+/// A self-join (both sides one lineage node) reads its input once. On a
+/// symmetric predicate it also walks only the pairs (i, j) with i <= j and
+/// refines each unordered pair of rows once, emitting project(a, b) and
+/// project(b, a) from that one refine: the same result multiset, in
+/// another order (see docs/JOINS.md).
 template <typename V, typename W, typename Project>
 auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
                         const JoinPredicate& pred, const JoinOptions& options,
@@ -480,7 +510,13 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
   // Read both sides in place: cached or in-memory partitions are borrowed,
   // the rest are computed once into storage the join keeps.
   const auto left_parts = ji::ReadParts(left.rdd());
-  const auto right_parts = ji::ReadParts(right.rdd());
+  std::shared_ptr<const ji::InputParts<R>> right_parts;
+  bool self_join = false;
+  if constexpr (std::is_same_v<V, W>) {
+    self_join = left.rdd().impl() == right.rdd().impl();
+    if (self_join) right_parts = left_parts;
+  }
+  if (right_parts == nullptr) right_parts = ji::ReadParts(right.rdd());
   std::vector<size_t> left_sizes(nl, 0);
   size_t total_l = 0;
   size_t total_r = 0;
@@ -505,8 +541,9 @@ auto SpatialJoinProject(const SpatialRDD<V>& left, const SpatialRDD<W>& right,
                                  options, std::move(project));
   }
 
-  const ji::PairPlan plan = ji::EnumeratePairs(
-      nl, right.NumPartitions(), left.Extents(), right.Extents(), pred);
+  const ji::PairPlan plan =
+      ji::EnumeratePairs(nl, right.NumPartitions(), left.Extents(),
+                         right.Extents(), pred, self_join && pred.Symmetric());
 
   // Build a live index over each participating left partition (once, not
   // once per pair) in the same stage that picks its refine path. Every

@@ -90,6 +90,14 @@ struct JoinPredicate {
   bool Prunable() const {
     return type != PredicateType::kWithinDistance || euclidean_compatible;
   }
+
+  /// Whether Eval(a, b) == Eval(b, a): intersects, and withinDistance with
+  /// the built-in Euclidean distance. A custom distance function may be
+  /// asymmetric, and the containment predicates are.
+  bool Symmetric() const {
+    return type == PredicateType::kIntersects ||
+           (type == PredicateType::kWithinDistance && distance == nullptr);
+  }
 };
 
 namespace predicate_internal {

@@ -504,6 +504,30 @@ TEST_F(IndexedJoinTest, EveryStrategyKeepsItsExactCounterDeltas) {
                     {"engine.columnar.slab_reuse", 3},
                     {"engine.index.packed_probes", 60}}))
       << "right broadcast, point kernels";
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(points, points, within, skewed).Count();
+            }),
+            (Deltas{{"engine.join.pairs_enumerated", 58},
+                    {"engine.join.pairs_pruned", 78},
+                    {"engine.join.pairs_split", 17},
+                    {"engine.join.subtasks", 87},
+                    {"engine.join.tree_builds", 16},
+                    {"engine.join.results", 4930},
+                    {"engine.columnar.batches", 15},
+                    {"engine.columnar.rows", 3139},
+                    {"engine.columnar.slab_reuse", 29},
+                    {"engine.index.packed_probes", 1572}}))
+      << "symmetric self-join, skew split, point kernels";
+  EXPECT_EQ(DeltasOf([&] {
+              SpatialJoin(points, points, within, nested).Count();
+            }),
+            (Deltas{{"engine.join.pairs_enumerated", 58},
+                    {"engine.join.pairs_pruned", 78},
+                    {"engine.join.pairs_split", 1},
+                    {"engine.join.subtasks", 62},
+                    {"engine.join.prefilter_skips", 36992},
+                    {"engine.join.results", 4930}}))
+      << "symmetric self-join, nested loop";
 }
 
 TEST_F(IndexedJoinTest, FootprintRegionJoinMatchesNestedLoopInEveryStrategy) {

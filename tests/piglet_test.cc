@@ -238,6 +238,9 @@ TEST_F(PigletInterpreterTest, BspPartition) {
 }
 
 TEST_F(PigletInterpreterTest, JoinProducesCombinedSchema) {
+  obs::Counter* const pairs =
+      obs::DefaultMetrics().GetCounter("engine.join.pairs_enumerated");
+  const uint64_t pairs_before = pairs->Value();
   ASSERT_TRUE(interp_
                   .RunScript(Script(
                       "s = SPATIALIZE events;\n"
@@ -249,6 +252,31 @@ TEST_F(PigletInterpreterTest, JoinProducesCombinedSchema) {
   // Pairs within distance 2: {1,2} and {3,4} both directions, plus the 5
   // identity self-matches (a plain join does not exclude them).
   EXPECT_EQ(rel->rdd.Count(), 9u);
+
+  // `JOIN s, s` lifts s once, so the join takes the symmetric self-join
+  // path (partition pairs i <= j only); its rows stay the brute-force ones.
+  const auto* s = interp_.relation("s").ValueOrDie();
+  const uint64_t n = s->rdd.NumPartitions();
+  EXPECT_EQ(pairs->Value() - pairs_before, n * (n + 1) / 2);
+  const JoinPredicate within = JoinPredicate::WithinDistance(2.0);
+  const std::vector<PigRow> rows = s->rdd.Collect();
+  std::vector<std::pair<int64_t, int64_t>> expect;
+  for (const PigRow& a : rows) {
+    for (const PigRow& b : rows) {
+      if (within.Eval(*a.st, *b.st)) {
+        expect.emplace_back(std::get<int64_t>(a.fields[0]),
+                            std::get<int64_t>(b.fields[0]));
+      }
+    }
+  }
+  std::vector<std::pair<int64_t, int64_t>> got;
+  for (const PigRow& row : rel->rdd.Collect()) {
+    got.emplace_back(std::get<int64_t>(row.fields[0]),
+                     std::get<int64_t>(row.fields[4]));
+  }
+  std::sort(expect.begin(), expect.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expect);
 }
 
 TEST_F(PigletInterpreterTest, JoinProbesOnceForEveryLaterRead) {
