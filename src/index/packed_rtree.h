@@ -152,13 +152,21 @@ class PackedRTree {
 
   /// \brief Exact k-nearest-neighbor search (branch and bound).
   ///
-  /// Returns up to \p k (distance, value) pairs in ascending distance.
+  /// Returns up to \p k (distance, value) pairs, the first \p k in the
+  /// order of \p less over such pairs, which must rank by distance first.
   /// \p exact_distance computes the true distance from the query to an
-  /// entry's value and must never be smaller than the distance to the
-  /// entry's envelope.
-  template <typename DistFn>
-  std::vector<std::pair<double, const T*>> Knn(
-      const Coordinate& query, size_t k, DistFn&& exact_distance) const {
+  /// entry's value and must never be smaller than the distance from the
+  /// \p query envelope to the entry's envelope: node bounds are that
+  /// envelope-to-envelope distance, so the search is admissible for any
+  /// query geometry, not only a point. The search stops once the next
+  /// queued bound is greater than the k-th distance, so every entry tied
+  /// with the k-th distance has been measured and \p less, not pop order,
+  /// picks among them.
+  template <typename DistFn, typename Less>
+  std::vector<std::pair<double, const T*>> Knn(const Envelope& query,
+                                               size_t k,
+                                               DistFn&& exact_distance,
+                                               Less&& less) const {
     std::vector<std::pair<double, const T*>> result;
     if (k == 0 || values_.empty()) return result;
 
@@ -173,12 +181,13 @@ class PackedRTree {
         pq;
     pq.push({NodeDistance(root_, query), root_, false});
 
-    while (!pq.empty() && result.size() < k) {
+    // Entries carry their exact distance and every bound is admissible, so
+    // entries pop in ascending distance: result[k - 1] is the k-th.
+    while (!pq.empty() &&
+           (result.size() < k || !(pq.top().dist > result[k - 1].first))) {
       const QueueItem item = pq.top();
       pq.pop();
       if (item.is_entry) {
-        // Entries carry their exact distance, so popping one means no
-        // unexplored node/entry can be closer.
         result.emplace_back(item.dist, &values_[item.index]);
         continue;
       }
@@ -194,19 +203,22 @@ class PackedRTree {
         }
       }
     }
+    std::sort(result.begin(), result.end(), less);
+    if (result.size() > k) result.resize(k);
     return result;
   }
 
  private:
   static constexpr size_t kScratch = 512;
 
-  double NodeDistance(uint32_t ni, const Coordinate& c) const {
-    // Same arithmetic as Envelope::Distance(Coordinate); the max-with-0
-    // form already yields 0 for contained points.
-    const double dx = std::max({nodes_.min_x[ni] - c.x, 0.0,
-                                c.x - nodes_.max_x[ni]});
-    const double dy = std::max({nodes_.min_y[ni] - c.y, 0.0,
-                                c.y - nodes_.max_y[ni]});
+  double NodeDistance(uint32_t ni, const Envelope& q) const {
+    // Same arithmetic as Envelope::Distance: the max-with-0 form yields 0
+    // on overlapping axes, and a point's envelope (min == max) gives the
+    // point-to-box distance bit for bit.
+    const double dx = std::max({nodes_.min_x[ni] - q.max_x(), 0.0,
+                                q.min_x() - nodes_.max_x[ni]});
+    const double dy = std::max({nodes_.min_y[ni] - q.max_y(), 0.0,
+                                q.min_y() - nodes_.max_y[ni]});
     return std::sqrt(dx * dx + dy * dy);
   }
 

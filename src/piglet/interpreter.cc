@@ -20,6 +20,7 @@
 #include "piglet/parser.h"
 #include "serve/catalog.h"
 #include "spatial_rdd/join.h"
+#include "spatial_rdd/knn.h"
 #include "spatial_rdd/spatial_rdd.h"
 
 namespace stark {
@@ -142,6 +143,23 @@ std::string FormatRow(const PigRow& row) {
   }
   return line;
 }
+
+/// The rows of a spatialized relation keyed by their STObject, with the
+/// relation's partitioner.
+SpatialRDD<PigRow> Keyed(const PigRelation& rel) {
+  return SpatialRDD<PigRow>(rel.rdd.Map([](PigRow& row) {
+    STObject key = *row.st;
+    return std::make_pair(std::move(key), std::move(row));
+  }),
+                            rel.partitioner);
+}
+
+/// The STObject of a served event.
+struct EventKey {
+  const STObject& operator()(const stream::StreamEvent& event) const {
+    return event.obj;
+  }
+};
 
 }  // namespace
 
@@ -700,49 +718,15 @@ Result<PigRelation> Interpreter::ExecFilter(const Statement& stmt) {
   STARK_ASSIGN_OR_RETURN(const PigRelation* in, Input(stmt));
   STARK_RETURN_NOT_OK(
       ValidateExpr(*stmt.filter, in->schema, in->spatialized));
-
-  // Serving layer: a spatial predicate over a snapshot-bound relation
-  // probes the snapshot's prebuilt packed R-tree directly — no per-query
-  // index build, one single-task job (runs inline on the calling worker),
-  // so point lookups stay cheap even when the shared pool is saturated.
-  if (in->snapshot != nullptr &&
-      stmt.filter->kind == Expr::Kind::kSpatialPred) {
-    return ExecSnapshotFilter(stmt, *in);
-  }
-
-  PigRelation rel = *in;
-
-  // A pure spatial predicate goes through the SpatialRDD operator so that
-  // partition pruning and live indexing apply (§2.2, §2.3).
   if (stmt.filter->kind == Expr::Kind::kSpatialPred) {
-    const Expr& e = *stmt.filter;
-    JoinPredicate pred;
-    pred.type = e.pred;
-    pred.max_distance = e.max_distance;
-
-    RDD<std::pair<STObject, PigRow>> pairs =
-        in->rdd.Map([](PigRow& row) {
-          STObject key = *row.st;
-          return std::make_pair(std::move(key), std::move(row));
-        });
-    SpatialRDD<PigRow> spatial(std::move(pairs), in->partitioner);
-    QueryStats* stats = analyze_mode_ ? &analyze_stats_ : nullptr;
-    RDD<std::pair<STObject, PigRow>> filtered =
-        in->index_order > 0
-            ? spatial.LiveIndex(in->index_order).Filter(*e.query, pred, stats)
-            : spatial.Filter(*e.query, pred, stats);
-    rel.rdd = filtered.Map([](std::pair<STObject, PigRow>& p) {
-      PigRow row = std::move(p.second);
-      row.st = std::move(p.first);
-      return row;
-    });
-    return rel;
+    return ExecSpatialQuery(stmt, *in);
   }
 
   // General expression: per-row evaluation (schema captured by value). The
   // output rows diverge from the bound snapshot, so drop the snapshot
   // binding — otherwise a later spatial FILTER would take the snapshot
   // fast path and probe the full R-tree, resurrecting rows removed here.
+  PigRelation rel = *in;
   rel.snapshot = nullptr;
   const Expr* expr = stmt.filter.get();
   const std::vector<std::string> schema = in->schema;
@@ -759,46 +743,102 @@ Result<PigRelation> Interpreter::ExecFilter(const Statement& stmt) {
   return rel;
 }
 
-Result<PigRelation> Interpreter::ExecSnapshotFilter(const Statement& stmt,
-                                                    const PigRelation& in) {
-  static obs::Counter* const probes =
+Result<PigRelation> Interpreter::ExecSpatialQuery(const Statement& stmt,
+                                                  const PigRelation& in) {
+  static obs::Counter* const snapshot_probes =
       obs::DefaultMetrics().GetCounter("serve.snapshot.probes");
-  static const FilterMetricSet counters{
+  static const FilterMetricSet snapshot_counters{
       nullptr, nullptr,
       obs::DefaultMetrics().GetCounter("serve.snapshot.candidates"),
       obs::DefaultMetrics().GetCounter("serve.snapshot.results")};
-
-  const Expr& e = *stmt.filter;
+  const bool knn = stmt.kind == Statement::Kind::kKnn;
+  const STObject& query = knn ? *stmt.knn_query : *stmt.filter->query;
+  const size_t k = stmt.knn_k;
   JoinPredicate pred;
-  pred.type = e.pred;
-  pred.max_distance = e.max_distance;
-  const STObject query = *e.query;
-  // Keep the snapshot alive independently of the relation (the pin may be
-  // released while this statement's output is still being consumed).
-  const std::shared_ptr<const serve::DatasetSnapshot> snap = in.snapshot;
+  if (!knn) {
+    pred.type = stmt.filter->pred;
+    pred.max_distance = stmt.filter->max_distance;
+  }
   QueryStats* const stats = analyze_mode_ ? &analyze_stats_ : nullptr;
 
-  // The epoch is immutable, so its point slabs are built once (on the first
-  // spatial FILTER) and shared by every later query against it.
-  std::vector<PigRow> kept;
-  STARK_RETURN_NOT_OK(ctx_->TryRunTasks(
-      "serve.snapshot.filter", 1, [&](size_t) {
-        FilterTreeRows(
-            *snap->events, *snap->tree, snap->columnar.get(),
-            [](const stream::StreamEvent& ev) -> const STObject& {
-              return ev.obj;
-            },
-            query, pred, counters, stats,
-            [&](const stream::StreamEvent& ev) {
-              kept.push_back(RowFromStreamEvent(ev));
-            });
-      }));
-  probes->Increment();
-
+  // A KNN answer is a new relation of its k rows, each with its distance.
   PigRelation rel;
   rel.schema = in.schema;
+  if (knn) rel.schema.push_back("knn_distance");
   rel.spatialized = true;
-  rel.rdd = MakeRDD(ctx_, std::move(kept), 1);
+  std::vector<PigRow> rows;
+
+  // A snapshot-bound relation reads the epoch's prebuilt tree in one
+  // single-task job (it runs inline on the calling worker), so lookups stay
+  // cheap even when the shared pool is saturated, and converts only the
+  // answer's events to rows. The epoch is immutable, so its point slabs
+  // are built once (on the first spatial FILTER) and shared by every later
+  // query against it. The snapshot is held here, independently of the
+  // relation, whose pin may be released while this output is consumed.
+  if (in.snapshot != nullptr) {
+    const std::shared_ptr<const serve::DatasetSnapshot> snap = in.snapshot;
+    const std::vector<stream::StreamEvent>& events = *snap->events;
+    STARK_RETURN_NOT_OK(ctx_->TryRunTasks(
+        knn ? "serve.snapshot.knn" : "serve.snapshot.filter", 1, [&](size_t) {
+          columnar_refine::TaskState task;
+          rows.clear();
+          if (knn) {
+            knn::Query q(query, nullptr, &task);
+            const columnar_refine::RowSource<
+                const std::vector<stream::StreamEvent>, PackedRTree<uint32_t>,
+                EventKey>
+                source{.rows = &events, .tree = snap->tree.get()};
+            for (const auto& [dist, event] : knn::TopK(source, &q, k)) {
+              rows.push_back(RowFromStreamEvent(*event));
+              rows.back().fields.push_back(dist);
+            }
+          } else {
+            columnar_refine::RefineFixed(
+                pred,
+                columnar_refine::SelectSource(pred, &events,
+                                              snap->columnar.get(),
+                                              snap->tree.get(), EventKey{}),
+                query, /*cand_left=*/true, nullptr, &task,
+                [&](const stream::StreamEvent& event) {
+                  rows.push_back(RowFromStreamEvent(event));
+                });
+          }
+          columnar_refine::FinishFilterTask(
+              snapshot_counters, stats, /*scanned=*/!knn, task.candidates,
+              rows.size(), task, /*annotate=*/true);
+        }));
+    snapshot_probes->Increment();
+    rel.rdd = MakeRDD(ctx_, std::move(rows), 1);
+    return rel;
+  }
+
+  // Otherwise the SpatialRDD operators run, over a live index of each
+  // partition for an INDEXed relation, so partition pruning and live
+  // indexing apply (§2.2, §2.3).
+  const SpatialRDD<PigRow> spatial = Keyed(in);
+  const bool indexed = in.index_order > 0;
+  if (knn) {
+    auto hits = indexed ? spatial.LiveIndex(in.index_order)
+                              .Knn(query, k, nullptr, stats)
+                        : spatial.Knn(query, k, nullptr, stats);
+    for (auto& [dist, elem] : hits) {
+      rows.push_back(std::move(elem.second));
+      rows.back().st = std::move(elem.first);
+      rows.back().fields.push_back(dist);
+    }
+    rel.rdd = MakeRDD(ctx_, std::move(rows), 1);
+    return rel;
+  }
+  // A filtered relation keeps the input's partitioning and index order.
+  rel = in;
+  rel.rdd = (indexed ? spatial.LiveIndex(in.index_order)
+                           .Filter(query, pred, stats)
+                     : spatial.Filter(query, pred, stats))
+                .Map([](std::pair<STObject, PigRow>& p) {
+                  PigRow row = std::move(p.second);
+                  row.st = std::move(p.first);
+                  return row;
+                });
   return rel;
 }
 
@@ -808,11 +848,7 @@ Result<PigRelation> Interpreter::ExecPartition(const Statement& stmt) {
     return Status::InvalidArgument(
         "piglet: PARTITION requires a spatialized relation");
   }
-  RDD<std::pair<STObject, PigRow>> pairs = in->rdd.Map([](PigRow& row) {
-    STObject key = *row.st;
-    return std::make_pair(std::move(key), std::move(row));
-  });
-  SpatialRDD<PigRow> spatial(pairs.Cache());
+  const SpatialRDD<PigRow> spatial = Keyed(*in).Cache();
 
   const Envelope universe = UniverseOf(in->rdd);
   if (universe.IsEmpty()) {
@@ -878,13 +914,6 @@ Result<PigRelation> Interpreter::ExecJoin(const Statement& stmt) {
     return Status::InvalidArgument(
         "piglet: JOIN requires spatialized relations on both sides");
   }
-  auto lift = [](const PigRelation& r) {
-    return SpatialRDD<PigRow>(r.rdd.Map([](PigRow& row) {
-      STObject key = *row.st;
-      return std::make_pair(std::move(key), std::move(row));
-    }),
-                              r.partitioner);
-  };
   JoinPredicate pred;
   pred.type = stmt.join_pred;
   pred.max_distance = stmt.join_distance;
@@ -894,8 +923,9 @@ Result<PigRelation> Interpreter::ExecJoin(const Statement& stmt) {
   // relation routes through the cached-index join path: its partitions are
   // indexed once (honoring the INDEX statement's order) and the join probes
   // those trees rather than building its own.
-  const SpatialRDD<PigRow> lifted = lift(*left);
-  const SpatialRDD<PigRow> lifted_right = right == left ? lifted : lift(*right);
+  const SpatialRDD<PigRow> lifted = Keyed(*left);
+  const SpatialRDD<PigRow> lifted_right =
+      right == left ? lifted : Keyed(*right);
   JoinOptions options;
   auto joined = left->index_order > 0
                     ? SpatialJoin(lifted.Index(left->index_order),
@@ -934,27 +964,7 @@ Result<PigRelation> Interpreter::ExecKnn(const Statement& stmt) {
     return Status::InvalidArgument(
         "piglet: KNN requires a spatialized relation");
   }
-  SpatialRDD<PigRow> spatial(in->rdd.Map([](PigRow& row) {
-    STObject key = *row.st;
-    return std::make_pair(std::move(key), std::move(row));
-  }),
-                             in->partitioner);
-  auto hits = spatial.Knn(*stmt.knn_query, stmt.knn_k);
-
-  std::vector<PigRow> rows;
-  rows.reserve(hits.size());
-  for (auto& [dist, elem] : hits) {
-    PigRow row = std::move(elem.second);
-    row.st = std::move(elem.first);
-    row.fields.push_back(dist);
-    rows.push_back(std::move(row));
-  }
-  PigRelation rel;
-  rel.spatialized = true;
-  rel.schema = in->schema;
-  rel.schema.push_back("knn_distance");
-  rel.rdd = MakeRDD(ctx_, std::move(rows), 1);
-  return rel;
+  return ExecSpatialQuery(stmt, *in);
 }
 
 Result<PigRelation> Interpreter::ExecCluster(const Statement& stmt) {

@@ -152,8 +152,11 @@ class Interpreter {
   Result<PigRelation> ExecLoad(const Statement& stmt);
   Result<PigRelation> ExecSpatialize(const Statement& stmt);
   Result<PigRelation> ExecFilter(const Statement& stmt);
-  Result<PigRelation> ExecSnapshotFilter(const Statement& stmt,
-                                         const PigRelation& in);
+  /// A spatial FILTER or a KNN over \p in: the one site that picks where
+  /// their candidates come from — the bound snapshot's prebuilt tree, a
+  /// live index (INDEX ... ORDER n) or a scan of the rows.
+  Result<PigRelation> ExecSpatialQuery(const Statement& stmt,
+                                       const PigRelation& in);
   Result<PigRelation> ExecPartition(const Statement& stmt);
   Result<PigRelation> ExecJoin(const Statement& stmt);
   Result<PigRelation> ExecKnn(const Statement& stmt);

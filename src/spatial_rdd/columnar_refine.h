@@ -6,7 +6,8 @@
 /// scan, indexed and served filters once per task and by every join task
 /// once per probe row, over one of two candidate sources: RowSource (a row
 /// vector, with or without a tree of row indices and point slabs) and
-/// TreeListSource (the cached trees of an indexed partition).
+/// TreeListSource (the cached trees of an indexed partition). The kNN core's
+/// TopK (knn.h) reads the same sources.
 ///
 /// SelectKernels picks the refine path, per batch, from properties of the
 /// input the code can observe: the kernels run iff the predicate is
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -206,10 +208,11 @@ template <typename Rows, typename Tree = PackedRTree<size_t>,
           typename Key = ElementKey>
 struct RowSource {
   static constexpr bool kSlabRows = true;
+  using Row = typename std::remove_cv_t<Rows>::value_type;
 
   Rows* rows = nullptr;
   const Tree* tree = nullptr;
-  std::shared_ptr<const ColumnarBatch> points;
+  std::shared_ptr<const ColumnarBatch> points = nullptr;
   bool selected = false;
   bool prune = false;
   Key key{};
@@ -324,6 +327,7 @@ template <typename T>
 struct TreeListSource {
   static constexpr bool kSlabRows = false;
   static constexpr std::nullptr_t points = nullptr;
+  using Row = T;
 
   const std::vector<std::shared_ptr<const PackedRTree<T>>>* trees = nullptr;
   bool prune = true;

@@ -4,18 +4,17 @@
 /// STARK framework also provides the join form — implemented here with
 /// per-partition R-trees and extent-distance pruning, so only right
 /// partitions that can still improve the current k-th distance are probed.
+/// Each probe is the kNN core's TopK (knn.h) with the left row as query.
 #ifndef STARK_SPATIAL_RDD_KNN_JOIN_H_
 #define STARK_SPATIAL_RDD_KNN_JOIN_H_
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "geometry/prepared.h"
 #include "index/packed_rtree.h"
-#include "spatial_rdd/query_stats.h"
+#include "spatial_rdd/knn.h"
 #include "spatial_rdd/spatial_rdd.h"
 
 namespace stark {
@@ -26,11 +25,14 @@ using KnnMatch = std::pair<double, std::pair<STObject, W>>;
 
 /// \brief For each element l of \p left, emits (l, matches) where matches
 /// are the up-to-k nearest elements of \p right by Euclidean geometry
-/// distance, sorted ascending.
+/// distance, in the kNN order (knn.h).
 ///
-/// Distance ties are broken arbitrarily (matching the paper's kNN search
-/// operator). Right partitions are probed in order of increasing extent
-/// distance and skipped once they cannot beat the current k-th distance.
+/// Distance ties are broken by the tie key, as on every kNN path, so the
+/// matches equal a kNN search with l as query. Right partitions are probed
+/// in order of increasing extent distance and skipped once they cannot
+/// beat the current k-th distance; within a partition the tree search is
+/// bounded by the left envelope, so point and non-point left rows alike
+/// are answered from the tree.
 template <typename V, typename W>
 RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
     const SpatialRDD<V>& left, const SpatialRDD<W>& right, size_t k,
@@ -74,34 +76,15 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
   const std::vector<const std::vector<L>*> left_parts =
       left.rdd().PartitionViews(&left_storage);
   std::vector<std::vector<Out>> out(nl);
+  const auto key_of = [](const R* r) -> const STObject& { return r->first; };
   ctx->pool().ParallelFor(nl, [&](size_t i) {
-    size_t packed_probes = 0;
-    size_t prep_hits = 0;
-    size_t prep_misses = 0;
+    columnar_refine::TaskState task;
     out[i].reserve(left_parts[i]->size());
     for (const L& l : *left_parts[i]) {
-      // Each left element's geometry is interrogated once per candidate;
-      // prepare it lazily so elements whose partitions all get pruned (or
-      // that find no candidates) never pay for preparation.
-      // DistanceFrom(rg) == Distance(rg, l.geo) — identical doubles.
-      std::optional<PreparedGeometry> prep;
-      auto exact = [&](const Geometry& rg) {
-        if (!prep.has_value()) {
-          prep.emplace(l.first.geo());
-          ++prep_misses;
-        } else {
-          ++prep_hits;
-        }
-        return prep->DistanceFrom(rg);
-      };
-      // Branch-and-bound admissibility: geometry distance is always >= the
-      // distance between the geometries' envelopes, so envelope-based
-      // bounds never over-prune. The in-tree bound is anchored at the left
-      // centroid, which is only a valid lower bound for point geometries;
-      // non-point left geometries scan the partition instead.
+      // One query per left row: its geometry is prepared on the first
+      // candidate and shared by every right partition it probes.
+      knn::Query query(l.first, nullptr, &task);
       const Envelope& lenv = l.first.envelope();
-      const bool left_is_point = l.first.geo().IsPoint();
-      const Coordinate c = l.first.Centroid();
 
       // Probe order: nearest right partition first.
       std::vector<std::pair<double, size_t>> order;
@@ -112,39 +95,26 @@ RDD<std::pair<std::pair<STObject, V>, std::vector<KnnMatch<W>>>> KnnJoin(
       }
       std::sort(order.begin(), order.end());
 
-      std::vector<KnnMatch<W>> best;
-      auto merge = [&](double dist, const R& r) {
-        best.emplace_back(dist, r);
-      };
+      knn::Hits<R> best;
       for (const auto& [extent_dist, j] : order) {
-        if (best.size() >= k && extent_dist > best.back().first) {
-          break;  // no remaining partition can improve the k-th distance
+        // No remaining partition can improve the k-th distance; one at
+        // exactly that distance may still win the tie.
+        if (k == 0 || (best.size() == k && extent_dist > best.back().first)) {
+          break;
         }
-        if (left_is_point) {
-          auto hits = right_trees[j]->Knn(c, k, [&](const size_t& e) {
-            return exact((*right_parts[j])[e].first.geo());
-          });
-          ++packed_probes;
-          for (auto& [dist, e] : hits) merge(dist, (*right_parts[j])[*e]);
-        } else {
-          for (const R& r : *right_parts[j]) {
-            merge(exact(r.first.geo()), r);
-          }
-        }
-        std::sort(best.begin(), best.end(),
-                  [](const KnnMatch<W>& a, const KnnMatch<W>& b) {
-                    return a.first < b.first;
-                  });
-        if (best.size() > k) {
-          best.erase(best.begin() + static_cast<ptrdiff_t>(k), best.end());
-        }
+        const knn::Hits<R> found = knn::TopK(
+            columnar_refine::RowSource<const std::vector<R>>{
+                .rows = right_parts[j], .tree = right_trees[j].get()},
+            &query, k);
+        best.insert(best.end(), found.begin(), found.end());
+        knn::SelectTopK(&best, k, key_of);
       }
-      out[i].emplace_back(l, std::move(best));
+      std::vector<KnnMatch<W>> matches;
+      matches.reserve(best.size());
+      for (const auto& [dist, r] : best) matches.emplace_back(dist, *r);
+      out[i].emplace_back(l, std::move(matches));
     }
-    const IndexMetricSet& index_metrics = GlobalIndexMetrics();
-    index_metrics.packed_probes->Add(packed_probes);
-    index_metrics.prepared_hits->Add(prep_hits);
-    index_metrics.prepared_misses->Add(prep_misses);
+    task.Flush();
   });
   return MakeRDDFromPartitions(ctx, std::move(out));
 }

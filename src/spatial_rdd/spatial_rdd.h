@@ -23,6 +23,7 @@
 #include "obs/trace.h"
 #include "partition/partitioner.h"
 #include "spatial_rdd/columnar_refine.h"
+#include "spatial_rdd/knn.h"
 #include "spatial_rdd/predicate.h"
 #include "spatial_rdd/query_stats.h"
 #include "spatial_rdd/value_serde.h"
@@ -127,66 +128,23 @@ class IndexedSpatialRDD {
                                                        std::move(fn)));
   }
 
-  /// Exact k nearest neighbors of \p query; results are (distance, element)
-  /// sorted ascending. Defaults to the Euclidean geometry distance (tree
-  /// branch-and-bound); a custom \p fn falls back to a per-partition scan,
-  /// since PackedRTree::Knn's envelope lower bound is only valid for
-  /// Euclidean distance. A distance of NaN is treated as +infinity (never a
-  /// neighbor).
+  /// Exact k nearest neighbors of \p query, in the kNN order (knn.h):
+  /// ascending distance, ties by the tie key. Defaults to the Euclidean
+  /// geometry distance, searched in each partition's tree by branch and
+  /// bound from the query envelope; a custom \p fn scans the trees' rows,
+  /// since the envelope bound holds only for the Euclidean distance. A
+  /// distance of NaN is treated as +infinity (never a neighbor). \p stats,
+  /// when non-null, gets the candidates measured and the rows returned.
   std::vector<std::pair<double, Element>> Knn(const STObject& query, size_t k,
-                                              DistanceFunction fn = nullptr)
+                                              DistanceFunction fn = nullptr,
+                                              QueryStats* stats = nullptr)
       const {
-    const Coordinate qc = query.Centroid();
-    RDD<std::pair<double, Element>> locals =
-        trees_.MapPartitionsWithIndex([query, qc, k, fn](
-                                          size_t, std::vector<TreePtr> ts) {
-          std::vector<std::pair<double, Element>> out;
-          // Lazily prepare the query geometry for the exact-distance
-          // callback: one preparation per task, shared by every candidate
-          // the branch-and-bound search actually measures.
-          std::optional<PreparedGeometry> prepared;
-          size_t prepared_hits = 0;
-          size_t prepared_misses = 0;
-          size_t packed_probes = 0;
-          for (const TreePtr& tree : ts) {
-            if (fn) {
-              tree->ForEach([&](const Envelope&, const Element& e) {
-                out.emplace_back(SanitizeDistance(fn(e.first, query)), e);
-              });
-            } else {
-              ++packed_probes;
-              auto hits = tree->Knn(qc, k, [&](const Element& e) {
-                if (!prepared.has_value()) {
-                  prepared.emplace(query.geo());
-                  ++prepared_misses;
-                } else {
-                  ++prepared_hits;
-                }
-                // DistanceFrom(other) computes Distance(other, query.geo).
-                return prepared->DistanceFrom(e.first.geo());
-              });
-              for (auto& [dist, elem] : hits) out.emplace_back(dist, *elem);
-            }
-          }
-          const IndexMetricSet& index_metrics = GlobalIndexMetrics();
-          index_metrics.packed_probes->Add(packed_probes);
-          index_metrics.prepared_hits->Add(prepared_hits);
-          index_metrics.prepared_misses->Add(prepared_misses);
-          if (fn && out.size() > k) {
-            std::partial_sort(out.begin(),
-                              out.begin() + static_cast<ptrdiff_t>(k),
-                              out.end(), [](const auto& a, const auto& b) {
-                                return a.first < b.first;
-                              });
-            out.erase(out.begin() + static_cast<ptrdiff_t>(k), out.end());
-          }
-          return out;
+    return knn::Run<Element>(
+        trees_, query, k, std::move(fn), stats,
+        [](const std::vector<TreePtr>& trees) {
+          return columnar_refine::TreeListSource<Element>{.trees = &trees,
+                                                          .prune = false};
         });
-    std::vector<std::pair<double, Element>> all = locals.Collect();
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (all.size() > k) all.erase(all.begin() + static_cast<ptrdiff_t>(k), all.end());
-    return all;
   }
 
   /// Flattens the indexed partitions back to a plain element RDD.
@@ -506,36 +464,23 @@ class SpatialRDD {
                   JoinPredicate::WithinDistance(max_distance, std::move(fn)));
   }
 
-  /// Exact k nearest neighbors. The distance defaults to the minimum
+  /// Exact k nearest neighbors, in the kNN order (knn.h): ascending
+  /// distance, ties by the tie key. The distance defaults to the minimum
   /// Euclidean geometry distance; pass \p fn to rank by a custom distance
   /// function (e.g. HaversineDistanceKm or a spatio-temporal combination),
-  /// mirroring the paper's user-suppliable distance functions.
+  /// mirroring the paper's user-suppliable distance functions. Every
+  /// partition is scanned. \p stats, when non-null, gets the candidates
+  /// measured and the rows returned.
   std::vector<std::pair<double, Element>> Knn(const STObject& query, size_t k,
-                                              DistanceFunction fn = nullptr)
+                                              DistanceFunction fn = nullptr,
+                                              QueryStats* stats = nullptr)
       const {
-    RDD<std::pair<double, Element>> locals = rdd_.MapPartitionsWithIndex(
-        [query, k, fn](size_t, std::vector<Element> items) {
-          std::vector<std::pair<double, Element>> local;
-          local.reserve(items.size());
-          for (auto& e : items) {
-            // NaN from a user distance function would break partial_sort's
-            // strict weak ordering; treat it as "infinitely far".
-            const double dist = SanitizeDistance(
-                fn ? fn(e.first, query) : Distance(e.first.geo(), query.geo()));
-            local.emplace_back(dist, std::move(e));
-          }
-          const size_t keep = std::min(k, local.size());
-          std::partial_sort(
-              local.begin(), local.begin() + keep, local.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-          local.erase(local.begin() + static_cast<ptrdiff_t>(keep), local.end());
-          return local;
+    return knn::Run<Element>(
+        rdd_, query, k, std::move(fn), stats,
+        [](const std::vector<Element>& items) {
+          return columnar_refine::RowSource<const std::vector<Element>>{
+              .rows = &items};
         });
-    std::vector<std::pair<double, Element>> all = locals.Collect();
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (all.size() > k) all.erase(all.begin() + static_cast<ptrdiff_t>(k), all.end());
-    return all;
   }
 
   // ---- Indexing modes (§2.2) ---------------------------------------------
@@ -589,33 +534,6 @@ class SpatialRDD {
   std::shared_ptr<std::vector<PointSlabSlot>> slabs_ =
       std::make_shared<std::vector<PointSlabSlot>>(rdd_.NumPartitions());
 };
-
-/// \brief The served snapshot filter's task: refines the rows of \p rows
-/// that \p tree, a packed R-tree of their indices (a serve epoch's index
-/// over its events), returns for \p query, and calls emit(row) for each
-/// row r with pred.Eval(key(r), query), in tree order. The refine path is
-/// picked through \p slot, which keeps the rows' slabs. The task's tallies
-/// go to \p counters' candidates and results, to \p stats (when non-null)
-/// and to the task span.
-template <typename T, typename Key, typename Emit>
-void FilterTreeRows(const std::vector<T>& rows,
-                    const PackedRTree<uint32_t>& tree, PointSlabSlot* slot,
-                    Key key, const STObject& query, const JoinPredicate& pred,
-                    const FilterMetricSet& counters, QueryStats* stats,
-                    Emit&& emit) {
-  columnar_refine::TaskState task;
-  const auto candidates =
-      columnar_refine::SelectSource(pred, &rows, slot, &tree, key);
-  size_t results = 0;
-  columnar_refine::RefineFixed(pred, candidates, query, /*cand_left=*/true,
-                               nullptr, &task, [&](const T& row) {
-                                 ++results;
-                                 emit(row);
-                               });
-  columnar_refine::FinishFilterTask(counters, stats, /*scanned=*/true,
-                                    task.candidates, results, task,
-                                    /*annotate=*/true);
-}
 
 /// Mirrors STARK's implicit Scala conversion: lifts a plain engine RDD of
 /// (STObject, V) pairs into the spatial API.

@@ -159,8 +159,10 @@ TEST_F(KnnJoinTest, TieAtKthNeighborAcrossPartitionBoundary) {
   ASSERT_EQ(matches.size(), 3u);
   EXPECT_DOUBLE_EQ(matches[0].first, 2.0);
   EXPECT_DOUBLE_EQ(matches[1].first, 3.0);
-  EXPECT_DOUBLE_EQ(matches[2].first, 4.0);  // one of the two tied candidates
-  EXPECT_TRUE(matches[2].second.second == 2 || matches[2].second.second == 3);
+  EXPECT_DOUBLE_EQ(matches[2].first, 4.0);
+  // Of the two tied candidates the tie key (envelope min_x first) keeps
+  // the west one.
+  EXPECT_EQ(matches[2].second.second, 2);
   // Everything strictly closer than the k-th distance must be present.
   EXPECT_EQ(matches[0].second.second, 0);
   EXPECT_EQ(matches[1].second.second, 1);
@@ -184,9 +186,9 @@ TEST_F(KnnJoinTest, AllEmptyRightPartitions) {
 }
 
 TEST_F(KnnJoinTest, MixedPointAndPolygonLeftGeometries) {
-  // A left side mixing points (fast path) and polygons (scan fallback) in
-  // the same partitions: each element must take the path its geometry
-  // requires and still match brute force.
+  // A left side mixing points and polygons in the same partitions: the
+  // tree search, bounded by each left envelope, must match brute force
+  // for both.
   PolygonsOptions pgen;
   pgen.count = 10;
   pgen.universe = universe_;

@@ -6,6 +6,7 @@
 // use.
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -127,7 +128,10 @@ TEST(PackedRTreeTest, EmptyAndTinyTrees) {
   EXPECT_EQ(empty.Depth(), 1u);
   EXPECT_TRUE(empty.bounds().IsEmpty());
   EXPECT_TRUE(empty.QueryCandidates(Envelope(0, 0, 1, 1)).empty());
-  EXPECT_TRUE(empty.Knn({0, 0}, 3, [](const size_t&) { return 0.0; }).empty());
+  EXPECT_TRUE(empty
+                  .Knn(Envelope(0, 0, 0, 0), 3,
+                       [](const size_t&) { return 0.0; }, std::less<>())
+                  .empty());
 
   // One entry: root is a leaf.
   std::vector<std::pair<Envelope, size_t>> one;
@@ -156,32 +160,52 @@ TEST(PackedRTreeTest, DuplicateEnvelopesAllReported) {
 // kNN: packed vs brute force
 // ---------------------------------------------------------------------------
 
+/// The kNN order of (distance, id) hits: ties at equal distance by id.
+bool ByDistanceThenId(const std::pair<double, const size_t*>& a,
+                      const std::pair<double, const size_t*>& b) {
+  return a.first < b.first || (a.first == b.first && *a.second < *b.second);
+}
+
 TEST(PackedRTreeTest, KnnMatchesBruteForce) {
   const std::vector<Geometry> pop = RandomPopulation(/*seed=*/909, 250);
   const auto entries = EntriesFor(pop);
   PackedRTree<size_t> packed(7, entries);
 
+  // Point queries, then mixed geometries whose envelopes are not points
+  // (boxes, star polygons, lines, multipoints): the node bound is the
+  // envelope-to-envelope distance, admissible for both.
   Rng rng(606);
+  std::vector<Geometry> probes;
   for (int q = 0; q < 60; ++q) {
-    const Coordinate c{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    const Geometry probe = Geometry::MakePoint(c);
-    const size_t k = 1 + static_cast<size_t>(q % 12);
+    probes.push_back(Geometry::MakePoint(
+        Coordinate{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)}));
+  }
+  for (const Geometry& g : RandomPopulation(/*seed=*/607, 60)) {
+    probes.push_back(g);
+  }
+  for (size_t q = 0; q < probes.size(); ++q) {
+    const Geometry& probe = probes[q];
+    const size_t k = q % 12 == 11 ? 0 : 1 + q % 12;
 
-    auto packed_hits = packed.Knn(c, k, [&](const size_t& id) {
-      return Distance(pop[id], probe);
-    });
+    const auto packed_hits = packed.Knn(
+        probe.envelope(), k,
+        [&](const size_t& id) { return Distance(pop[id], probe); },
+        ByDistanceThenId);
 
-    // Brute-force k smallest exact distances.
-    std::vector<double> all;
+    // Brute force: the k smallest (exact distance, id) pairs.
+    std::vector<std::pair<double, size_t>> all;
     all.reserve(pop.size());
-    for (const Geometry& g : pop) all.push_back(Distance(g, probe));
+    for (size_t id = 0; id < pop.size(); ++id) {
+      all.emplace_back(Distance(pop[id], probe), id);
+    }
     std::sort(all.begin(), all.end());
     all.resize(std::min(k, all.size()));
 
     ASSERT_EQ(packed_hits.size(), all.size()) << "query " << q;
     for (size_t i = 0; i < all.size(); ++i) {
-      // Ties may order arbitrarily, but the distance sequence is unique.
-      EXPECT_DOUBLE_EQ(packed_hits[i].first, all[i]) << "query " << q;
+      // Ties at equal distance order by the key (here the id).
+      EXPECT_EQ(packed_hits[i].first, all[i].first) << "query " << q;
+      EXPECT_EQ(*packed_hits[i].second, all[i].second) << "query " << q;
     }
   }
 }
@@ -233,7 +257,9 @@ TEST(RTreeTest, EmptyTree) {
   tree.Query(Envelope(-1e9, -1e9, 1e9, 1e9),
              [&](const Envelope&, const int&) { ++hits; });
   EXPECT_EQ(hits, 0);
-  EXPECT_TRUE(tree.Knn({0, 0}, 3, [](const int&) { return 0.0; }).empty());
+  EXPECT_TRUE(tree.Knn(Envelope(0, 0, 0, 0), 3, [](const int&) { return 0.0; },
+                       std::less<>())
+                  .empty());
 }
 
 TEST(RTreeTest, OrderIsClampedToAtLeastTwo) {
@@ -279,9 +305,10 @@ TEST_P(RTreeOrderTest, KnnMatchesBruteForce) {
   for (int q = 0; q < 50; ++q) {
     const Coordinate query{rng.Uniform(-60, 60), rng.Uniform(-60, 60)};
     for (size_t k : {1u, 5u, 17u}) {
-      auto result = tree.Knn(query, k, [&](const size_t& id) {
-        return query.DistanceTo(pts[id]);
-      });
+      auto result = tree.Knn(
+          Envelope(query), k,
+          [&](const size_t& id) { return query.DistanceTo(pts[id]); },
+          ByDistanceThenId);
       ASSERT_EQ(result.size(), std::min<size_t>(k, pts.size()));
       // Distances must be ascending.
       for (size_t i = 1; i < result.size(); ++i) {
