@@ -33,6 +33,15 @@ Result<std::vector<Coordinate>> ReadCoordinates(BinaryReader* reader) {
   return coords;
 }
 
+/// A payload that decodes but makes no valid geometry (a one-point line, a
+/// ring too short to close) is corrupt stream data like any other: an
+/// IOError, not the constructor's InvalidArgument.
+Result<Geometry> StreamGeometry(Result<Geometry> made) {
+  if (made.ok()) return made;
+  return Status::IOError("bad geometry payload in stream: " +
+                         made.status().message());
+}
+
 }  // namespace
 
 void WriteGeometry(BinaryWriter* writer, const Geometry& geo) {
@@ -73,15 +82,21 @@ Result<Geometry> ReadGeometry(BinaryReader* reader) {
     }
     case GeometryType::kMultiPoint: {
       STARK_ASSIGN_OR_RETURN(auto coords, ReadCoordinates(reader));
-      return Geometry::MakeMultiPoint(std::move(coords));
+      return StreamGeometry(Geometry::MakeMultiPoint(std::move(coords)));
     }
     case GeometryType::kLineString: {
       STARK_ASSIGN_OR_RETURN(auto coords, ReadCoordinates(reader));
-      return Geometry::MakeLineString(std::move(coords));
+      return StreamGeometry(Geometry::MakeLineString(std::move(coords)));
     }
     case GeometryType::kPolygon:
     case GeometryType::kMultiPolygon: {
       STARK_ASSIGN_OR_RETURN(uint64_t n_polys, reader->ReadU64());
+      // Every polygon holds at least its shell count and its hole count,
+      // 8 bytes each, so a larger count is corrupt and must not reach
+      // reserve().
+      if (n_polys > reader->Remaining() / (2 * sizeof(uint64_t))) {
+        return Status::IOError("polygon list exceeds stream");
+      }
       std::vector<PolygonData> polys;
       polys.reserve(n_polys);
       for (uint64_t i = 0; i < n_polys; ++i) {
@@ -96,10 +111,10 @@ Result<Geometry> ReadGeometry(BinaryReader* reader) {
       }
       if (type == GeometryType::kPolygon) {
         if (polys.size() != 1) return Status::IOError("bad polygon payload");
-        return Geometry::MakePolygon(std::move(polys[0].shell),
-                                     std::move(polys[0].holes));
+        return StreamGeometry(Geometry::MakePolygon(
+            std::move(polys[0].shell), std::move(polys[0].holes)));
       }
-      return Geometry::MakeMultiPolygon(std::move(polys));
+      return StreamGeometry(Geometry::MakeMultiPolygon(std::move(polys)));
     }
   }
   return Status::IOError("unreachable geometry tag");

@@ -8,8 +8,10 @@
 /// unique_ptr nodes. Visitor and kNN APIs are templated: there is no
 /// std::function indirection anywhere on the traversal path.
 ///
-/// Built once from its entries by an STR (sort-tile-recursive) bulk load.
-/// See docs/PERFORMANCE.md for the layout diagram.
+/// Built once from its entries by an STR (sort-tile-recursive) bulk load,
+/// or adopted from entries already in STR storage order (a saved tree's
+/// ForEach order), which skips the sorts and yields the same tree. See
+/// docs/PERFORMANCE.md for the layout diagram.
 #ifndef STARK_INDEX_PACKED_RTREE_H_
 #define STARK_INDEX_PACKED_RTREE_H_
 
@@ -57,6 +59,26 @@ class PackedRTree {
   PackedRTree(size_t order, std::vector<std::pair<Envelope, T>> entries)
       : order_(ClampOrder(order)) {
     Build(std::move(entries));
+  }
+
+  /// \brief Adopts entries already in STR storage order, with no sort.
+  ///
+  /// \p envelopes[i] is the envelope of \p values[i]; the two must have
+  /// the same size. Leaves are cut from the storage order by the same
+  /// arithmetic the bulk load uses (see Pack), so entries listed in the
+  /// ForEach order of a tree built with the same clamped \p order yield
+  /// that tree: the same leaves, node boxes, ForEach, Query and Knn order.
+  /// Entries in any other order still yield a correct tree, since every
+  /// node box is the union of its children; only pruning is worse.
+  static PackedRTree FromStorageOrder(size_t order, EnvelopeSoA envelopes,
+                                      std::vector<T> values) {
+    STARK_CHECK(envelopes.size() == values.size());
+    PackedRTree tree;
+    tree.order_ = ClampOrder(order);
+    tree.entries_ = std::move(envelopes);
+    tree.values_ = std::move(values);
+    tree.Pack();
+    return tree;
   }
 
   PackedRTree(PackedRTree&&) noexcept = default;
@@ -238,40 +260,60 @@ class PackedRTree {
     ++levels_;
   }
 
+  /// Entries per STR vertical slice for \p n entries: ceil(sqrt(leaves))
+  /// slices of ceil(n / slices) entries, where leaves = ceil(n / order_).
+  size_t SliceSize(size_t n) const {
+    const size_t leaf_count = (n + order_ - 1) / order_;
+    const size_t slice_count = static_cast<size_t>(
+        std::ceil(std::sqrt(static_cast<double>(leaf_count))));
+    return (n + slice_count - 1) / slice_count;
+  }
+
+  /// STR bulk load: x-sort, y-sort within each vertical slice, then Pack.
   void Build(std::vector<std::pair<Envelope, T>> entries) {
     if (entries.empty()) return;
-
-    // STR tiling: x-sort, sqrt(leaf_count) vertical slices, y-sort within
-    // each slice, chunk into leaves.
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) {
                 return a.first.Center().x < b.first.Center().x;
               });
-    const size_t leaf_count = (entries.size() + order_ - 1) / order_;
-    const size_t slice_count = static_cast<size_t>(
-        std::ceil(std::sqrt(static_cast<double>(leaf_count))));
-    const size_t slice_size =
-        (entries.size() + slice_count - 1) / slice_count;
-
-    std::vector<BuildRec> level;
-    level.reserve(leaf_count);
+    const size_t slice_size = SliceSize(entries.size());
     entries_.Reserve(entries.size());
     values_.reserve(entries.size());
     for (size_t s = 0; s < entries.size(); s += slice_size) {
-      const size_t s_end = std::min(s + slice_size, entries.size());
-      std::sort(entries.begin() + s, entries.begin() + s_end,
-                [](const auto& a, const auto& b) {
-                  return a.first.Center().y < b.first.Center().y;
-                });
+      const auto first = entries.begin() + s;
+      const auto last = entries.begin() + std::min(s + slice_size,
+                                                   entries.size());
+      std::sort(first, last, [](const auto& a, const auto& b) {
+        return a.first.Center().y < b.first.Center().y;
+      });
+      // Moved out while the slice is still in cache.
+      for (auto it = first; it != last; ++it) {
+        entries_.PushBack(it->first);
+        values_.push_back(std::move(it->second));
+      }
+    }
+    Pack();
+  }
+
+  /// Packs entries_ (in STR storage order) into nodes: each slice of
+  /// SliceSize entries is chunked into leaves of order_ entries, so the
+  /// last leaf of a slice may be short; the leaves then go up level by
+  /// level.
+  void Pack() {
+    const size_t n = values_.size();
+    if (n == 0) return;
+    const size_t slice_size = SliceSize(n);
+    std::vector<BuildRec> level;
+    level.reserve((n + order_ - 1) / order_);
+    for (size_t s = 0; s < n; s += slice_size) {
+      const size_t s_end = std::min(s + slice_size, n);
       for (size_t i = s; i < s_end; i += order_) {
         const size_t i_end = std::min(i + order_, s_end);
-        BuildRec leaf{Envelope(), static_cast<uint32_t>(values_.size()), 0};
+        BuildRec leaf{Envelope(), static_cast<uint32_t>(i),
+                      static_cast<uint32_t>(i_end)};
         for (size_t j = i; j < i_end; ++j) {
-          leaf.env.ExpandToInclude(entries[j].first);
-          entries_.PushBack(entries[j].first);
-          values_.push_back(std::move(entries[j].second));
+          leaf.env.ExpandToInclude(entries_.Get(j));
         }
-        leaf.end = static_cast<uint32_t>(values_.size());
         level.push_back(std::move(leaf));
       }
     }

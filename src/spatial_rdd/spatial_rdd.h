@@ -194,14 +194,17 @@ class IndexedSpatialRDD {
   }
 
   /// Loads an index previously written with Save. One `index.load` engine
-  /// job reads the part files, one task per part: each task reads, decodes
-  /// and STR-packs its part, so the packed trees are rebuilt in parallel
-  /// (re-packing is at least as good as the saved layout). The job runs
-  /// under the context's deadline, cancel token and retry policy. A corrupt
-  /// or missing part is not a task failure — a retry would read the same
-  /// bytes — so Load returns the job's own Status if the job failed, and
-  /// otherwise the error of the lowest-index bad part, whatever order the
-  /// tasks ran in. A meta order above PackedRTree::kMaxOrder is an IOError.
+  /// job reads the part files, one task per part: each task reads and
+  /// decodes its part and adopts the rows as the tree, with no sort. Save
+  /// writes each part in its tree's STR storage order and the leaf
+  /// boundaries follow from the row count and order(), so a part saved
+  /// from one tree loads as that same tree (PackedRTree::FromStorageOrder).
+  /// The job runs under the context's deadline, cancel token and retry
+  /// policy. A corrupt or missing part is not a task failure — a retry
+  /// would read the same bytes — so Load returns the job's own Status if
+  /// the job failed, and otherwise the error of the lowest-index bad part,
+  /// whatever order the tasks ran in. A meta order above
+  /// PackedRTree::kMaxOrder is an IOError.
   static Result<IndexedSpatialRDD<V>> Load(Context* ctx,
                                            const std::string& directory) {
     STARK_ASSIGN_OR_RETURN(std::vector<char> meta_buf,
@@ -216,11 +219,17 @@ class IndexedSpatialRDD {
                              " exceeds the maximum node capacity " +
                              std::to_string(PackedRTree<Element>::kMaxOrder));
     }
+    // Save writes an empty extent for every part of an unpartitioned index.
+    // Pruning by those would drop every part, so an all-empty list loads as
+    // no extents (with no rows anywhere, nothing is lost either way).
     auto extents = std::make_shared<std::vector<Envelope>>();
+    bool any_extent = false;
     for (uint64_t p = 0; p < num_parts; ++p) {
       STARK_ASSIGN_OR_RETURN(Envelope e, ReadEnvelope(&meta));
+      any_extent |= !e.IsEmpty();
       extents->push_back(e);
     }
+    if (!any_extent) extents = nullptr;
     std::vector<std::vector<TreePtr>> parts(num_parts);
     std::vector<Status> part_status(num_parts);
     STARK_RETURN_NOT_OK(ctx->TryRunTasks(
@@ -266,7 +275,10 @@ class IndexedSpatialRDD {
     return WriteFileBytes(PartPath(directory, p), w.buffer());
   }
 
-  /// Reads, checks and decodes part file \p p, then STR-packs its elements.
+  /// Reads, checks and decodes part file \p p and packs its rows in the
+  /// order they were saved. Rows in another order (a partition of several
+  /// trees, or trees built with an order other than order()) still give a
+  /// correct tree, only one that prunes worse.
   static Result<TreePtr> LoadPart(const std::string& directory, size_t p,
                                   size_t order) {
     const std::string path = PartPath(directory, p);
@@ -283,20 +295,23 @@ class IndexedSpatialRDD {
       return Status::IOError("index part element count exceeds file size: " +
                              path);
     }
-    std::vector<std::pair<Envelope, Element>> entries;
-    entries.reserve(count);
+    EnvelopeSoA envelopes;
+    std::vector<Element> rows;
+    envelopes.Reserve(count);
+    rows.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       STARK_ASSIGN_OR_RETURN(STObject obj, ReadSTObject(&r));
       STARK_ASSIGN_OR_RETURN(V value, Serde<V>::Read(&r));
-      Envelope env = obj.envelope();
-      entries.emplace_back(env, Element{std::move(obj), std::move(value)});
+      envelopes.PushBack(obj.envelope());
+      rows.emplace_back(std::move(obj), std::move(value));
     }
     if (obs::TaskSpan* span = obs::CurrentTaskSpan()) {
       span->records_out = count;
       span->bytes = buf.size();
     }
-    return TreePtr(
-        std::make_shared<PackedRTree<Element>>(order, std::move(entries)));
+    return TreePtr(std::make_shared<PackedRTree<Element>>(
+        PackedRTree<Element>::FromStorageOrder(order, std::move(envelopes),
+                                               std::move(rows))));
   }
 
   RDD<TreePtr> trees_;

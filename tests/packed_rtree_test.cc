@@ -1,9 +1,9 @@
 // Tests for the packed (flat SoA) R-tree, the engine's only R-tree: STR
-// bulk loading, window queries and branch-and-bound kNN checked against a
-// brute-force oracle across tree orders (the paper's liveIndex `order`),
-// random mixed-geometry populations, duplicates and degenerate sizes. Also
-// unit tests of the branchless FilterEnvelopesBatch kernel the leaf scans
-// use.
+// bulk loading, adopting a storage order (FromStorageOrder), window queries
+// and branch-and-bound kNN checked against a brute-force oracle across tree
+// orders (the paper's liveIndex `order`), random mixed-geometry
+// populations, duplicates and degenerate sizes. Also unit tests of the
+// branchless FilterEnvelopesBatch kernel the leaf scans use.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -206,6 +206,80 @@ TEST(PackedRTreeTest, KnnMatchesBruteForce) {
       // Ties at equal distance order by the key (here the id).
       EXPECT_EQ(packed_hits[i].first, all[i].first) << "query " << q;
       EXPECT_EQ(*packed_hits[i].second, all[i].second) << "query " << q;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FromStorageOrder: packing entries already in STR storage order
+// ---------------------------------------------------------------------------
+
+/// Splits (envelope, id) entries into FromStorageOrder's two arrays.
+PackedRTree<size_t> Adopt(size_t order,
+                          const std::vector<std::pair<Envelope, size_t>>& in) {
+  EnvelopeSoA envelopes;
+  std::vector<size_t> ids;
+  for (const auto& [env, id] : in) {
+    envelopes.PushBack(env);
+    ids.push_back(id);
+  }
+  return PackedRTree<size_t>::FromStorageOrder(order, std::move(envelopes),
+                                               std::move(ids));
+}
+
+/// Every entry in storage (ForEach) order.
+std::vector<std::pair<Envelope, size_t>> StorageOrder(
+    const PackedRTree<size_t>& tree) {
+  std::vector<std::pair<Envelope, size_t>> out;
+  tree.ForEach([&](const Envelope& env, const size_t& id) {
+    out.emplace_back(env, id);
+  });
+  return out;
+}
+
+// Entries in no STR order at all still give an exact tree (every node box
+// is the union of its children), stored in the order given.
+TEST(PackedRTreeTest, FromStorageOrderOfShuffledEntriesIsExact) {
+  const std::vector<Geometry> pop = RandomPopulation(/*seed=*/5151, 300);
+  auto shuffled = EntriesFor(pop);
+  Rng rng(5152);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i],
+              shuffled[static_cast<size_t>(rng.UniformInt(0, i))]);
+  }
+  Envelope all;
+  for (const auto& [env, id] : shuffled) all.ExpandToInclude(env);
+
+  for (size_t order : {2u, 3u, 7u, 32u}) {
+    SCOPED_TRACE("order " + std::to_string(order));
+    const PackedRTree<size_t> tree = Adopt(order, shuffled);
+    ASSERT_EQ(tree.size(), pop.size());
+    EXPECT_TRUE(tree.bounds() == all);
+    EXPECT_TRUE(StorageOrder(tree) == shuffled);
+    for (int q = 0; q < 100; ++q) {
+      const Envelope query = RandomEnvelope(&rng, 25.0);
+      ASSERT_EQ(TreeCandidates(tree, query),
+                BruteForceCandidates(shuffled, query))
+          << "query " << q;
+    }
+    for (const Geometry& probe : RandomPopulation(order, 40)) {
+      for (size_t k : {1u, 4u, 13u}) {
+        const auto hits = tree.Knn(
+            probe.envelope(), k,
+            [&](const size_t& id) { return Distance(pop[id], probe); },
+            ByDistanceThenId);
+        std::vector<std::pair<double, size_t>> want;
+        for (size_t id = 0; id < pop.size(); ++id) {
+          want.emplace_back(Distance(pop[id], probe), id);
+        }
+        std::sort(want.begin(), want.end());
+        want.resize(k);
+        ASSERT_EQ(hits.size(), want.size());
+        for (size_t i = 0; i < k; ++i) {
+          EXPECT_EQ(hits[i].first, want[i].first);
+          EXPECT_EQ(*hits[i].second, want[i].second);
+        }
+      }
     }
   }
 }

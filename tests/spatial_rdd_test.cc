@@ -14,6 +14,7 @@
 #include "test_util.h"
 
 #include "common/rng.h"
+#include "geometry/predicates.h"
 #include "io/generator.h"
 #include "partition/bsp_partitioner.h"
 #include "partition/grid_partitioner.h"
@@ -528,6 +529,224 @@ TEST_F(PersistentIndexTest, FailedSaveLeavesNoLoadableIndex) {
   auto loaded = Load(&ctx_, dir);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  std::filesystem::remove_all(dir);
+}
+
+// Save writes an empty extent per part of an unpartitioned index; Load used
+// to keep them and prune every part, so every filter came back empty.
+TEST_F(PersistentIndexTest, UnpartitionedIndexLoadsWithoutPruning) {
+  const std::string dir = FreshDir("stark_index_unpartitioned");
+  ASSERT_TRUE(MakeSpatial(4).Index(6).Save(dir).ok());
+  auto loaded = Load(&ctx_, dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.ValueOrDie().extents(), nullptr);
+  const STObject qry = QueryPolygon();
+  const std::set<int64_t> want = BruteForce(qry, JoinPredicate::Intersects());
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(Ids(loaded.ValueOrDie().Intersects(qry).Collect()), want);
+  std::filesystem::remove_all(dir);
+}
+
+// A polygon count in a part used to throw out of reserve(), which the
+// task turned into a retried UnknownError instead of a typed IOError.
+TEST_F(PersistentIndexTest, LoadRejectsABogusPolygonCount) {
+  const std::string dir = FreshDir("stark_index_polygon_count");
+  ASSERT_TRUE(MakeSpatial(1).Index(6).Save(dir).ok());
+  for (const uint64_t n_polys : {uint64_t{1} << 60, uint64_t{1} << 40}) {
+    BinaryWriter part;
+    part.WriteU32(0x53544950);  // "STIP"
+    part.WriteU64(1);
+    part.WriteU8(3);  // POLYGON tag
+    part.WriteU64(n_polys);
+    part.WriteU64(0);
+    ASSERT_TRUE(WriteFileBytes(dir + "/part-0.idx", part.buffer()).ok());
+    Result<IndexedSpatialRDD<int64_t>> loaded = Status::UnknownError("unset");
+    EXPECT_NO_THROW(loaded = Load(&ctx_, dir));
+    ASSERT_FALSE(loaded.ok()) << n_polys;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("polygon"), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// \p n mixed rows (points, boxes, star polygons, lines, multipoints),
+/// every other one timed, with ids counting up from \p *next_id. Every 5th
+/// row repeats the geometry before it, so the STR sorts meet ties.
+std::vector<Element> MixedRows(uint64_t seed, size_t n, int64_t* next_id) {
+  const std::vector<Geometry> pop = test::RandomPopulation(seed, n);
+  std::vector<Element> rows;
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const Geometry& g = pop[i % 5 == 4 ? i - 1 : i];
+    STObject obj = i % 2 == 0 ? STObject(g, rng.UniformInt(0, 1000))
+                              : STObject(g);
+    rows.emplace_back(std::move(obj), (*next_id)++);
+  }
+  return rows;
+}
+
+/// Requires \p loaded to be \p saved node for node: the same shape, node
+/// boxes, storage order, and Query and Knn emission order.
+void ExpectSameTree(const PackedRTree<Element>& saved,
+                    const PackedRTree<Element>& loaded, uint64_t seed) {
+  ASSERT_EQ(loaded.size(), saved.size());
+  EXPECT_EQ(loaded.num_nodes(), saved.num_nodes());
+  EXPECT_EQ(loaded.num_leaf_nodes(), saved.num_leaf_nodes());
+  EXPECT_EQ(loaded.Depth(), saved.Depth());
+  EXPECT_EQ(loaded.bounds(), saved.bounds());
+
+  auto rows = [](const PackedRTree<Element>& tree) {
+    std::vector<std::pair<Envelope, Element>> out;
+    tree.ForEach([&](const Envelope& env, const Element& e) {
+      out.emplace_back(env, e);
+    });
+    return out;
+  };
+  EXPECT_TRUE(rows(loaded) == rows(saved));
+
+  auto query_ids = [](const PackedRTree<Element>& tree, const Envelope& q) {
+    std::vector<int64_t> ids;
+    tree.Query(q, [&](const Envelope&, const Element& e) {
+      ids.push_back(e.second);
+    });
+    return ids;
+  };
+  auto knn = [](const PackedRTree<Element>& tree, const Geometry& probe,
+                size_t k) {
+    std::vector<std::pair<double, int64_t>> out;
+    for (const auto& [d, e] : tree.Knn(
+             probe.envelope(), k,
+             [&](const Element& e) { return Distance(e.first.geo(), probe); },
+             [](const auto& a, const auto& b) {
+               return a.first < b.first ||
+                      (a.first == b.first && a.second->second <
+                                                 b.second->second);
+             })) {
+      out.emplace_back(d, e->second);
+    }
+    return out;
+  };
+  Rng rng(seed);
+  for (int q = 0; q < 40; ++q) {
+    const Envelope box = test::RandomEnvelope(&rng, 30.0);
+    EXPECT_EQ(query_ids(loaded, box), query_ids(saved, box)) << "query " << q;
+    const Geometry probe = Geometry::MakePoint(box.Center());
+    const size_t k = 1 + q % 9;
+    EXPECT_EQ(knn(loaded, probe, k), knn(saved, probe, k)) << "kNN " << q;
+  }
+}
+
+/// Partition sizes 0, 1, cap - 1 and cap + 1, then one whose STR slices
+/// end in a short leaf (ceil(n / slices) not a multiple of cap).
+std::vector<size_t> PartSizesFor(size_t cap) {
+  size_t short_leaf = 3 * cap + 1;
+  for (;; ++short_leaf) {
+    const size_t leaves = (short_leaf + cap - 1) / cap;
+    const size_t slices = static_cast<size_t>(
+        std::ceil(std::sqrt(static_cast<double>(leaves))));
+    if (((short_leaf + slices - 1) / slices) % cap != 0) break;
+  }
+  return {0, 1, cap - 1, cap + 1, short_leaf};
+}
+
+// Save writes each tree in its STR storage order and Load adopts that order
+// with no sort, so every loaded tree is the saved tree.
+TEST_F(PersistentIndexTest, LoadedTreeIsTheSavedTree) {
+  for (const size_t order : {size_t{2}, size_t{3}, size_t{10}, size_t{5000}}) {
+    SCOPED_TRACE("order " + std::to_string(order));
+    const size_t cap = PackedRTree<Element>::ClampOrder(order);
+    std::vector<std::vector<Element>> parts;
+    int64_t next_id = 0;
+    for (const size_t n : PartSizesFor(cap)) {
+      parts.push_back(MixedRows(order * 31 + n, n, &next_id));
+    }
+    const auto indexed =
+        SpatialRDD<int64_t>(MakeRDDFromPartitions(&ctx_, std::move(parts)))
+            .Index(order);
+    const std::string dir = FreshDir("stark_index_same_tree");
+    ASSERT_TRUE(indexed.Save(dir).ok());
+    auto loaded = Load(&ctx_, dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.ValueOrDie().order(), cap);
+
+    const auto saved_trees = indexed.trees().CollectPartitions();
+    const auto loaded_trees = loaded.ValueOrDie().trees().CollectPartitions();
+    ASSERT_EQ(loaded_trees.size(), saved_trees.size());
+    for (size_t p = 0; p < saved_trees.size(); ++p) {
+      SCOPED_TRACE("part " + std::to_string(p));
+      ASSERT_EQ(saved_trees[p].size(), 1u);
+      ASSERT_EQ(loaded_trees[p].size(), 1u);
+      ExpectSameTree(*saved_trees[p][0], *loaded_trees[p][0], 100 + p);
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// A part need not be one tree in its own storage order: trees built with
+// an order other than the index's order(), or two trees in one partition,
+// are saved back to back and still load as exact (if less tight) trees.
+TEST_F(PersistentIndexTest, PartsInAForeignOrderLoadExact) {
+  using TreePtr = IndexedSpatialRDD<int64_t>::TreePtr;
+  int64_t next_id = 0;
+  std::vector<Element> all;
+  std::vector<std::vector<TreePtr>> parts;
+  for (size_t p = 0; p < 4; ++p) {
+    std::vector<Element> rows = MixedRows(700 + p, 150, &next_id);
+    all.insert(all.end(), rows.begin(), rows.end());
+    auto tree = [](std::vector<Element> elems, size_t order) {
+      std::vector<std::pair<Envelope, Element>> entries;
+      for (Element& e : elems) {
+        const Envelope env = e.first.envelope();
+        entries.emplace_back(env, std::move(e));
+      }
+      return std::make_shared<const PackedRTree<Element>>(order,
+                                                          std::move(entries));
+    };
+    if (p == 3) {
+      const auto mid = rows.begin() + 60;
+      parts.push_back({tree({rows.begin(), mid}, 5), tree({mid, rows.end()}, 2)});
+    } else {
+      parts.push_back({tree(std::move(rows), 3)});
+    }
+  }
+  const IndexedSpatialRDD<int64_t> indexed(
+      MakeRDDFromPartitions(&ctx_, std::move(parts)), nullptr, 10);
+  const std::string dir = FreshDir("stark_index_foreign_order");
+  ASSERT_TRUE(indexed.Save(dir).ok());
+  auto loaded_or = Load(&ctx_, dir);
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  const auto& loaded = loaded_or.ValueOrDie();
+
+  auto brute = [&all](const STObject& query, const JoinPredicate& pred) {
+    std::set<int64_t> ids;
+    for (const auto& [obj, id] : all) {
+      if (pred.Eval(obj, query)) ids.insert(id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(Ids(loaded.ToElements().Collect()), Ids(all));
+  Rng rng(77);
+  for (int q = 0; q < 30; ++q) {
+    const STObject query(Geometry::MakeBox(test::RandomEnvelope(&rng, 30.0)));
+    EXPECT_EQ(Ids(loaded.Intersects(query).Collect()),
+              brute(query, JoinPredicate::Intersects()))
+        << "query " << q;
+    EXPECT_EQ(Ids(loaded.WithinDistance(query, 3.0).Collect()),
+              brute(query, JoinPredicate::WithinDistance(3.0)))
+        << "query " << q;
+
+    const STObject pt(Geometry::MakePoint(query.envelope().Center()));
+    std::vector<double> want;
+    for (const auto& [obj, id] : all) {
+      want.push_back(Distance(obj.geo(), pt.geo()));
+    }
+    std::sort(want.begin(), want.end());
+    want.resize(7);
+    std::vector<double> got;
+    for (const auto& [d, e] : loaded.Knn(pt, 7)) got.push_back(d);
+    EXPECT_EQ(got, want) << "kNN " << q;
+  }
   std::filesystem::remove_all(dir);
 }
 

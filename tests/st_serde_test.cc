@@ -69,6 +69,59 @@ TEST(STObjectSerdeTest, BogusCoordinateCountIsRejected) {
   EXPECT_FALSE(ReadGeometry(&r).ok());
 }
 
+// A polygon count used to reach reserve() unchecked: 1<<60 threw
+// std::length_error and 1<<40 std::bad_alloc instead of an IOError.
+TEST(STObjectSerdeTest, BogusPolygonCountIsRejected) {
+  for (const uint8_t tag : {uint8_t{3}, uint8_t{4}}) {  // POLYGON, MULTI
+    for (const uint64_t count :
+         {uint64_t{1} << 60, uint64_t{1} << 40, UINT64_MAX}) {
+      BinaryWriter w;
+      w.WriteU8(tag);
+      w.WriteU64(count);
+      BinaryReader r(w.buffer());
+      Result<Geometry> back = Status::UnknownError("unset");
+      EXPECT_NO_THROW(back = ReadGeometry(&r));
+      ASSERT_FALSE(back.ok()) << count;
+      EXPECT_EQ(back.status().code(), StatusCode::kIOError);
+      EXPECT_NE(back.status().message().find("polygon"), std::string::npos);
+    }
+  }
+}
+
+// Payloads that decode but make no valid geometry used to surface the
+// constructor's InvalidArgument; a corrupt stream is an IOError.
+TEST(STObjectSerdeTest, InvalidGeometryPayloadIsAnIOError) {
+  auto coords = [](BinaryWriter* w, uint64_t n) {
+    w->WriteU64(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      w->WriteDouble(static_cast<double>(i));
+      w->WriteDouble(1.0);
+    }
+  };
+  BinaryWriter empty_multipoint;
+  empty_multipoint.WriteU8(1);
+  coords(&empty_multipoint, 0);
+  BinaryWriter one_point_line;
+  one_point_line.WriteU8(2);
+  coords(&one_point_line, 1);
+  BinaryWriter two_point_ring;
+  two_point_ring.WriteU8(3);
+  two_point_ring.WriteU64(1);  // one polygon
+  coords(&two_point_ring, 2);
+  two_point_ring.WriteU64(0);  // no holes
+  BinaryWriter no_polygons;
+  no_polygons.WriteU8(4);
+  no_polygons.WriteU64(0);
+  for (const BinaryWriter* w :
+       {&empty_multipoint, &one_point_line, &two_point_ring, &no_polygons}) {
+    BinaryReader r(w->buffer());
+    auto back = ReadGeometry(&r);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kIOError)
+        << back.status().ToString();
+  }
+}
+
 TEST(STObjectSerdeTest, PointWithoutExactlyOneCoordinateIsRejected) {
   for (const uint64_t count : {uint64_t{0}, uint64_t{2}}) {
     BinaryWriter w;
