@@ -5,6 +5,7 @@
 #ifndef STARK_COMMON_SERDE_H_
 #define STARK_COMMON_SERDE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -113,6 +114,21 @@ class BinaryReader {
 /// live in spatial_rdd/value_serde.h; Serde<STObject> in core/st_serde.h.
 template <typename V>
 struct Serde;
+
+/// A lower bound on the bytes Serde<V>::Write emits for one value: 0 unless
+/// a specialization promises more (Serde<STObject> does, and a pair adds
+/// its halves).
+template <typename V>
+inline constexpr size_t kSerdeMinBytes = 0;
+
+/// The most elements of type V that \p remaining bytes can hold, taking
+/// every element to be at least one byte. A reader rejects a stored count
+/// above this before it reserves, so a corrupt count cannot ask for more
+/// memory than a file of valid elements would fill.
+template <typename V>
+constexpr uint64_t MaxSerdeCount(size_t remaining) {
+  return remaining / std::max<size_t>(kSerdeMinBytes<V>, 1);
+}
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) of \p n bytes at
 /// \p data. Pass a previous return value as \p seed to checksum a stream

@@ -48,6 +48,11 @@ void WriteGeometry(BinaryWriter* writer, const Geometry& geo) {
   writer->WriteU8(static_cast<uint8_t>(geo.type()));
   switch (geo.type()) {
     case GeometryType::kPoint:
+      // The same bytes as a one-element coordinate list.
+      writer->WriteU64(1);
+      writer->WriteDouble(geo.AsPoint().x);
+      writer->WriteDouble(geo.AsPoint().y);
+      break;
     case GeometryType::kMultiPoint:
     case GeometryType::kLineString:
       WriteCoordinates(writer, geo.coordinates());

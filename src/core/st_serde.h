@@ -38,6 +38,12 @@ struct Serde<STObject> {
   static Result<STObject> Read(BinaryReader* r) { return ReadSTObject(r); }
 };
 
+/// An STObject takes at least its geometry tag, a u64 coordinate or polygon
+/// count and its time flag.
+template <>
+inline constexpr size_t kSerdeMinBytes<STObject> =
+    sizeof(uint8_t) + sizeof(uint64_t) + sizeof(uint8_t);
+
 }  // namespace stark
 
 #endif  // STARK_CORE_ST_SERDE_H_

@@ -13,7 +13,8 @@
 /// a clean IOError instead of being deserialized into garbage, and
 /// LoadCheckpointOrRecompute() can fall back to recomputing the data from
 /// lineage (Spark's behaviour when a checkpoint block is lost). An element
-/// count larger than the bytes that follow it is rejected the same way.
+/// count larger than the bytes that follow it can hold (MaxSerdeCount) is
+/// rejected the same way.
 ///
 /// Both the write and the read path carry fault-injection sites
 /// (`engine.checkpoint.write` / `engine.checkpoint.read`) and retry
@@ -88,9 +89,9 @@ Result<std::vector<T>> DecodeCheckpointPart(const std::vector<char>& buf,
     return Status::IOError("bad checkpoint part magic in " + path);
   }
   STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-  // Every element takes at least one byte, so a count beyond the bytes left
-  // is corrupt — and must not reach reserve().
-  if (count > r.Remaining()) {
+  // A count beyond what the bytes left can hold is corrupt — and must not
+  // reach reserve().
+  if (count > MaxSerdeCount<T>(r.Remaining())) {
     return Status::IOError("checkpoint part element count exceeds part size: " +
                            path);
   }

@@ -17,6 +17,11 @@ const char* GeometryTypeName(GeometryType type) {
   return "UNKNOWN";
 }
 
+Geometry::Geometry(const Coordinate& point)
+    : type_(GeometryType::kPoint), point_(point) {
+  env_.ExpandToInclude(point_);
+}
+
 Geometry::Geometry(GeometryType type, std::vector<Coordinate> coords,
                    std::vector<PolygonData> polygons)
     : type_(type), coords_(std::move(coords)), polygons_(std::move(polygons)) {
@@ -27,7 +32,7 @@ Geometry::Geometry(GeometryType type, std::vector<Coordinate> coords,
 }
 
 Geometry Geometry::MakePoint(double x, double y) {
-  return Geometry(GeometryType::kPoint, {{x, y}}, {});
+  return Geometry(Coordinate{x, y});
 }
 
 Result<Geometry> Geometry::MakeMultiPoint(std::vector<Coordinate> coords) {
@@ -90,7 +95,7 @@ Geometry Geometry::MakeBox(const Envelope& env) {
 Coordinate Geometry::Centroid() const {
   switch (type_) {
     case GeometryType::kPoint:
-      return coords_[0];
+      return point_;
     case GeometryType::kMultiPoint:
     case GeometryType::kLineString: {
       Coordinate mean{0.0, 0.0};
@@ -123,7 +128,7 @@ Coordinate Geometry::Centroid() const {
 }
 
 size_t Geometry::NumCoordinates() const {
-  size_t n = coords_.size();
+  size_t n = IsPoint() ? 1 : coords_.size();
   for (const auto& poly : polygons_) {
     n += poly.shell.size();
     for (const auto& hole : poly.holes) n += hole.size();

@@ -64,16 +64,18 @@ class Geometry {
   GeometryType type() const { return type_; }
   bool IsPoint() const { return type_ == GeometryType::kPoint; }
 
-  /// Coordinates for point / multipoint / linestring geometries.
+  /// Coordinates of a multipoint or linestring geometry; empty for every
+  /// other type. A point keeps its coordinate inline: read it with AsPoint().
   const std::vector<Coordinate>& coordinates() const { return coords_; }
 
   /// Polygon parts for polygon / multipolygon geometries.
   const std::vector<PolygonData>& polygons() const { return polygons_; }
 
-  /// The single coordinate of a point geometry.
+  /// The single coordinate of a point geometry, stored inline, so making,
+  /// copying, moving or destroying a point never touches the heap.
   const Coordinate& AsPoint() const {
     STARK_DCHECK(type_ == GeometryType::kPoint);
-    return coords_[0];
+    return point_;
   }
 
   /// Cached minimum bounding rectangle.
@@ -89,11 +91,14 @@ class Geometry {
   /// WKT representation, e.g. "POINT (1 2)".
   std::string ToWkt() const;
 
+  /// Exact coordinate equality, so a NaN coordinate is unequal to itself.
   bool operator==(const Geometry& o) const {
-    return type_ == o.type_ && coords_ == o.coords_ && PolysEqual(o);
+    return type_ == o.type_ && point_ == o.point_ && coords_ == o.coords_ &&
+           PolysEqual(o);
   }
 
  private:
+  explicit Geometry(const Coordinate& point);
   Geometry(GeometryType type, std::vector<Coordinate> coords,
            std::vector<PolygonData> polygons);
 
@@ -101,7 +106,8 @@ class Geometry {
   static Status CloseAndValidateRing(Ring* ring);
 
   GeometryType type_ = GeometryType::kPoint;
-  std::vector<Coordinate> coords_;     // point / multipoint / linestring
+  Coordinate point_;                   // point; {0, 0} for other types
+  std::vector<Coordinate> coords_;     // multipoint / linestring
   std::vector<PolygonData> polygons_;  // polygon / multipolygon
   Envelope env_;
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "geometry/predicates_impl.h"
 #include "geometry/prepared.h"
 #include "temporal/interval.h"
 
@@ -109,59 +111,102 @@ size_t FilterEnvelopesBatch(const EnvelopeSoA& envs, const Envelope& query,
   return n;
 }
 
-size_t RefineIntersectsBatch(const PreparedGeometry& prep, const double* px,
-                             const double* py, const uint32_t* cand,
-                             size_t count, uint32_t* out) {
+namespace {
+
+using pred_internal::PointEnvelope;
+using pred_internal::PointsEqual;
+
+/// The compaction loop every point-slab kernel runs: candidate j survives
+/// iff hit({px[j], py[j]}), in candidate order.
+template <typename Hit>
+size_t CompactPoints(const double* px, const double* py, const uint32_t* cand,
+                     size_t count, uint32_t* out, const Hit& hit) {
   size_t n = 0;
   for (size_t i = 0; i < count; ++i) {
     const uint32_t j = cand[i];
-    const bool hit = prep.IntersectsPoint({px[j], py[j]});
+    const bool keep = hit(Coordinate{px[j], py[j]});
     out[n] = j;
-    n += static_cast<size_t>(hit);
+    n += static_cast<size_t>(keep);
   }
   return n;
+}
+
+}  // namespace
+
+// Each kernel takes one branch per batch. When the prepared operand is a
+// point q, its one part is a point, so PreparedGeometry's method reduces to
+// the envelope prefilter plus PointsEqual (or, for distance, PointsEqual
+// then p.DistanceTo(q)); the point loops spell out exactly that arithmetic,
+// in the same operand order, and skip the per-candidate part dispatch.
+
+size_t RefineIntersectsBatch(const PreparedGeometry& prep, const double* px,
+                             const double* py, const uint32_t* cand,
+                             size_t count, uint32_t* out) {
+  const Geometry& g = prep.geometry();
+  if (g.IsPoint()) {
+    const Coordinate q = g.AsPoint();
+    const Envelope& env = g.envelope();
+    return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+      return PointEnvelope(p).Intersects(env) && PointsEqual(p, q);
+    });
+  }
+  return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+    return prep.IntersectsPoint(p);
+  });
 }
 
 size_t RefineContainsBatch(const PreparedGeometry& prep, const double* px,
                            const double* py, const uint32_t* cand,
                            size_t count, uint32_t* out) {
-  size_t n = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t j = cand[i];
-    const bool hit = prep.ContainsPoint({px[j], py[j]});
-    out[n] = j;
-    n += static_cast<size_t>(hit);
+  const Geometry& g = prep.geometry();
+  if (g.IsPoint()) {
+    const Coordinate q = g.AsPoint();
+    const Envelope& env = g.envelope();
+    return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+      return env.Contains(PointEnvelope(p)) && PointsEqual(q, p);
+    });
   }
-  return n;
+  return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+    return prep.ContainsPoint(p);
+  });
 }
 
 size_t RefineContainedByBatch(const PreparedGeometry& prep, const double* px,
                               const double* py, const uint32_t* cand,
                               size_t count, uint32_t* out) {
-  size_t n = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t j = cand[i];
-    const bool hit = prep.ContainedByPoint({px[j], py[j]});
-    out[n] = j;
-    n += static_cast<size_t>(hit);
+  const Geometry& g = prep.geometry();
+  if (g.IsPoint()) {
+    const Coordinate q = g.AsPoint();
+    const Envelope& env = g.envelope();
+    return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+      return PointEnvelope(p).Contains(env) && PointsEqual(p, q);
+    });
   }
-  return n;
+  return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+    return prep.ContainedByPoint(p);
+  });
 }
 
 size_t RefineWithinDistanceBatch(const PreparedGeometry& prep,
                                  const double* px, const double* py,
                                  const uint32_t* cand, size_t count,
                                  double max_distance, uint32_t* out) {
-  size_t n = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t j = cand[i];
-    // <= mirrors JoinPredicate::Eval; a NaN distance (NaN inputs) compares
-    // false, so poisoned rows drop out exactly like the scalar path.
-    const bool hit = prep.DistanceFromPoint({px[j], py[j]}) <= max_distance;
-    out[n] = j;
-    n += static_cast<size_t>(hit);
+  // <= mirrors JoinPredicate::Eval. A distance is folded into
+  // std::min(+inf, d) as DistanceFromPoint does, so a NaN coordinate gives
+  // +inf, not NaN: such a row survives only max_distance == +inf, exactly
+  // like the scalar path, and a NaN max_distance keeps no row.
+  const Geometry& g = prep.geometry();
+  if (g.IsPoint()) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const Coordinate q = g.AsPoint();
+    return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+      const double d = PointsEqual(p, q) ? 0.0 : p.DistanceTo(q);
+      return std::min(kInf, d) <= max_distance;
+    });
   }
-  return n;
+  return CompactPoints(px, py, cand, count, out, [&](const Coordinate& p) {
+    return prep.DistanceFromPoint(p) <= max_distance;
+  });
 }
 
 size_t TemporalOverlapBatch(const int64_t* t_start, const int64_t* t_end,

@@ -180,9 +180,15 @@ size_t FilterEnvelopesBatch(const EnvelopeSoA& envs, const Envelope& query,
 // Exactness contract: each spatial kernel evaluates the *same arithmetic* as
 // the corresponding PreparedGeometry point predicate (which in turn is
 // bit-identical to the plain predicates), so batch and scalar refinement
-// agree on every row, including NaN coordinates. The kernels are only valid
-// for rows whose geometry is a single point; columnar_refine::SelectKernels
-// sends every batch with a non-point row to the scalar refine instead.
+// agree on every row, including NaN coordinates. When prep's geometry is
+// itself a point, each kernel runs an inline point-vs-point loop instead of
+// one PreparedGeometry call per candidate: the same envelope prefilter, the
+// same PointsEqual (kPointEps) test, and for distance the same
+// std::min(+inf, p.DistanceTo(q)) fold, in the same operand order — so its
+// survivors equal those of the per-candidate calls, bit for bit. The
+// kernels are only valid for rows whose geometry is a single point;
+// columnar_refine::SelectKernels sends every batch with a non-point row to
+// the scalar refine instead.
 
 class PreparedGeometry;
 enum class TemporalPredicate;
@@ -209,7 +215,9 @@ size_t RefineContainedByBatch(const PreparedGeometry& prep, const double* px,
 
 /// Keeps candidates whose point lies within \p max_distance of prep's
 /// geometry — row i survives iff `prep.DistanceFromPoint(p) <= max_distance`
-/// (identical doubles to `Distance(MakePoint(p), prep.geometry())`).
+/// (identical doubles to `Distance(MakePoint(p), prep.geometry())`). That
+/// distance is +inf, not NaN, for a NaN coordinate, so such a row survives
+/// a max_distance of +inf.
 size_t RefineWithinDistanceBatch(const PreparedGeometry& prep,
                                  const double* px, const double* py,
                                  const uint32_t* cand, size_t count,

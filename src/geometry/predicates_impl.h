@@ -29,6 +29,15 @@ inline bool PointsEqual(const Coordinate& a, const Coordinate& b) {
   return std::abs(a.x - b.x) <= kPointEps && std::abs(a.y - b.y) <= kPointEps;
 }
 
+/// The envelope a point Geometry carries: grown from the empty envelope
+/// with ExpandToInclude, so a NaN coordinate yields the *empty* sentinel
+/// (exactly like Geometry's constructor), not a NaN-filled box.
+inline Envelope PointEnvelope(const Coordinate& p) {
+  Envelope env;
+  env.ExpandToInclude(p);
+  return env;
+}
+
 /// A non-owning view of one simple component of a (possibly multi) geometry.
 struct SimplePart {
   GeometryType type;  // kPoint, kLineString or kPolygon

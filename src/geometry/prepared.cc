@@ -11,6 +11,7 @@ namespace stark {
 
 namespace {
 
+using pred_internal::PointEnvelope;
 using pred_internal::SimplePart;
 
 /// Ring edges as structure-of-arrays: edge i runs (ax[i],ay[i]) ->
@@ -226,19 +227,6 @@ bool PreparedGeometry::ContainedBy(const Geometry& other) const {
   }
   return true;
 }
-
-namespace {
-
-/// The envelope a point Geometry would carry: grown from the empty envelope
-/// with ExpandToInclude, so a NaN coordinate yields the *empty* sentinel
-/// (exactly like Geometry's constructor), not a NaN-filled box.
-Envelope PointEnvelope(const Coordinate& p) {
-  Envelope env;
-  env.ExpandToInclude(p);
-  return env;
-}
-
-}  // namespace
 
 bool PreparedGeometry::IntersectsPoint(const Coordinate& p) const {
   const Impl& im = *impl_;

@@ -289,9 +289,10 @@ class IndexedSpatialRDD {
       return Status::IOError("bad index part magic: " + path);
     }
     STARK_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-    // Every element takes at least one byte, so a count beyond the bytes
-    // left is corrupt — and must not reach reserve().
-    if (count > r.Remaining()) {
+    // A count beyond what the bytes left can hold (every row takes at least
+    // an STObject's kSerdeMinBytes) is corrupt — and must not reach
+    // reserve(), which asks for sizeof(Element) plus an envelope per row.
+    if (count > MaxSerdeCount<Element>(r.Remaining())) {
       return Status::IOError("index part element count exceeds file size: " +
                              path);
     }

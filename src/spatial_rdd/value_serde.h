@@ -55,6 +55,10 @@ struct Serde<std::string> {
 };
 
 template <typename A, typename B>
+inline constexpr size_t kSerdeMinBytes<std::pair<A, B>> =
+    kSerdeMinBytes<A> + kSerdeMinBytes<B>;
+
+template <typename A, typename B>
 struct Serde<std::pair<A, B>> {
   static void Write(BinaryWriter* w, const std::pair<A, B>& v) {
     Serde<A>::Write(w, v.first);

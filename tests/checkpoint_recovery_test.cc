@@ -132,6 +132,31 @@ TEST_F(CheckpointRecoveryTest, ElementCountBeyondPartSizeIsACleanIOError) {
   EXPECT_NE(loaded.status().message().find("count"), std::string::npos);
 }
 
+// A spatial part whose count the payload could hold at one byte per
+// element, but not at the ten bytes every STObject takes, fails the count
+// check with a typed IOError before reserve().
+TEST_F(CheckpointRecoveryTest, CountBeyondTheMinimumElementSizeIsAnIOError) {
+  using Element = std::pair<STObject, int64_t>;
+  BinaryWriter meta;
+  meta.WriteU32(kCheckpointMetaMagic);
+  meta.WriteU32(kCheckpointVersion);
+  meta.WriteU64(1);
+  WriteAll(dir_ + "/_meta", meta.buffer());
+  BinaryWriter part;
+  part.WriteU32(kCheckpointPartMagic);
+  part.WriteU64(100);  // 500 bytes follow: room for 50 elements at most
+  for (int i = 0; i < 500; ++i) part.WriteU8(0);
+  part.WriteU32(Crc32(part.buffer().data(), part.buffer().size()));
+  WriteAll(PartPath(0), part.buffer());
+
+  auto loaded = LoadCheckpoint<Element>(&ctx_, dir_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("element count"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 // Spatial (STObject, V) pairs use the same part format as every other
 // element type and come back bit-identically (serialized bytes compared,
 // since STObject::operator== is NaN-blind).

@@ -334,6 +334,30 @@ TEST_F(SpatialRddTest, LoadRejectsElementCountBeyondPartSize) {
   std::system(("rm -rf " + dir).c_str());
 }
 
+// A count the bytes left could hold at one byte per row, but not at the
+// ten bytes every row takes (geometry tag, u64 count, time flag), is
+// rejected by the count check before reserve() — which would otherwise ask
+// for sizeof(Element) plus an envelope per row.
+TEST_F(SpatialRddTest, LoadRejectsACountBeyondTheMinimumRowSize) {
+  const std::string dir = test::UniqueTempPath("stark_index_row_size");
+  ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()), 0);
+  ASSERT_TRUE(MakeSpatial(1).Index(6).Save(dir).ok());
+
+  BinaryWriter part;
+  part.WriteU32(0x53544950);  // "STIP"
+  part.WriteU64(100);         // 500 bytes follow: room for 50 rows at most
+  for (int i = 0; i < 500; ++i) part.WriteU8(0);
+  ASSERT_TRUE(WriteFileBytes(dir + "/part-0.idx", part.buffer()).ok());
+
+  auto loaded = IndexedSpatialRDD<int64_t>::Load(&ctx_, dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().message().find("element count"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::system(("rm -rf " + dir).c_str());
+}
+
 // ---- Persistent index: one engine task per part file --------------------
 
 /// An empty directory unique to this test process.
