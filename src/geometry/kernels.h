@@ -129,6 +129,13 @@ struct EnvelopeSoA {
   Envelope Get(size_t i) const {
     return Envelope(min_x[i], min_y[i], max_x[i], max_y[i]);
   }
+
+  void Clear() {
+    min_x.clear();
+    min_y.clear();
+    max_x.clear();
+    max_y.clear();
+  }
 };
 
 /// \brief Branchless AABB filter over SoA envelope arrays.
@@ -163,6 +170,34 @@ inline size_t FilterEnvelopesBatch(const double* min_x, const double* min_y,
 /// mirroring Envelope::Intersects.
 size_t FilterEnvelopesBatch(const EnvelopeSoA& envs, const Envelope& query,
                             std::vector<uint32_t>* out);
+
+/// The same test over a gathered candidate list, where \p envs[i] is the
+/// envelope of row \p rows[i]: appends to \p out, in list order, every row
+/// at or after \p min_row whose envelope passes it, and returns how many.
+/// An empty \p query matches nothing.
+inline size_t FilterEnvelopeRowsBatch(const EnvelopeSoA& envs,
+                                      const uint32_t* rows,
+                                      const Envelope& query, uint32_t min_row,
+                                      std::vector<uint32_t>* out) {
+  if (query.IsEmpty() || envs.empty()) return 0;
+  const size_t base = out->size();
+  out->resize(base + envs.size());
+  uint32_t* dst = out->data() + base;
+  const double qmin_x = query.min_x();
+  const double qmin_y = query.min_y();
+  const double qmax_x = query.max_x();
+  const double qmax_y = query.max_y();
+  size_t n = 0;
+  for (size_t i = 0; i < envs.size(); ++i) {
+    const bool hit = !(envs.min_x[i] > qmax_x) & !(envs.max_x[i] < qmin_x) &
+                     !(envs.min_y[i] > qmax_y) & !(envs.max_y[i] < qmin_y) &
+                     (rows[i] >= min_row);
+    dst[n] = rows[i];
+    n += static_cast<size_t>(hit);
+  }
+  out->resize(base + n);
+  return n;
+}
 
 // ---------------------------------------------------------------------------
 // Batched refinement kernels (point slabs)

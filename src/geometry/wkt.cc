@@ -112,8 +112,10 @@ class WktScanner {
 void AppendNumber(std::string* out, double v) {
   char buf[32];
   // Integral values print without an exponent ("100000", not "1e+05").
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  // The range test comes first: casting NaN, an infinity or a value past
+  // 2^63 to long long is undefined.
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     out->append(buf);
     return;

@@ -156,6 +156,24 @@ class PackedRTree {
     }
   }
 
+  /// Invokes `visit(const Envelope& box, size_t begin, size_t end)` for
+  /// every leaf, in storage order: the leaf holds the entries [begin, end)
+  /// of the ForEach order and \p box is the union of their envelopes, so
+  /// the ranges tile [0, size()) in sequence.
+  template <typename Visitor>
+  void ForEachLeaf(Visitor&& visit) const {
+    for (const uint32_t leaf : leaf_order_) {
+      visit(nodes_.Get(leaf), size_t{node_begin_[leaf]},
+            size_t{node_end_[leaf]});
+    }
+  }
+
+  /// The envelope of the entry at storage position \p e (ForEach order).
+  Envelope envelope_at(size_t e) const { return entries_.Get(e); }
+
+  /// The value of the entry at storage position \p e (ForEach order).
+  const T& value_at(size_t e) const { return values_[e]; }
+
   /// Collects pointers to all candidate values for \p query.
   std::vector<const T*> QueryCandidates(const Envelope& query) const {
     std::vector<const T*> out;
@@ -344,6 +362,16 @@ class PackedRTree {
     }
     AppendLevel(level);
     root_ = static_cast<uint32_t>(nodes_.size() - 1);
+    // The upper levels sorted the leaves by center x; ForEachLeaf walks
+    // them in the order they were cut in above: slice by slice, order_
+    // entries a leaf, so a leaf's rank follows from its first entry.
+    const size_t leaves_per_slice = (slice_size + order_ - 1) / order_;
+    leaf_order_.resize(num_leaf_nodes_);
+    for (uint32_t leaf = 0; leaf < num_leaf_nodes_; ++leaf) {
+      const size_t b = node_begin_[leaf];
+      leaf_order_[b / slice_size * leaves_per_slice +
+                  b % slice_size / order_] = leaf;
+    }
     bounds_ = level.front().env;
     // An interior node pushes at most `order_` children per pop; with L
     // levels the stack never holds more than (L-1)*order_ + 1 nodes.
@@ -362,6 +390,7 @@ class PackedRTree {
   EnvelopeSoA nodes_;              // all levels, leaves first, root last
   std::vector<uint32_t> node_begin_;  // leaf: entry range; interior: nodes
   std::vector<uint32_t> node_end_;
+  std::vector<uint32_t> leaf_order_;  // leaf node ids in storage order
 };
 
 }  // namespace stark

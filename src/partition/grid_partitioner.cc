@@ -1,5 +1,7 @@
 #include "partition/grid_partitioner.h"
 
+#include <algorithm>
+
 namespace stark {
 
 GridPartitioner::GridPartitioner(const Envelope& universe, size_t cells_x,
@@ -25,11 +27,12 @@ size_t GridPartitioner::PartitionFor(const Coordinate& c) const {
   // object receives a partition (Spark partitioners must be total).
   auto cell_index = [](double v, double lo, double width, size_t count) {
     if (width <= 0.0) return size_t{0};
+    // Clamped before the cast, which is undefined for NaN or an index past
+    // SIZE_MAX: a NaN coordinate lands in the first cell.
     double idx = (v - lo) / width;
-    if (idx < 0.0) idx = 0.0;
-    const size_t max_cell = count - 1;
-    const size_t cell = static_cast<size_t>(idx);
-    return std::min(cell, max_cell);
+    if (!(idx >= 0.0)) idx = 0.0;
+    idx = std::min(idx, static_cast<double>(count - 1));
+    return static_cast<size_t>(idx);
   };
   const size_t cx = cell_index(c.x, universe_.min_x(), cell_w_, cells_x_);
   const size_t cy = cell_index(c.y, universe_.min_y(), cell_h_, cells_y_);

@@ -6,7 +6,9 @@
 /// scan, indexed and served filters once per task and by every join task
 /// once per probe row, over one of two candidate sources: RowSource (a row
 /// vector, with or without a tree of row indices and point slabs) and
-/// TreeListSource (the cached trees of an indexed partition). The kNN core's
+/// TreeListSource (the cached trees of an indexed partition). A symmetric
+/// point self-join runs RefineLeafGroups instead, one query per leaf of the
+/// probe rows' own tree, with the same candidates per row. The kNN core's
 /// TopK (knn.h) reads the same sources.
 ///
 /// SelectKernels picks the refine path, per batch, from properties of the
@@ -20,6 +22,7 @@
 #ifndef STARK_SPATIAL_RDD_COLUMNAR_REFINE_H_
 #define STARK_SPATIAL_RDD_COLUMNAR_REFINE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -160,6 +163,8 @@ struct TaskState {
   Stats columnar;              ///< engine.columnar.{rows,fallbacks}
   std::vector<uint32_t> cand;
   std::vector<uint32_t> scratch;
+  EnvelopeSoA group_envs;            ///< a probe leaf's candidates (envelopes)
+  std::vector<uint32_t> group_rows;  ///< ... and their rows
 
   /// Counts \p n more candidates. The cooperative cancellation checkpoint
   /// runs each time the count passes a multiple of 1024.
@@ -197,7 +202,8 @@ struct ElementKey {
 /// tree they are every row; `prune` then skips rows whose envelope misses
 /// the probe first (the nested loop's prefilter). `points` are the slabs
 /// SelectKernels chose for the rows: the kernels refine them, taking their
-/// candidates from the tree or, with none, from FilterEnvelopesBatch.
+/// candidates from the tree or, with none, from FilterEnvelopesBatch (all
+/// rows for a predicate that is not prunable).
 /// `selected` records that the choice was made, so the rows the scalar
 /// refine takes count as engine.columnar.fallbacks. The tree and
 /// nested-loop candidates skip the rows before `min_row`: a symmetric
@@ -219,10 +225,18 @@ struct RowSource {
   size_t min_row = 0;
 
   /// The kernel path's candidates, as row indices in candidate order.
-  void Candidates(const Envelope& probe, TaskState* task,
+  /// Without a tree: the rows whose envelope meets the probe, or every row
+  /// when the predicate is not \p prunable.
+  void Candidates(const Envelope& probe, bool prunable, TaskState* task,
                   std::vector<uint32_t>* cand) const {
     if (tree == nullptr) {
-      FilterEnvelopesBatch(points->envelopes(), probe, cand);
+      if (prunable) {
+        FilterEnvelopesBatch(points->envelopes(), probe, cand);
+      } else {
+        for (size_t e = min_row; e < rows->size(); ++e) {
+          cand->push_back(static_cast<uint32_t>(e));
+        }
+      }
       return;
     }
     VisitTree(probe, task, [&](const Envelope&, const auto& e) {
@@ -361,6 +375,29 @@ inline bool EvalPreparedCandidate(const JoinPredicate& pred,
                    : EvalWithPreparedRight(pred, fixed, cand, prep);
 }
 
+namespace internal {
+
+/// The kernel refine of the candidates in task->cand (rows of \p source's
+/// point slabs) against \p fixed: counts and refines them, then calls
+/// emit(row) for each survivor, in candidate order.
+template <typename Source, typename Emit>
+void RefineSlabCandidates(const JoinPredicate& pred, const Source& source,
+                          const STObject& fixed, bool cand_left,
+                          TaskState* task, Emit&& emit) {
+  std::vector<uint32_t>& cand = task->cand;
+  if (cand.empty()) return;
+  const size_t in_count = cand.size();
+  task->CountCandidates(in_count);
+  const PreparedGeometry prep(fixed.geo());
+  RefineCandidates(*source.points, pred, fixed, prep, cand_left, &cand,
+                   &task->columnar, &task->scratch);
+  task->prepared_misses += 1;
+  task->prepared_hits += in_count - 1;
+  for (const uint32_t e : cand) emit((*source.rows)[e]);
+}
+
+}  // namespace internal
+
 /// \brief The one refine loop of every filter and join task: refines the
 /// candidates \p source yields for \p fixed (its envelope grown by the
 /// predicate margin is the probe) and calls emit(row) for each match, in
@@ -377,18 +414,10 @@ void RefineFixed(const JoinPredicate& pred, const Source& source,
   const Envelope probe = fixed.envelope().Expanded(pred.EnvelopeMargin());
   if constexpr (Source::kSlabRows) {
     if (source.points != nullptr) {
-      std::vector<uint32_t>& cand = task->cand;
-      cand.clear();
-      source.Candidates(probe, task, &cand);
-      if (cand.empty()) return;
-      const size_t in_count = cand.size();
-      task->CountCandidates(in_count);
-      const PreparedGeometry prep(fixed.geo());
-      RefineCandidates(*source.points, pred, fixed, prep, cand_left, &cand,
-                       &task->columnar, &task->scratch);
-      task->prepared_misses += 1;
-      task->prepared_hits += in_count - 1;
-      for (const uint32_t e : cand) emit((*source.rows)[e]);
+      task->cand.clear();
+      source.Candidates(probe, pred.Prunable(), task, &task->cand);
+      internal::RefineSlabCandidates(pred, source, fixed, cand_left, task,
+                                     emit);
       return;
     }
   }
@@ -411,6 +440,89 @@ void RefineFixed(const JoinPredicate& pred, const Source& source,
   });
   task->prepared_hits += bound.prepared_hits();
   task->prepared_misses += bound.prepared_misses();
+}
+
+namespace internal {
+
+/// Whether \p row is non-empty and inside \p group on every bound (false
+/// for a NaN bound).
+inline bool InsideGroup(const Envelope& row, const Envelope& group) {
+  return !row.IsEmpty() && row.min_x() >= group.min_x() &&
+         row.min_y() >= group.min_y() && row.max_x() <= group.max_x() &&
+         row.max_y() <= group.max_y();
+}
+
+}  // namespace internal
+
+/// \brief RefineFixed over probe rows that have their own tree, one leaf
+/// at a time (a symmetric point self-join): refines the rows [begin, end)
+/// of \p probe, which \p probe_tree indexes, against \p source, which must
+/// carry point slabs and a tree, and calls emit(candidate, probe_row) for
+/// each match. A leaf's rows in range share one query of their box (the
+/// leaf's box when the whole task is in range) grown by the predicate
+/// margin, and each row keeps the listed candidates that pass the
+/// FilterEnvelopesBatch test against its own grown envelope and lie at or
+/// after its RowSource::min_row (the row itself on a \p diagonal pair).
+/// The tree's DFS leaf order is fixed and the group box holds the row's
+/// grown envelope, as rounding is monotone, so that is exactly the
+/// candidate list of the row's own query, in its order. A row whose grown
+/// envelope is empty or leaves the group box (a NaN bound) runs
+/// RefineFixed alone. Rows are refined in \p probe_tree's storage order,
+/// with a cooperative checkpoint every 1024 of them.
+template <typename Source, typename P, typename Emit>
+void RefineLeafGroups(const JoinPredicate& pred, Source source,
+                      bool cand_left, const std::vector<P>& probe,
+                      const PackedRTree<size_t>& probe_tree, size_t begin,
+                      size_t end, bool diagonal, TaskState* task,
+                      Emit&& emit) {
+  const double margin = pred.EnvelopeMargin();
+  const bool whole = begin == 0 && end == probe.size();
+  size_t rows_seen = 0;
+  probe_tree.ForEachLeaf([&](const Envelope& leaf_box, size_t lb,
+                             size_t le) {
+    // A skew-split sub-task groups only its own rows of the leaf. On a
+    // diagonal pair no row keeps a candidate before the group's first row.
+    Envelope box = whole ? leaf_box : Envelope();
+    size_t first = end;
+    for (size_t s = lb; s < le; ++s) {
+      const size_t i = probe_tree.value_at(s);
+      if (i < begin || i >= end) continue;
+      first = std::min(first, i);
+      if (!whole) box.ExpandToInclude(probe_tree.envelope_at(s));
+    }
+    if (first == end) return;
+    const size_t floor = diagonal ? first : 0;
+    const Envelope group = box.Expanded(margin);
+    task->group_envs.Clear();
+    task->group_rows.clear();
+    if (!group.IsEmpty()) {
+      source.tree->Query(group, [&](const Envelope& e, const size_t& row) {
+        if (row < floor) return;
+        task->group_envs.PushBack(e);
+        task->group_rows.push_back(static_cast<uint32_t>(row));
+      });
+      ++task->packed_probes;
+    }
+    for (size_t s = lb; s < le; ++s) {
+      const size_t i = probe_tree.value_at(s);
+      if (i < begin || i >= end) continue;
+      if ((rows_seen++ & 1023u) == 0) ThrowIfTaskCancelled();
+      const P& p = probe[i];
+      const auto emit_p = [&](const auto& c) { emit(c, p); };
+      if (diagonal) source.min_row = i;
+      const Envelope row = p.first.envelope().Expanded(margin);
+      if (!internal::InsideGroup(row, group)) {
+        RefineFixed(pred, source, p.first, cand_left, nullptr, task, emit_p);
+        continue;
+      }
+      task->cand.clear();
+      FilterEnvelopeRowsBatch(task->group_envs, task->group_rows.data(), row,
+                              static_cast<uint32_t>(source.min_row),
+                              &task->cand);
+      internal::RefineSlabCandidates(pred, source, p.first, cand_left, task,
+                                     emit_p);
+    }
+  });
 }
 
 /// \brief Closes one filter task (a partition of a SpatialRDD or

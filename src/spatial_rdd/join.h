@@ -19,7 +19,9 @@
 /// and nested-loop refine paths for either operand orientation
 /// (`cand_left`). A live self-join on a symmetric predicate runs the same
 /// core over a symmetric PairPlan: pairs (i, j) with i <= j only, each
-/// match refined once and emitted in both orders.
+/// match refined once and emitted in both orders; over point rows its
+/// tasks probe one leaf of the probe partition's tree at a time
+/// (columnar_refine::RefineLeafGroups).
 ///
 /// Planning (partition reads, pair pruning, index builds) runs when a join
 /// is called; the probe tasks run inside the job that reads its result and
@@ -284,12 +286,26 @@ inline void FinishTask(const std::string& detail, size_t records_in,
 /// candidate order. On a \p diagonal pair of a symmetric plan the probe
 /// rows are the source's own rows, and each probe row only meets the rows
 /// at or after it (RowSource::min_row). A cooperative checkpoint also runs
-/// every 1024 probe rows, for probes that find no candidates.
+/// every 1024 probe rows, for probes that find no candidates. On a
+/// symmetric plan \p own is the probe rows' own source, their partition's
+/// tree and slabs; when it and \p source both carry point slabs the rows
+/// go through RefineLeafGroups, one leaf of that tree at a time, with the
+/// same candidates per row but in the tree's storage order.
 template <typename P, typename Source, typename Emit>
 void ProbeRows(const JoinPredicate& pred, Source source, bool cand_left,
                const std::vector<P>& probe, size_t begin, size_t end,
-               bool diagonal, PreparedGeometryCache* stable,
+               bool diagonal, const std::type_identity_t<Source>* own,
+               PreparedGeometryCache* stable,
                columnar_refine::TaskState* task, Emit&& emit) {
+  if constexpr (Source::kSlabRows) {
+    if (own != nullptr && own->points != nullptr &&
+        source.points != nullptr) {
+      columnar_refine::RefineLeafGroups(pred, source, cand_left, probe,
+                                        *own->tree, begin, end, diagonal,
+                                        task, emit);
+      return;
+    }
+  }
   for (size_t i = begin; i < end; ++i) {
     if (((i - begin) & 1023u) == 0) ThrowIfTaskCancelled();
     if constexpr (Source::kSlabRows) {
@@ -384,6 +400,10 @@ RDD<Out> RunProbeTasks(Context* ctx, const PairPlan& plan,
         const ProbeTask& task = tasks[t];
         const std::vector<R>& rv = *right->views[task.right];
         const auto source = source_of(task.left);
+        // The probe rows of a symmetric plan are an input partition as
+        // well, so their own tree and slabs are at hand.
+        const auto own = symmetric ? source_of(task.right)
+                                   : std::decay_t<decltype(source)>{};
         columnar_refine::TaskState state;
         size_t results = 0;
         const auto push = [&](Out out) {
@@ -392,7 +412,8 @@ RDD<Out> RunProbeTasks(Context* ctx, const PairPlan& plan,
         };
         ProbeRows(pred, source, /*cand_left=*/true, rv, task.begin, task.end,
                   /*diagonal=*/symmetric && task.left == task.right,
-                  /*stable=*/nullptr, &state, [&](const auto& l, const R& r) {
+                  symmetric ? &own : nullptr, /*stable=*/nullptr, &state,
+                  [&](const auto& l, const R& r) {
                     push(make(l, r));
                     if constexpr (std::is_same_v<
                                       std::decay_t<decltype(l)>, R>) {
@@ -454,7 +475,7 @@ RDD<Out> RunBroadcast(Context* ctx,
         PreparedGeometryCache cache;
         size_t results = 0;
         ProbeRows(pred, source, small_left, probe, 0, probe.size(),
-                  /*diagonal=*/false, &cache, &state,
+                  /*diagonal=*/false, /*own=*/nullptr, &cache, &state,
                   [&](const S& s, const B& b) {
                     Out out = make(s, b);
                     ++results;

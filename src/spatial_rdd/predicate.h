@@ -3,6 +3,7 @@
 #ifndef STARK_SPATIAL_RDD_PREDICATE_H_
 #define STARK_SPATIAL_RDD_PREDICATE_H_
 
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -80,15 +81,21 @@ struct JoinPredicate {
     return false;
   }
 
-  /// Margin to add around envelopes for candidate generation; sound because
-  /// geometries within distance d have envelopes within distance d.
+  /// Margin to add around envelopes for candidate generation; sound for a
+  /// finite d because geometries within distance d have envelopes within
+  /// distance d. At d = +inf it is not: Distance folds NaN to +inf, so a
+  /// NaN point, whose envelope is empty, is within +inf of everything.
   double EnvelopeMargin() const {
     return type == PredicateType::kWithinDistance ? max_distance : 0.0;
   }
 
-  /// Whether envelope-based pruning may be applied at all.
+  /// Whether envelope-based pruning may be applied at all. Not within a
+  /// distance of +inf: every pair is within it, so pruning could only drop
+  /// answers (the NaN rows, each site differently).
   bool Prunable() const {
-    return type != PredicateType::kWithinDistance || euclidean_compatible;
+    if (type != PredicateType::kWithinDistance) return true;
+    return euclidean_compatible &&
+           max_distance != std::numeric_limits<double>::infinity();
   }
 
   /// Whether Eval(a, b) == Eval(b, a): intersects, and withinDistance with

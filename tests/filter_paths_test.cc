@@ -1,11 +1,14 @@
 // Filter-path tests: the scan filter, the live and persistent indexed
 // filters (also after Save/Load) and the served snapshot FILTER, each
 // against a brute-force pred.Eval loop and its own emission order; the
-// exact counter deltas each path moves on fixed seeded input; and the
-// cooperative cancellation checkpoint inside one long filter task.
+// exact counter deltas each path moves on fixed seeded input; the
+// cooperative cancellation checkpoint inside one long filter task; and
+// NaN rows at d = +inf, 0 and 0.25 on every path.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -283,6 +286,88 @@ TEST(FilterPathsTest, EveryPathMatchesBruteForceInItsOwnOrder) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+/// The served filter's refine over \p snap, called as the Piglet FILTER
+/// calls it, for distances Piglet cannot spell.
+Ids ServedRefine(const serve::DatasetSnapshot& snap, const JoinPredicate& pred,
+                 const STObject& query) {
+  struct EventObj {
+    const STObject& operator()(const stream::StreamEvent& e) const {
+      return e.obj;
+    }
+  };
+  columnar_refine::TaskState task;
+  Ids ids;
+  columnar_refine::RefineFixed(
+      pred,
+      columnar_refine::SelectSource(pred, snap.events.get(),
+                                    snap.columnar.get(), snap.tree.get(),
+                                    EventObj{}),
+      query, /*cand_left=*/true, nullptr, &task,
+      [&](const stream::StreamEvent& e) { ids.push_back(e.id); });
+  return ids;
+}
+
+TEST(FilterPathsTest, NanRowsMatchBruteForceAtEveryDistance) {
+  // Distance folds NaN to +inf, so a NaN row is within +inf of every
+  // query, though its envelope is empty (POINT(NaN NaN)) or inverted
+  // (POINT(3 NaN)): at d = +inf no filter path may prune by envelope.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Context ctx(2);
+  std::vector<Element> rows;
+  for (int64_t i = 0; i < 40; ++i) {
+    rows.emplace_back(STObject(Geometry::MakePoint(
+                          {static_cast<double>(i % 8) * 0.5,
+                           static_cast<double>(i / 8) * 0.5}),
+                          Instant{100}),
+                      i);
+  }
+  rows.emplace_back(STObject(Geometry::MakePoint({nan, nan}), Instant{100}),
+                    40);
+  rows.emplace_back(STObject(Geometry::MakePoint({3.0, nan}), Instant{100}),
+                    41);
+  const SpatialRDD<int64_t> rdd = SpatialRDD<int64_t>::FromVector(&ctx, rows, 3);
+  const IndexedSpatialRDD<int64_t> live = rdd.LiveIndex(4);
+  const IndexedSpatialRDD<int64_t> persistent = rdd.Index(4);
+  std::vector<stream::StreamEvent> events;
+  for (const auto& [obj, id] : rows) events.emplace_back(id, "c", obj);
+  const serve::DatasetSnapshot snap = serve::BuildSnapshot(1, events, 4);
+  SnapshotSession served(rows);
+  const std::vector<STObject> queries = {
+      STObject(Geometry::MakePoint({1.0, 1.0})),
+      STObject(Geometry::MakePoint({nan, nan})),
+      STObject(Geometry::MakePoint({3.0, nan})),
+  };
+  for (const double d : {std::numeric_limits<double>::infinity(), 0.0,
+                         0.25}) {
+    const JoinPredicate pred = JoinPredicate::WithinDistance(d);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string what =
+          "d=" + std::to_string(d) + " query " + std::to_string(q);
+      const Ids expect = Sorted(BruteForce(rows, pred, queries[q]));
+      if (std::isinf(d)) {
+        EXPECT_EQ(expect.size(), rows.size()) << what;
+      }
+      EXPECT_EQ(Sorted(IdsOf(rdd.Filter(queries[q], pred).Collect())), expect)
+          << what << " (scan)";
+      EXPECT_EQ(Sorted(IdsOf(live.Filter(queries[q], pred).Collect())),
+                expect)
+          << what << " (live)";
+      EXPECT_EQ(Sorted(IdsOf(persistent.Filter(queries[q], pred).Collect())),
+                expect)
+          << what << " (persistent)";
+      EXPECT_EQ(Sorted(ServedRefine(snap, pred, queries[q])), expect)
+          << what << " (served refine)";
+    }
+    // The served FILTER through Piglet, where it can spell the query.
+    if (std::isinf(d)) continue;
+    const Query point{"POINT (1 1)", false, queries[0]};
+    const NamedPredicate named{"withinDistance", pred, "WITHINDISTANCE('"};
+    EXPECT_EQ(Sorted(served.Filter(PigletCall(named, point))),
+              Sorted(BruteForce(rows, pred, queries[0])))
+        << "d=" << d << " (served)";
+  }
 }
 
 // ---- Counter parity ---------------------------------------------------------

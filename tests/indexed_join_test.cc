@@ -516,7 +516,7 @@ TEST_F(IndexedJoinTest, EveryStrategyKeepsItsExactCounterDeltas) {
                     {"engine.columnar.batches", 15},
                     {"engine.columnar.rows", 3139},
                     {"engine.columnar.slab_reuse", 29},
-                    {"engine.index.packed_probes", 1572}}))
+                    {"engine.index.packed_probes", 368}}))
       << "symmetric self-join, skew split, point kernels";
   EXPECT_EQ(DeltasOf([&] {
               SpatialJoin(points, points, within, nested).Count();

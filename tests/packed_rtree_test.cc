@@ -2,8 +2,10 @@
 // bulk loading, adopting a storage order (FromStorageOrder), window queries
 // and branch-and-bound kNN checked against a brute-force oracle across tree
 // orders (the paper's liveIndex `order`), random mixed-geometry
-// populations, duplicates and degenerate sizes. Also unit tests of the
-// branchless FilterEnvelopesBatch kernel the leaf scans use.
+// populations, duplicates and degenerate sizes, and the leaf visitor's
+// tiling of the storage order. Also unit tests of the branchless
+// FilterEnvelopesBatch kernel the leaf scans use and of its gathered-list
+// variant.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -154,6 +156,41 @@ TEST(PackedRTreeTest, DuplicateEnvelopesAllReported) {
   const auto got = TreeCandidates(packed, Envelope(0, 0, 10, 10));
   EXPECT_EQ(got.size(), 37u);
   for (size_t i = 0; i < 37; ++i) EXPECT_EQ(got.count(i), 1u) << i;
+}
+
+TEST(PackedRTreeTest, LeavesTileTheForEachOrder) {
+  for (const size_t order : {size_t{2}, size_t{3}, size_t{4}, size_t{10}}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{123},
+                           size_t{1000}}) {
+      const std::vector<Geometry> pop = RandomPopulation(/*seed=*/31 + n, n);
+      const PackedRTree<size_t> tree(order, EntriesFor(pop));
+      std::vector<std::pair<Envelope, size_t>> storage;
+      tree.ForEach([&](const Envelope& env, const size_t& id) {
+        storage.emplace_back(env, id);
+      });
+      const std::string label =
+          "order " + std::to_string(order) + " n " + std::to_string(n);
+
+      size_t next = 0;
+      size_t leaves = 0;
+      tree.ForEachLeaf([&](const Envelope& box, size_t begin, size_t end) {
+        ++leaves;
+        EXPECT_EQ(begin, next) << label;
+        EXPECT_LT(begin, end) << label;
+        EXPECT_LE(end - begin, tree.order()) << label;
+        Envelope expect;
+        for (size_t e = begin; e < end && e < storage.size(); ++e) {
+          expect.ExpandToInclude(storage[e].first);
+          EXPECT_TRUE(tree.envelope_at(e) == storage[e].first) << label;
+          EXPECT_EQ(tree.value_at(e), storage[e].second) << label;
+        }
+        EXPECT_TRUE(box == expect) << label << " leaf " << leaves;
+        next = end;
+      });
+      EXPECT_EQ(next, n) << label;
+      EXPECT_EQ(leaves, tree.num_leaf_nodes()) << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -508,6 +545,43 @@ TEST(PackedRTreeTest, FilterEnvelopesBatchHandlesEmptyAndNaN) {
   EXPECT_TRUE(query.Intersects(envs[0]));
   EXPECT_FALSE(query.Intersects(envs[1]));
   EXPECT_EQ(out[0], 0u);
+}
+
+TEST(PackedRTreeTest, FilterEnvelopeRowsBatchFiltersAGatheredList) {
+  // The gathered-list filter keeps, in list order, exactly the rows at or
+  // after min_row that FilterEnvelopesBatch's test keeps, empty sentinels,
+  // inverted and NaN boxes included.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(1357);
+  EnvelopeSoA soa;
+  std::vector<uint32_t> rows;
+  for (uint32_t i = 0; i < 300; ++i) {
+    Envelope e = RandomEnvelope(&rng, 15.0);
+    if (i % 17 == 0) e = Envelope();
+    if (i % 23 == 0) e = Envelope(3, inf, 3, -inf);
+    if (i % 29 == 0) e = Envelope(nan, nan, nan, nan);
+    soa.PushBack(e);
+    rows.push_back(static_cast<uint32_t>(rng.UniformInt(0, 400)));
+  }
+  for (int q = 0; q < 100; ++q) {
+    const Envelope query = RandomEnvelope(&rng, 40.0);
+    const auto min_row = static_cast<uint32_t>(rng.UniformInt(0, 400));
+    std::vector<uint32_t> positions;
+    FilterEnvelopesBatch(soa, query, &positions);
+    std::vector<uint32_t> expected = {7};
+    for (const uint32_t i : positions) {
+      if (rows[i] >= min_row) expected.push_back(rows[i]);
+    }
+    std::vector<uint32_t> got = {7};
+    EXPECT_EQ(FilterEnvelopeRowsBatch(soa, rows.data(), query, min_row, &got),
+              expected.size() - 1);
+    ASSERT_EQ(got, expected) << "query " << q;
+  }
+  std::vector<uint32_t> none;
+  EXPECT_EQ(FilterEnvelopeRowsBatch(soa, rows.data(), Envelope(), 0, &none),
+            0u);
+  EXPECT_TRUE(none.empty());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the spatial partitioners (§2.1): grid and cost-based BSP.
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -36,6 +37,18 @@ TEST(GridPartitionerTest, OutOfUniverseIsClamped) {
   EXPECT_LT(grid.PartitionFor({-5, -5}), grid.NumPartitions());
   EXPECT_LT(grid.PartitionFor({100, 100}), grid.NumPartitions());
   EXPECT_EQ(grid.PartitionFor({-5, -5}), grid.PartitionFor({0, 0}));
+}
+
+TEST(GridPartitionerTest, NonFiniteCentroidsAreClamped) {
+  // A NaN coordinate goes to the first cell of its axis, an infinite or
+  // huge one to the border cell, with no out-of-range cast.
+  GridPartitioner grid(Envelope(0, 0, 8, 8), 4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(grid.PartitionFor({nan, nan}), grid.PartitionFor({0, 0}));
+  EXPECT_EQ(grid.PartitionFor({3, nan}), grid.PartitionFor({3, 0}));
+  EXPECT_EQ(grid.PartitionFor({inf, 1e300}), grid.PartitionFor({8, 8}));
+  EXPECT_EQ(grid.PartitionFor({-inf, 5}), grid.PartitionFor({0, 5}));
 }
 
 TEST(GridPartitionerTest, CellsTileTheUniverseWithoutOverlap) {

@@ -1,4 +1,6 @@
 // Tests for the WKT parser and writer.
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -102,6 +104,16 @@ TEST(WktWriteTest, CanonicalForms) {
 TEST(WktWriteTest, CompactNumberFormatting) {
   EXPECT_EQ(ParseWkt("POINT(0.5 100000)").ValueOrDie().ToWkt(),
             "POINT (0.5 100000)");
+}
+
+TEST(WktWriteTest, NonFiniteAndHugeCoordinates) {
+  // None of these fits a long long, so none takes the integral branch.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Geometry::MakePoint({nan, 3}).ToWkt(), "POINT (nan 3)");
+  EXPECT_EQ(Geometry::MakePoint({inf, -inf}).ToWkt(), "POINT (inf -inf)");
+  EXPECT_EQ(Geometry::MakePoint({1e300, -1e20}).ToWkt(),
+            "POINT (1e+300 -1e+20)");
 }
 
 // Property: parse(write(g)) == g for random geometries of every type.
