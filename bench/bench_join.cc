@@ -6,7 +6,7 @@
 ///
 /// `bench_join --smoke` runs a fast self-checking mode instead of the
 /// benchmark suite: it asserts the join strategies agree on result counts
-/// (the symmetric self-join included) and that the broadcast plan beats
+/// (the symmetric self-join included) and that the broadcast plan skips
 /// pair enumeration on a 1-large × 1-small workload (exit code 1 on
 /// violation). CI runs this on every push.
 #include <algorithm>
@@ -194,8 +194,8 @@ double MedianSeconds(const std::vector<double>& samples) {
   return sorted[sorted.size() / 2];
 }
 
-/// Fast self-checking run for CI: strategy agreement, the broadcast claim,
-/// and the packed-index/prepared-geometry plumbing (PR 5).
+/// Fast self-checking run for CI: strategy agreement, the broadcast plan,
+/// and the packed-index/prepared-geometry plumbing.
 int RunSmoke(const std::string& json_path) {
   // Shrink the workload unless the caller pinned sizes explicitly.
   setenv("STARK_BENCH_JOIN_N", "20000", /*overwrite=*/0);
@@ -266,26 +266,37 @@ int RunSmoke(const std::string& json_path) {
   check(self_pairs < two_node_pairs,
         "symmetric self-join walks fewer partition pairs");
 
-  // The broadcast claim: on 1 large side x 1 small side, skipping pair
-  // enumeration beats the pair-enumerating plan. Median of 5 runs each,
-  // interleaved so background noise hits both strategies alike.
+  // The broadcast plan on 1 large side x 1 small side: it skips partition
+  // pair enumeration altogether. That is checked on the work counter; the
+  // wall times (median of 5 runs each, interleaved so background noise
+  // hits both strategies alike) are printed and reported, not gated. At
+  // smoke size the two plans are within a few percent of each other, and
+  // at larger sizes the flattened small side is the slower plan.
   std::vector<double> pair_s, bcast_s;
+  uint64_t pair_pairs = 0;
+  uint64_t bcast_pairs = 0;
   for (int i = 0; i < 5; ++i) {
+    pairs_before = pairs->Value();
     Stopwatch w;
     CountJoin(PointsPartitioned(), PolygonsPartitioned(), pred, 10);
     pair_s.push_back(w.ElapsedSeconds());
+    pair_pairs += pairs->Value() - pairs_before;
+    pairs_before = pairs->Value();
     w.Restart();
     CountJoin(PointsPartitioned(), PolygonsPartitioned(), pred, 10,
               NPolys() + 1);
     bcast_s.push_back(w.ElapsedSeconds());
+    bcast_pairs += pairs->Value() - pairs_before;
   }
   const double pair_med = MedianSeconds(pair_s);
   const double bcast_med = MedianSeconds(bcast_s);
   std::fprintf(stderr,
                "[smoke] median join time: pair-enumeration=%.4fs "
-               "broadcast=%.4fs\n",
-               pair_med, bcast_med);
-  check(bcast_med < pair_med, "broadcast beats pair enumeration");
+               "broadcast=%.4fs (partition pairs %llu vs %llu)\n",
+               pair_med, bcast_med, static_cast<unsigned long long>(pair_pairs),
+               static_cast<unsigned long long>(bcast_pairs));
+  check(pair_pairs > 0 && bcast_pairs == 0,
+        "broadcast enumerates no partition pairs, pair plan does");
 
   if (!json_path.empty()) {
     bench::JsonReport report;

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/job_control.h"
 #include "index/packed_rtree.h"
 
 namespace stark {
@@ -27,7 +28,10 @@ DbscanResult DbscanLocal(const std::vector<Coordinate>& points,
 
   const double eps = params.eps;
   const double eps2 = eps * eps;
+  // One query per visited point; every 1024th is a cancellation checkpoint.
+  size_t visits = 0;
   auto neighbors_of = [&](size_t i) {
+    if ((visits++ & 1023u) == 0) ThrowIfTaskCancelled();
     std::vector<size_t> out;
     const Envelope probe = Envelope(points[i]).Expanded(eps);
     tree.Query(probe, [&](const Envelope&, const size_t& j) {

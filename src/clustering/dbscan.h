@@ -32,7 +32,8 @@ struct DbscanResult {
 };
 
 /// Runs DBSCAN over \p points. Deterministic: clusters are numbered in
-/// first-visited order.
+/// first-visited order. Inside an engine task it stops at a cancellation
+/// checkpoint every 1024 visited points (ThrowIfTaskCancelled).
 DbscanResult DbscanLocal(const std::vector<Coordinate>& points,
                          const DbscanParams& params);
 

@@ -1,8 +1,9 @@
 /// \file explicit_partitioner.h
 /// A partitioner defined by an explicit list of partition bounds — used
-/// when spatially partitioned data is loaded back from disk (Figure 2's
-/// "store to HDFS" / "load from HDFS" cycle): the original grid/BSP object
-/// is gone, but its bounds and extents survive in the stored metadata.
+/// when the original grid/BSP object is gone but its cells are known, e.g.
+/// to route new data onto the cells of a persistent index loaded back from
+/// disk (Figure 2's "load from HDFS -> query execution"), whose saved
+/// extents serve as both bounds and extents.
 #ifndef STARK_PARTITION_EXPLICIT_PARTITIONER_H_
 #define STARK_PARTITION_EXPLICIT_PARTITIONER_H_
 

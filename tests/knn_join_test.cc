@@ -1,11 +1,15 @@
 // Tests for the kNN join operator, verified against brute force.
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fault/failpoint.h"
 #include "io/generator.h"
 #include "partition/grid_partitioner.h"
 #include "spatial_rdd/knn_join.h"
@@ -214,6 +218,106 @@ TEST_F(KnnJoinTest, MixedPointAndPolygonLeftGeometries) {
       EXPECT_DOUBLE_EQ(matches[i].first, expect[i]) << lelem.second;
     }
   }
+}
+
+// ---- Engine stages ----------------------------------------------------------
+
+TEST_F(KnnJoinTest, RunsAsEngineStagesSeenByAdmission) {
+  auto grid_r = std::make_shared<GridPartitioner>(universe_, 3);
+  auto l = SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3);
+  auto r =
+      SpatialRDD<int64_t>::FromVector(&ctx_, right_, 4).PartitionBy(grid_r);
+  std::vector<std::string> stages;
+  ctx_.set_admission_hook([&](const Context::JobAdmission& job) {
+    stages.emplace_back(job.stage);
+    return Status::OK();
+  });
+  EXPECT_EQ(KnnJoin(l, r, 3).Count(), left_.size());
+  ctx_.set_admission_hook(nullptr);
+  EXPECT_NE(std::find(stages.begin(), stages.end(), "knn_join.build"),
+            stages.end());
+  EXPECT_NE(std::find(stages.begin(), stages.end(), "knn_join.probe"),
+            stages.end());
+}
+
+TEST_F(KnnJoinTest, LazyResultReadTwiceIsEqual) {
+  auto grid_r = std::make_shared<GridPartitioner>(universe_, 4);
+  auto l = SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3);
+  auto r =
+      SpatialRDD<int64_t>::FromVector(&ctx_, right_, 4).PartitionBy(grid_r);
+  const auto joined = KnnJoin(l, r, 4);
+  const auto first = joined.Collect();
+  ASSERT_EQ(first.size(), left_.size());
+  EXPECT_TRUE(joined.Collect() == first);
+  EXPECT_EQ(joined.Count(), left_.size());
+}
+
+TEST_F(KnnJoinTest, EveryStageRetriesAnInjectedTaskFault) {
+  auto grid_l = std::make_shared<GridPartitioner>(universe_, 3);
+  auto grid_r = std::make_shared<GridPartitioner>(universe_, 4);
+  auto l =
+      SpatialRDD<int64_t>::FromVector(&ctx_, left_, 3).PartitionBy(grid_l);
+  auto r =
+      SpatialRDD<int64_t>::FromVector(&ctx_, right_, 4).PartitionBy(grid_r);
+  const auto expected = KnnJoin(l, r, 3).Collect();
+  fault::FailPoint* const fp =
+      fault::DefaultFailPoints().Get("engine.task.run");
+  for (const std::string stage : {"knn_join.build", "knn_join.probe"}) {
+    // Armed when the stage's job is admitted: its first task fails once.
+    ctx_.set_admission_hook([&](const Context::JobAdmission& job) {
+      if (job.stage == stage) {
+        EXPECT_TRUE(fault::DefaultFailPoints()
+                        .ArmFromSpec("engine.task.run=nth:1")
+                        .ok());
+      }
+      return Status::OK();
+    });
+    EXPECT_TRUE(KnnJoin(l, r, 3).Collect() == expected) << stage;
+    EXPECT_EQ(fp->fires(), 1u) << stage;
+    fault::DefaultFailPoints().DisarmAll();
+  }
+  ctx_.set_admission_hook(nullptr);
+}
+
+TEST(KnnJoinCancelTest, ProbeStopsPartwayThroughItsPartition) {
+  // One 50k-row left partition; the consumer requests cancellation at the
+  // 100th joined row. The probe task must stop at its next checkpoint,
+  // within 1024 measured candidates (each row measures at least one).
+  Context ctx(2);
+  Rng rng(4101);
+  std::vector<std::pair<STObject, int64_t>> lhs;
+  std::vector<std::pair<STObject, int64_t>> rhs;
+  for (int64_t i = 0; i < 50000; ++i) {
+    lhs.emplace_back(STObject(Geometry::MakePoint(rng.Uniform(0.0, 100.0),
+                                                  rng.Uniform(0.0, 100.0))),
+                     i);
+  }
+  for (int64_t i = 0; i < 2000; ++i) {
+    rhs.emplace_back(STObject(Geometry::MakePoint(rng.Uniform(0.0, 100.0),
+                                                  rng.Uniform(0.0, 100.0))),
+                     i);
+  }
+  const auto l = SpatialRDD<int64_t>::FromVector(&ctx, lhs, 1);
+  const auto r = SpatialRDD<int64_t>::FromVector(&ctx, rhs, 4);
+  const auto joined = KnnJoin(l, r, 3);
+  using Row = decltype(joined)::ElementType;
+
+  auto token = std::make_shared<CancelToken>();
+  std::atomic<size_t> calls{0};
+  ctx.set_cancel_token(token);
+  const Result<size_t> count = joined
+                                   .Filter([&](const Row&) {
+                                     if (calls.fetch_add(1) + 1 == 100) {
+                                       token->RequestCancel();
+                                     }
+                                     return true;
+                                   })
+                                   .TryCount();
+  ctx.set_cancel_token(nullptr);
+  ASSERT_FALSE(count.ok()) << "the kNN join was not cancelled";
+  EXPECT_TRUE(count.status().IsCancelled()) << count.status().ToString();
+  EXPECT_GE(calls.load(), 100u);
+  EXPECT_LE(calls.load(), 100u + 1024u);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tests for the spatial partitioners (§2.1): grid and cost-based BSP.
+// Tests for the spatial partitioners (§2.1): grid, cost-based BSP and the
+// explicit bounds list.
 #include <algorithm>
 #include <limits>
 #include <memory>
@@ -8,6 +9,7 @@
 #include "common/rng.h"
 #include "io/generator.h"
 #include "partition/bsp_partitioner.h"
+#include "partition/explicit_partitioner.h"
 #include "partition/grid_partitioner.h"
 
 namespace stark {
@@ -195,6 +197,26 @@ TEST(PartitionerTest, PartitionsWithinDistance) {
   EXPECT_EQ(grid.PartitionsWithinDistance({5, 5}, 0.5).size(), 4u);
   // Point deep inside cell 0 is near only cell 0.
   EXPECT_EQ(grid.PartitionsWithinDistance({1, 1}, 0.5).size(), 1u);
+}
+
+TEST(ExplicitPartitionerTest, RoutesAndFallsBackToNearest) {
+  std::vector<Envelope> bounds = {Envelope(0, 0, 5, 10),
+                                  Envelope(5, 0, 10, 10)};
+  ExplicitPartitioner part(bounds, {});
+  EXPECT_EQ(part.NumPartitions(), 2u);
+  EXPECT_EQ(part.PartitionFor({2, 5}), 0u);
+  EXPECT_EQ(part.PartitionFor({7, 5}), 1u);
+  // Out-of-universe point routes to the nearest bounds.
+  EXPECT_EQ(part.PartitionFor({-3, 5}), 0u);
+  EXPECT_EQ(part.PartitionFor({14, 5}), 1u);
+  EXPECT_EQ(part.Name(), "explicit");
+}
+
+TEST(ExplicitPartitionerTest, PreloadedExtentsAreKept) {
+  std::vector<Envelope> bounds = {Envelope(0, 0, 5, 10)};
+  std::vector<Envelope> extents = {Envelope(-1, -1, 6, 11)};
+  ExplicitPartitioner part(bounds, extents);
+  EXPECT_TRUE(part.PartitionExtent(0).Contains(Envelope(-1, -1, 6, 11)));
 }
 
 }  // namespace
