@@ -129,7 +129,8 @@ std::string MetricsRegistry::Json() const {
     if (!first) out += ',';
     first = false;
     out += JsonQuoted(name);
-    out += ":" + std::to_string(v);
+    out += ':';
+    out += std::to_string(v);
   }
   out += "},\"gauges\":{";
   first = true;
@@ -137,7 +138,8 @@ std::string MetricsRegistry::Json() const {
     if (!first) out += ',';
     first = false;
     out += JsonQuoted(name);
-    out += ":" + std::to_string(v);
+    out += ':';
+    out += std::to_string(v);
   }
   out += "},\"histograms\":{";
   first = true;

@@ -58,11 +58,14 @@ std::string FormatExpr(const Expr& expr) {
     case Expr::Kind::kCompare:
       return expr.column + " " + expr.op + " " + FormatLiteral(expr.literal);
     case Expr::Kind::kAnd:
-      return "(" + FormatExpr(*expr.lhs) + " AND " + FormatExpr(*expr.rhs) +
-             ")";
-    case Expr::Kind::kOr:
-      return "(" + FormatExpr(*expr.lhs) + " OR " + FormatExpr(*expr.rhs) +
-             ")";
+    case Expr::Kind::kOr: {
+      std::string out = "(";
+      out += FormatExpr(*expr.lhs);
+      out += expr.kind == Expr::Kind::kAnd ? " AND " : " OR ";
+      out += FormatExpr(*expr.rhs);
+      out += ')';
+      return out;
+    }
     case Expr::Kind::kNot:
       return "NOT " + FormatExpr(*expr.lhs);
     case Expr::Kind::kSpatialPred:
@@ -97,7 +100,9 @@ std::string FormatStatement(const Statement& s) {
       std::string out = s.target + " = JOIN " + s.input + ", " + s.input2 +
                         " ON " + PredicateKeyword(s.join_pred);
       if (s.join_pred == PredicateType::kWithinDistance) {
-        out += "(" + FormatNumber(s.join_distance) + ")";
+        out += '(';
+        out += FormatNumber(s.join_distance);
+        out += ')';
       }
       return out + ";";
     }

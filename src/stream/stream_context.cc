@@ -91,27 +91,40 @@ void StreamContext::Ingest(size_t source_idx, StreamEvent event) {
   // accepted events are complete in all their windows, atomically.
   const Instant watermark = IngestWatermark();
   const Instant t = event.event_time();
-  const WindowManager::IngestResult result =
+  const WindowManager::IngestCounts counts =
       manager_.Ingest(std::move(event), watermark);
   trackers_[source_idx]->Observe(t);
-  IngestedCounter()->Increment();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.ingested;
-  if (result.duplicate) {
-    ++stats_.duplicates;
-    DuplicateCounter()->Increment();
-  } else if (result.late) {
-    ++stats_.late;
-    LateCounter()->Increment();
-    if (options_.late_policy == LatePolicy::kSideOutput) {
-      ++stats_.side_output;
-    } else {
-      ++stats_.dropped;
-      DroppedCounter()->Increment();
-    }
-  } else {
-    ++stats_.accepted;
+  Record(counts);
+}
+
+void StreamContext::IngestBatch(size_t source_idx,
+                                std::vector<StreamEvent> events) {
+  // Each event is judged against the watermark it would meet if ingested
+  // alone: the watermarks depend only on event times, so they are taken
+  // in arrival order before the manager routes the batch under one lock.
+  // Only the Step() thread fires windows, and it fires after this returns,
+  // so no window fires between a watermark advance and its events landing.
+  batch_watermarks_.clear();
+  for (const StreamEvent& event : events) {
+    batch_watermarks_.push_back(IngestWatermark());
+    trackers_[source_idx]->Observe(event.event_time());
   }
+  Record(manager_.IngestBatch(std::move(events), batch_watermarks_));
+}
+
+void StreamContext::Record(const WindowManager::IngestCounts& counts) {
+  const uint64_t ingested = counts.accepted + counts.late + counts.duplicates;
+  const bool side = options_.late_policy == LatePolicy::kSideOutput;
+  IngestedCounter()->Add(ingested);
+  DuplicateCounter()->Add(counts.duplicates);
+  LateCounter()->Add(counts.late);
+  if (!side) DroppedCounter()->Add(counts.late);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.ingested += ingested;
+  stats_.accepted += counts.accepted;
+  stats_.late += counts.late;
+  stats_.duplicates += counts.duplicates;
+  (side ? stats_.side_output : stats_.dropped) += counts.late;
 }
 
 void StreamContext::UpdateWatermarkLag() {
@@ -135,10 +148,9 @@ Result<size_t> StreamContext::Step() {
   size_t polled = 0;
   for (size_t i = 0; i < sources_.size(); ++i) {
     if (sources_[i] == nullptr || sources_[i]->Exhausted()) continue;
-    for (StreamEvent& event : sources_[i]->Poll(options_.poll_batch)) {
-      Ingest(i, std::move(event));
-      ++polled;
-    }
+    std::vector<StreamEvent> batch = sources_[i]->Poll(options_.poll_batch);
+    polled += batch.size();
+    IngestBatch(i, std::move(batch));
   }
   STARK_RETURN_NOT_OK(FireReady());
   return polled;
@@ -189,14 +201,17 @@ std::vector<StreamEvent> StreamContext::TakeSideOutput() {
 }
 
 Status StreamContext::ExecuteWindow(FiredWindow window) {
-  // Exactly-once ledger: the window manager's frontier only emits each
-  // start once; a repeat here would be an engine-level replay bug and must
-  // not reach the sink twice.
-  if (!delivered_.insert(window.start).second) {
+  // Exactly-once ledger: the window manager's frontier emits starts in
+  // strictly increasing order, each once; a start at or below the last one
+  // executed would be an engine-level replay bug and must not reach the
+  // sink twice.
+  if (last_executed_start_.has_value() &&
+      window.start <= *last_executed_start_) {
     return Status::UnknownError("stream: window " +
                                 std::to_string(window.start) +
                                 " fired twice");
   }
+  last_executed_start_ = window.start;
   WindowResult result;
   if (options_.pattern.has_value()) {
     STARK_ASSIGN_OR_RETURN(

@@ -13,7 +13,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -96,9 +95,10 @@ class StreamContext {
   /// an event the result is kMinWatermark and nothing fires.
   Instant CombinedWatermark() const;
 
-  /// One micro-batch round: polls every live source once, ingests, then
-  /// fires and executes every ripe window. Returns the number of events
-  /// polled (0 with AllExhausted() means the stream has drained).
+  /// One micro-batch round: polls every live source once, ingests each
+  /// polled batch under one window-manager lock, then fires and executes
+  /// every ripe window. Returns the number of events polled (0 with
+  /// AllExhausted() means the stream has drained).
   Result<size_t> Step();
 
   /// Executes all windows at or behind the current combined watermark.
@@ -131,6 +131,13 @@ class StreamContext {
   Status ExecuteWindow(FiredWindow window);
   void UpdateWatermarkLag();
 
+  /// Routes one polled batch of source \p source_idx: the manager takes
+  /// it under one lock, and the stats and counters are updated once.
+  void IngestBatch(size_t source_idx, std::vector<StreamEvent> events);
+
+  /// Adds one ingest call's tallies to the stats and stream.events.*.
+  void Record(const WindowManager::IngestCounts& counts);
+
   /// Watermark for judging lateness: min over ALL trackers, exhausted or
   /// not. An exhausted source's final watermark is still the correct bound
   /// for its own last polled batch, which is ingested after Exhausted()
@@ -148,7 +155,11 @@ class StreamContext {
   mutable std::mutex stats_mu_;
   StreamStats stats_;
 
-  std::unordered_set<int64_t> delivered_;
+  /// Per-event watermarks of the batch being ingested (Step() thread only).
+  std::vector<Instant> batch_watermarks_;
+
+  /// Start of the last window handed to ExecuteWindow.
+  std::optional<int64_t> last_executed_start_;
   std::vector<int64_t> delivered_order_;
 };
 

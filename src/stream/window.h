@@ -8,10 +8,10 @@
 #define STARK_STREAM_WINDOW_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "stream/event.h"
@@ -69,24 +69,74 @@ struct FiredWindow {
   std::vector<StreamEvent> events;
 };
 
+/// \brief Set of event ids by open addressing: linear probing over a
+/// power-of-two table kept at most half full, with backward-shift deletion
+/// (no tombstones). An insert or erase allocates only when the table
+/// doubles, never per id.
+class IdSet {
+ public:
+  /// Adds \p id; false when it was already present.
+  bool Insert(int64_t id);
+  bool Contains(int64_t id) const;
+  void Erase(int64_t id);
+  size_t size() const { return size_; }
+
+ private:
+  /// Marks a free slot; the id equal to it is kept in has_empty_key_.
+  static constexpr int64_t kEmpty = std::numeric_limits<int64_t>::min();
+
+  size_t Home(int64_t id) const;
+  void Grow();
+
+  std::vector<int64_t> slots_;
+  int shift_ = 64;  // 64 - log2(slots_.size())
+  size_t size_ = 0;
+  bool has_empty_key_ = false;
+};
+
 /// \brief Buffers in-flight windows and fires them when the watermark
 /// passes their end.
 ///
 /// Protocol (enforced by StreamContext): for each arriving event, compute
 /// the combined watermark W *before* observing the event, then call
-/// Ingest(event, W). The event is late iff its time is < W; a non-late
-/// event's windows all end after W, so no window an accepted event joins
-/// can already have fired — every event is atomically in all of its windows
-/// or in none (late). Windows fire, in start order and with no gaps, once
-/// W >= end; empty windows between occupied ones fire too, so the window
-/// sequence is dense over the covered time range (matching the batch
-/// oracle's enumeration exactly).
+/// Ingest(event, W) (or IngestBatch with one W per event). The event is
+/// late iff its time is < W; a non-late event's windows all end after W,
+/// so no window an accepted event joins can already have fired — every
+/// event is atomically in all of its windows or in none (late). The
+/// manager judges against the highest W any call has passed it, so
+/// concurrent callers whose W was read earlier cannot move an event back
+/// from late to on time. Windows fire, in start order and with no gaps,
+/// once W >= end; empty windows between occupied ones fire too, so the
+/// window sequence is dense over the covered time range (matching the
+/// batch oracle's enumeration exactly).
 ///
 /// Duplicate suppression: the first arrival of each id wins; later arrivals
 /// are reported as duplicates and never buffered, which is what makes
-/// exactly-once sinks safe under at-least-once sources. State note: the ids
-/// set grows with the unique-event count — real deployments would TTL it
-/// past the watermark; the replay harness runs bounded streams.
+/// exactly-once sinks safe under at-least-once sources. An id names one
+/// logical event, so every delivery of it carries the same time t, and
+/// LastWindowStart(t) alone says where an earlier delivery was recorded:
+///  - open tier: the ids of accepted events whose last window has not
+///    fired, in an IdSet. An id leaves it when that window fires, so its
+///    size is bounded by the events in open windows.
+///  - fired-id archive: when a window fires, the (event_time, id) pairs of
+///    the events whose last window it is are appended in canonical order,
+///    16 bytes each, with one offset per fired window. It grows with the
+///    accepted events: bounding it would turn a redelivery after all its
+///    windows fired from a duplicate into a late event.
+///  - misc set: the ids of late deliveries and of on-time events that fall
+///    in a gap between windows (slide > size).
+/// An on-time delivery can only repeat an open-tier id (its last window has
+/// not fired, and a watermark that never regresses made no earlier
+/// delivery of its time late), so the hot path touches only the open tier.
+/// The archive and the misc set are read only where a delivery ends late
+/// or in a gap. A source that reuses an id at a different time breaks the
+/// one-id-one-time rule. The reuse is looked up only in the tier its own
+/// time points at; it is a duplicate only if that tier holds the id, and
+/// is otherwise routed as a new event (windowed or late).
+///
+/// Buffers: a polled batch is routed under one lock (IngestBatch), and a
+/// fired window's buffer is cleared and reused for the next window opened,
+/// so in steady state no window buffer regrows.
 ///
 /// Thread-safe: concurrent sources may ingest while the driver collects.
 class WindowManager {
@@ -94,16 +144,23 @@ class WindowManager {
   WindowManager(const WindowSpec& spec, LatePolicy policy)
       : spec_(spec), policy_(policy) {}
 
-  struct IngestResult {
-    bool accepted = false;
-    bool late = false;
-    bool duplicate = false;
+  /// Outcome tallies of the deliveries one call routed.
+  struct IngestCounts {
+    uint64_t accepted = 0;
+    uint64_t late = 0;
+    uint64_t duplicates = 0;
   };
 
   /// Routes one event given the combined watermark at its arrival. The
   /// event moves into its last window and is copied only into the earlier
   /// windows of a sliding spec (or moves to the side output when late).
-  IngestResult Ingest(StreamEvent event, Instant watermark);
+  IngestCounts Ingest(StreamEvent event, Instant watermark);
+
+  /// Routes a polled batch under one lock, in order, exactly as one
+  /// Ingest per event would: \p watermarks[i] is the watermark at
+  /// \p events[i]'s arrival.
+  IngestCounts IngestBatch(std::vector<StreamEvent> events,
+                           const std::vector<Instant>& watermarks);
 
   /// Fires every window with end <= \p watermark, in start order. Includes
   /// empty windows between the first-ever occupied window and the frontier.
@@ -116,11 +173,38 @@ class WindowManager {
   /// Late events captured under LatePolicy::kSideOutput, in arrival order.
   std::vector<StreamEvent> TakeSideOutput();
 
+  /// Entries held by each dedupe tier and by the open window buffers.
+  struct StateSize {
+    size_t open_ids = 0;
+    size_t archived_ids = 0;
+    size_t buffered_events = 0;  // summed over open windows
+  };
+  StateSize state_size() const;
+
   const WindowSpec& spec() const { return spec_; }
 
  private:
+  /// One archived delivery: canonical order is (time, id).
+  struct ArchivedId {
+    Instant time;
+    int64_t id;
+  };
+
+  void IngestLocked(StreamEvent& event, Instant watermark,
+                    IngestCounts* counts);
+  /// Late or gap delivery: a duplicate when any tier holds its id, else
+  /// recorded in the misc set and counted \p late or accepted.
+  void IngestColdLocked(StreamEvent& event, int64_t last, bool late,
+                        IngestCounts* counts);
+  /// Whether an earlier delivery of (\p id, \p t) was recorded, reading
+  /// the one tier LastWindowStart(t) == \p last points at, plus misc.
+  bool SeenLocked(int64_t id, Instant t, int64_t last) const;
+  /// The buffer of the window starting at \p start, opened on first use
+  /// with a recycled buffer when one is spare.
+  std::vector<StreamEvent>& BufferLocked(int64_t start);
   /// Pops the window starting at next_start_ (occupied or empty), puts its
-  /// events in canonical order, advances the frontier, and appends it to
+  /// events in canonical order, moves the ids whose last window it is from
+  /// the open tier to the archive, advances the frontier, and appends it to
   /// \p out. Caller holds mu_.
   void FireFrontierLocked(std::vector<FiredWindow>* out);
 
@@ -130,12 +214,32 @@ class WindowManager {
   mutable std::mutex mu_;
   /// Buffered events per window start; keys are aligned starts >= frontier.
   std::map<int64_t, std::vector<StreamEvent>> buffered_;
+  /// Cleared buffers of fired windows, reused by the next windows opened.
+  std::vector<std::vector<StreamEvent>> spare_buffers_;
   /// Next window start to fire; unset until the first event is accepted.
   /// Until the first firing it may still extend downward as out-of-order
   /// events reveal earlier windows; afterwards it only advances.
   std::optional<int64_t> next_start_;
   bool fired_any_ = false;
-  std::unordered_set<int64_t> seen_ids_;
+  /// Highest watermark any ingest has passed.
+  Instant high_watermark_ = kMinWatermark;
+
+  IdSet open_ids_;
+  /// Fired windows' ids, in firing order; window k (start archive_base_ +
+  /// k * slide) owns [archive_offsets_[k], archive_offsets_[k + 1]).
+  std::vector<ArchivedId> archive_;
+  std::vector<size_t> archive_offsets_{0};
+  int64_t archive_base_ = 0;
+  IdSet misc_ids_;
+
+  /// Sort keys of the firing window, kept to reuse their storage.
+  struct SortKey {
+    Instant time;
+    int64_t id;
+    size_t slot;
+  };
+  std::vector<SortKey> sort_keys_;
+
   std::vector<StreamEvent> side_output_;
 };
 

@@ -68,8 +68,13 @@ class TemporalInterval {
   }
 
   std::string ToString() const {
-    if (IsInstant()) return "@" + std::to_string(start_);
-    return "[" + std::to_string(start_) + ", " + std::to_string(end_) + "]";
+    std::string out(IsInstant() ? "@" : "[");
+    out += std::to_string(start_);
+    if (IsInstant()) return out;
+    out += ", ";
+    out += std::to_string(end_);
+    out += ']';
+    return out;
   }
 
  private:

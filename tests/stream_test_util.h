@@ -268,9 +268,15 @@ inline std::string FormatEventRef(const StreamEvent& e) {
 }
 
 inline std::string FormatWindow(const FiredWindow& w) {
-  std::string out =
-      "[" + std::to_string(w.start) + "," + std::to_string(w.end) + ")";
-  for (const StreamEvent& e : w.events) out += " " + FormatEventRef(e);
+  std::string out = "[";
+  out += std::to_string(w.start);
+  out += ',';
+  out += std::to_string(w.end);
+  out += ')';
+  for (const StreamEvent& e : w.events) {
+    out += ' ';
+    out += FormatEventRef(e);
+  }
   return out;
 }
 
