@@ -38,14 +38,23 @@ struct StreamEvent {
   Instant event_time() const { return obj.time()->start(); }
 };
 
-/// Canonical window ordering: (event time, id). Sorting fired-window
-/// contents this way makes every downstream answer independent of arrival
-/// order — the heart of the streaming == batch determinism guarantee.
+/// An event's place in the canonical window ordering: (event time, id).
+struct CanonicalKey {
+  Instant time;
+  int64_t id;
+
+  friend auto operator<=>(const CanonicalKey&, const CanonicalKey&) = default;
+};
+
+inline CanonicalKey KeyOf(const StreamEvent& e) {
+  return {e.event_time(), e.id};
+}
+
+/// Canonical window ordering. Sorting fired-window contents this way makes
+/// every downstream answer independent of arrival order — the heart of the
+/// streaming == batch determinism guarantee.
 inline bool CanonicalLess(const StreamEvent& a, const StreamEvent& b) {
-  const Instant ta = a.event_time();
-  const Instant tb = b.event_time();
-  if (ta != tb) return ta < tb;
-  return a.id < b.id;
+  return KeyOf(a) < KeyOf(b);
 }
 
 /// Parses a raw CSV row into a StreamEvent (WKT + instant time), the same

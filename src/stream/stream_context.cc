@@ -100,16 +100,24 @@ void StreamContext::Ingest(size_t source_idx, StreamEvent event) {
 void StreamContext::IngestBatch(size_t source_idx,
                                 std::vector<StreamEvent> events) {
   // Each event is judged against the watermark it would meet if ingested
-  // alone: the watermarks depend only on event times, so they are taken
-  // in arrival order before the manager routes the batch under one lock.
-  // Only the Step() thread fires windows, and it fires after this returns,
-  // so no window fires between a watermark advance and its events landing.
+  // alone: the other trackers' minimum, and this source's tracker as if it
+  // had observed the batch up to that event. The tracker itself advances
+  // only once the batch is in the manager, as in Ingest(), so no caller
+  // can meet a watermark past an event before the event has landed.
+  Instant others = std::numeric_limits<Instant>::max();
+  for (size_t i = 0; i < trackers_.size(); ++i) {
+    if (i != source_idx) others = std::min(others, trackers_[i]->Current());
+  }
+  WatermarkTracker& tracker = *trackers_[source_idx];
+  Instant max_seen = tracker.MaxSeen();
   batch_watermarks_.clear();
   for (const StreamEvent& event : events) {
-    batch_watermarks_.push_back(IngestWatermark());
-    trackers_[source_idx]->Observe(event.event_time());
+    batch_watermarks_.push_back(
+        std::min(others, tracker.WatermarkAt(max_seen)));
+    max_seen = std::max(max_seen, event.event_time());
   }
   Record(manager_.IngestBatch(std::move(events), batch_watermarks_));
+  tracker.Observe(max_seen);
 }
 
 void StreamContext::Record(const WindowManager::IngestCounts& counts) {

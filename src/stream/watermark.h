@@ -39,10 +39,13 @@ class WatermarkTracker {
 
   /// Current watermark: max observed event time minus the disorder bound,
   /// or kMinWatermark before the first event. Monotone non-decreasing.
-  Instant Current() const {
-    const Instant seen = max_seen_.load(std::memory_order_acquire);
-    if (seen == kMinWatermark) return kMinWatermark;
-    return seen - bound_;
+  Instant Current() const { return WatermarkAt(MaxSeen()); }
+
+  /// The watermark this tracker would report had \p max_seen been the
+  /// highest event time observed.
+  Instant WatermarkAt(Instant max_seen) const {
+    if (max_seen == kMinWatermark) return kMinWatermark;
+    return max_seen - bound_;
   }
 
   /// Highest event time observed so far (kMinWatermark when none), the

@@ -171,18 +171,9 @@ void WindowManager::IngestColdLocked(StreamEvent& event, int64_t last,
 bool WindowManager::SeenLocked(int64_t id, Instant t, int64_t last) const {
   if (misc_ids_.Contains(id)) return true;
   if (!fired_any_ || last >= *next_start_) return open_ids_.Contains(id);
-  // The last window fired: the archive holds the delivery, in that
-  // window's slice. Windows below the first fired one never held events.
-  if (last < archive_base_) return false;
-  const size_t k =
-      static_cast<size_t>((last - archive_base_) / spec_.EffectiveSlide());
-  const auto begin = archive_.begin() + archive_offsets_[k];
-  const auto end = archive_.begin() + archive_offsets_[k + 1];
-  return std::binary_search(begin, end, ArchivedId{t, id},
-                            [](const ArchivedId& a, const ArchivedId& b) {
-                              return a.time != b.time ? a.time < b.time
-                                                      : a.id < b.id;
-                            });
+  // The last window fired: the archive holds the delivery.
+  return std::binary_search(archive_.begin(), archive_.end(),
+                            CanonicalKey{t, id});
 }
 
 std::vector<StreamEvent>& WindowManager::BufferLocked(int64_t start) {
@@ -202,16 +193,14 @@ void WindowManager::FireFrontierLocked(std::vector<FiredWindow>* out) {
   if (it != buffered_.end()) {
     std::vector<StreamEvent>& arrived = it->second;
     // Sort compact keys instead of the events, then move each event once
-    // into place. Same order as CanonicalLess; ids are unique after dedupe,
-    // so the slot never breaks a tie.
+    // into place. Ids are unique after dedupe, so the slot never breaks a
+    // tie.
     sort_keys_.clear();
     for (size_t i = 0; i < arrived.size(); ++i) {
-      sort_keys_.push_back({arrived[i].event_time(), arrived[i].id, i});
+      sort_keys_.push_back({KeyOf(arrived[i]), i});
     }
     std::sort(sort_keys_.begin(), sort_keys_.end(),
-              [](const SortKey& a, const SortKey& b) {
-                return a.time != b.time ? a.time < b.time : a.id < b.id;
-              });
+              [](const SortKey& a, const SortKey& b) { return a.key < b.key; });
     fired.events.reserve(arrived.size());
     for (const SortKey& key : sort_keys_) {
       fired.events.push_back(std::move(arrived[key.slot]));
@@ -222,14 +211,12 @@ void WindowManager::FireFrontierLocked(std::vector<FiredWindow>* out) {
   }
   // The events whose last window this is have t < start + slide: a prefix
   // of the canonical order. Their ids leave the open tier for the archive.
-  if (!fired_any_) archive_base_ = fired.start;
   const Instant retire_before = fired.start + spec_.EffectiveSlide();
   for (const StreamEvent& e : fired.events) {
     if (e.event_time() >= retire_before) break;
-    archive_.push_back({e.event_time(), e.id});
+    archive_.push_back(KeyOf(e));
     open_ids_.Erase(e.id);
   }
-  archive_offsets_.push_back(archive_.size());
   out->push_back(std::move(fired));
   *next_start_ += spec_.EffectiveSlide();
   fired_any_ = true;

@@ -120,9 +120,9 @@ class IdSet {
 ///    size is bounded by the events in open windows.
 ///  - fired-id archive: when a window fires, the (event_time, id) pairs of
 ///    the events whose last window it is are appended in canonical order,
-///    16 bytes each, with one offset per fired window. It grows with the
-///    accepted events: bounding it would turn a redelivery after all its
-///    windows fired from a duplicate into a late event.
+///    16 bytes each. It grows with the accepted events: bounding it would
+///    turn a redelivery after all its windows fired from a duplicate into a
+///    late event.
 ///  - misc set: the ids of late deliveries and of on-time events that fall
 ///    in a gap between windows (slide > size).
 /// An on-time delivery can only repeat an open-tier id (its last window has
@@ -184,12 +184,6 @@ class WindowManager {
   const WindowSpec& spec() const { return spec_; }
 
  private:
-  /// One archived delivery: canonical order is (time, id).
-  struct ArchivedId {
-    Instant time;
-    int64_t id;
-  };
-
   void IngestLocked(StreamEvent& event, Instant watermark,
                     IngestCounts* counts);
   /// Late or gap delivery: a duplicate when any tier holds its id, else
@@ -225,17 +219,16 @@ class WindowManager {
   Instant high_watermark_ = kMinWatermark;
 
   IdSet open_ids_;
-  /// Fired windows' ids, in firing order; window k (start archive_base_ +
-  /// k * slide) owns [archive_offsets_[k], archive_offsets_[k + 1]).
-  std::vector<ArchivedId> archive_;
-  std::vector<size_t> archive_offsets_{0};
-  int64_t archive_base_ = 0;
+  /// Keys of the events whose last window has fired. Sorted: a window
+  /// archives only events with t in [start, start + slide), windows fire in
+  /// start order, and each window's events are appended in canonical order.
+  std::vector<CanonicalKey> archive_;
   IdSet misc_ids_;
 
-  /// Sort keys of the firing window, kept to reuse their storage.
+  /// Keys of the firing window's events with their buffer slots, kept to
+  /// reuse their storage.
   struct SortKey {
-    Instant time;
-    int64_t id;
+    CanonicalKey key;
     size_t slot;
   };
   std::vector<SortKey> sort_keys_;

@@ -331,6 +331,64 @@ TEST_F(StreamIngestTest, BatchIngestRacesExternalIngestThreads) {
   EXPECT_TRUE(std::is_sorted(starts.begin(), starts.end()));
 }
 
+// An in-order, bound-0 polled source that lags external pushers: every
+// watermark any caller can read is at most the polled source's own, so none
+// of its events may be judged late, however the external Ingest() calls
+// interleave with a polled batch being routed.
+TEST_F(StreamIngestTest, LaggingPolledSourceIsNeverLateBehindExternalIngest) {
+  constexpr int kThreads = 2;
+  constexpr int kPolled = 4000;
+
+  StreamContext::Options options;
+  options.window.size = 100;
+  options.poll_batch = 32;
+  StreamContext sc(&ctx_, options);
+  std::vector<StreamEvent> polled;
+  for (int i = 0; i < kPolled; ++i) {
+    polled.push_back(MakeEvent(i, i, "p", 0, 0));
+  }
+  sc.AddSource(std::make_unique<ScriptedSource>(std::move(polled)),
+               /*bound=*/0);
+  std::vector<size_t> slots;
+  for (int t = 0; t < kThreads; ++t) {
+    slots.push_back(sc.AddExternalSource(/*bound=*/0));
+  }
+
+  // The pushers stay far ahead of the polled source in event time until it
+  // has drained.
+  std::atomic<bool> polled_done{false};
+  std::atomic<int> pushing{0};
+  std::vector<size_t> pushed(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      size_t& n = pushed[static_cast<size_t>(t)];
+      while (!polled_done.load(std::memory_order_acquire)) {
+        const int64_t i = static_cast<int64_t>(n++);
+        sc.Ingest(slots[static_cast<size_t>(t)],
+                  MakeEvent(1'000'000 * (t + 1) + i, 1'000'000 + i, "x", 0, 0));
+        if (i == 0) pushing.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  // Polling starts once every pusher's watermark is ahead of it.
+  while (pushing.load(std::memory_order_acquire) < kThreads) {
+    std::this_thread::yield();
+  }
+  Status status = Status::OK();
+  while (status.ok() && !sc.AllExhausted()) status = sc.Step().status();
+  polled_done.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(sc.FireReady().ok());
+  ASSERT_TRUE(sc.Flush().ok());
+
+  const stream::StreamStats stats = sc.stats();
+  ExpectBooksReconcile(stats, kPolled + pushed[0] + pushed[1]);
+  EXPECT_EQ(stats.late, 0u);
+  EXPECT_EQ(stats.duplicates, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Ingest cost and state, on the window manager alone.
 // ---------------------------------------------------------------------------
